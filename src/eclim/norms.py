@@ -1,9 +1,10 @@
 """Energy-constrained operator and diamond norms.
 
 The ECO norm of A at budget E is computed exactly through the dual scan on
-A*A.  A primal routine (projected ascent over feasible unit vectors plus a
-two-eigenvector polish) provides certified lower bounds used to confirm
-strong duality.  The ECD norm is exact for cp maps; for general
+A*A.  A structural primal oracle (a bisection on the multiplier lam for the
+top eigenvector of M - lam*G, plus exact solves on two-dimensional planes of
+top eigenvectors at the crossing) provides certified lower bounds used to
+confirm strong duality.  The ECD norm is exact for cp maps; for general
 *-preserving maps, given as an ordered difference of cp parts, a see-saw
 yields certified lower bounds: every iterate is a feasible input state, so
 the reported trace norm never exceeds the true ECD value.
@@ -25,6 +26,7 @@ from .opcore import (
     dual_scan_witness,
     haar_state,
     project_to_energy_shell,
+    retract_columns,
     rng_from_seed,
 )
 
@@ -63,36 +65,8 @@ def trace_norm(x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Primal side: projected ascent over energy-feasible unit vectors.
+# Primal side: the structural oracle over energy-feasible unit vectors.
 # ---------------------------------------------------------------------------
-
-def _batch_retract(c: np.ndarray, ge: np.ndarray, energy_budget: float) -> np.ndarray:
-    """Columnwise feasibility retraction in the eigenbasis of G.
-
-    Scales excited amplitudes by sqrt(E/e) and moves the freed weight into
-    the ground components, so every column ends with energy <= E exactly.
-    """
-    e = ge @ (np.abs(c) ** 2)
-    hot = e > energy_budget
-    if not np.any(hot):
-        return c
-    c = c.copy()
-    excited = ge > 1e-12 * (1.0 + ge[-1])
-    ground = ~excited
-    ch = c[:, hot]
-    ch[excited, :] *= np.sqrt(energy_budget / e[hot])
-    w = np.clip(1.0 - np.sum(np.abs(ch[excited, :]) ** 2, axis=0), 0.0, None)
-    gw = np.sum(np.abs(ch[ground, :]) ** 2, axis=0)
-    has_ground = gw > 1e-30
-    boost = np.ones_like(gw)
-    boost[has_ground] = np.sqrt(w[has_ground] / gw[has_ground])
-    ch[ground, :] *= boost
-    if np.any(~has_ground):
-        gidx = int(np.flatnonzero(ground)[0])
-        ch[gidx, ~has_ground] = np.sqrt(w[~has_ground])
-    c[:, hot] = ch
-    return c
-
 
 def _plane_max(m2: np.ndarray, g2: np.ndarray, energy_budget: float):
     """Exact maximum of a 2x2 compressed problem over the Bloch sphere.
@@ -158,57 +132,14 @@ def _plane_max(m2: np.ndarray, g2: np.ndarray, energy_budget: float):
     return am + float(bm @ n), bloch_to_state(n)
 
 
-def _plane_sweep(mb: np.ndarray, gd: np.ndarray, energy_budget: float,
-                 psi: np.ndarray, directions_fn, rounds: int = 40):
-    """Coordinatewise exact maximization over 2-planes through psi.
-
-    ``gd`` is the diagonal of G in its eigenbasis and ``directions_fn``
-    yields the search directions for the current iterate.  Every accepted
-    move is an exact in-plane optimum, so the objective is nondecreasing
-    and the iterate stays feasible.
-    """
-    val = float(np.real(psi.conj() @ (mb @ psi)))
-    for _ in range(rounds):
-        improved = False
-        for d in directions_fn(psi):
-            raw = float(np.linalg.norm(d))
-            if raw < 1e-14:
-                continue
-            d = d - (psi.conj() @ d) * psi
-            norm_d = float(np.linalg.norm(d))
-            # A direction almost parallel to psi is pure roundoff noise.
-            if norm_d < 1e-8 * raw:
-                continue
-            d = d / norm_d
-            pair = np.stack([psi, d], axis=1)
-            m2 = pair.conj().T @ (mb @ pair)
-            g2 = pair.conj().T @ (gd[:, None] * pair)
-            got = _plane_max(m2, g2, energy_budget)
-            if got is None:
-                continue
-            _, (alpha, beta) = got
-            cand = alpha * psi + beta * d
-            cand = cand / np.linalg.norm(cand)
-            # Re-evaluate directly so model roundoff can never inflate val,
-            # and keep feasibility unconditional.
-            if float(gd @ np.abs(cand) ** 2) > energy_budget * (1.0 + 1e-12) + 1e-15:
-                continue
-            cand_val = float(np.real(cand.conj() @ (mb @ cand)))
-            if cand_val > val + 1e-14 * (1.0 + abs(val)):
-                psi, val, improved = cand, cand_val, True
-        if not improved:
-            break
-    return val, psi
-
-
 def eco_norm_primal(a, g: ReferenceHamiltonian, energy_budget: float,
-                    restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-                    iterations: int = 150):
-    """Certified lower bound on the ECO norm via projected gradient ascent.
+                    restarts: int = DEFAULT_RESTARTS, seed: int = 0):
+    """Certified lower bound on the ECO norm from ``constrained_rayleigh_max``.
 
-    All restarts run batched; each iterate is retracted onto the energy
-    shell, so the returned value is ||A psi|| for a feasible unit witness
-    and never exceeds the exact dual value (up to roundoff).
+    The returned value is ||A psi|| for a feasible unit witness psi, so it
+    never exceeds the exact dual value (up to roundoff).  The result is
+    deterministic and depends on neither ``restarts`` nor ``seed``; both
+    are still accepted and ``restarts`` must be at least 1.
 
     Returns ``(value, witness)``.
     """
@@ -218,157 +149,85 @@ def eco_norm_primal(a, g: ReferenceHamiltonian, energy_budget: float,
     if restarts < 1:
         raise ValueError("need at least one restart")
     gram = m.conj().T @ m
-    value_sq, psi = constrained_rayleigh_max(HermitianMatrix(gram), g, energy_budget,
-                                             restarts=restarts, seed=seed,
-                                             iterations=iterations)
+    value_sq, psi = constrained_rayleigh_max(HermitianMatrix(gram), g, energy_budget)
     return float(np.sqrt(max(0.0, value_sq))), psi
-
-
-def _structure_candidates(mb: np.ndarray, ge: np.ndarray, energy_budget: float,
-                          evals_m: np.ndarray, evecs_m: np.ndarray):
-    """Best feasible state from the top-eigenvector bisection over lam."""
-    gd = np.diag(ge)
-
-    def top_state(lam):
-        _, evv = np.linalg.eigh(mb - lam * gd)
-        return evv
-
-    feas_tol = energy_budget * (1.0 + 1e-12) + 1e-15
-
-    def candidates_at(lam):
-        evv = top_state(lam)
-        out = []
-        pair = evv[:, -2:]
-        m2 = pair.conj().T @ (mb @ pair)
-        g2 = pair.conj().T @ (ge[:, None] * pair)
-        got = _plane_max(m2, g2, energy_budget)
-        if got is not None:
-            _, (alpha, beta) = got
-            cand = alpha * pair[:, 0] + beta * pair[:, 1]
-            cand = cand / np.linalg.norm(cand)
-            if float(ge @ np.abs(cand) ** 2) <= feas_tol:
-                out.append(cand)
-        top = evv[:, -1]
-        if float(ge @ np.abs(top) ** 2) <= energy_budget:
-            out.append(top)
-        return out
-
-    best_val, best_vec = -np.inf, None
-
-    top0 = evecs_m[:, -1]
-    if float(ge @ np.abs(top0) ** 2) <= energy_budget:
-        return float(evals_m[-1]), top0
-
-    lo = 0.0
-    hi = 2.0 * max(1.0, max(0.0, float(evals_m[-1])) / energy_budget)
-    for _ in range(60):
-        evv = top_state(hi)
-        if float(ge @ np.abs(evv[:, -1]) ** 2) <= energy_budget:
-            break
-        hi *= 4.0
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        evv = top_state(mid)
-        if float(ge @ np.abs(evv[:, -1]) ** 2) > energy_budget:
-            lo = mid
-        else:
-            hi = mid
-    for lam in (lo, 0.5 * (lo + hi), hi):
-        for cand in candidates_at(lam):
-            val = float(np.real(cand.conj() @ (mb @ cand)))
-            if val > best_val:
-                best_val, best_vec = val, cand
-    return best_val, best_vec
 
 
 def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
                              energy_budget: float, restarts: int = DEFAULT_RESTARTS,
-                             seed: int = 0, iterations: int = 150):
+                             seed: int = 0):
     """Maximize <psi|M|psi> over unit vectors with <psi|G|psi> <= E.
 
-    Independent of the dual scan: ascent plus a final two-eigenvector
-    polish around the locally estimated multiplier.  Returns
-    ``(value, psi)`` with psi feasible.
+    Independent of the dual scan.  The optimum is the top eigenvector of
+    M - lam*G at the multiplier where its energy crosses the budget, or a
+    mix of top eigenvectors there.  The energy of the top eigenvector is
+    nonincreasing in lam by convexity of the top eigenvalue, so a bisection
+    pins the crossing, and exact solves on two-dimensional planes handle the
+    mixed case: the plane of the top eigenvectors on both sides of the
+    crossing, and the plane of the top two eigenvectors on each side.  The
+    result is deterministic and depends on neither ``restarts`` nor
+    ``seed``.
+
+    Returns ``(value, psi)`` with psi feasible and value evaluated directly.
     """
     ge, gv = g.eigh()
     ge = np.clip(ge, 0.0, None)
     mb = gv.conj().T @ m.entries @ gv  # M in the eigenbasis of G
     mb = (mb + mb.conj().T) / 2.0
-    d = g.dim
-    rng = rng_from_seed(seed)
+    feas_tol = energy_budget * (1.0 + 1e-12) + 1e-15
 
-    c = rng.standard_normal((d, restarts)) + 1j * rng.standard_normal((d, restarts))
-    # Seed one restart with the unconstrained top eigenvector of M.
+    def energy_of(v):
+        return float(ge @ np.abs(v) ** 2)
+
+    def top_vectors(lam):
+        return np.linalg.eigh(mb - lam * np.diag(ge))[1]
+
     evals_m, evecs_m = np.linalg.eigh(mb)
-    c[:, 0] = evecs_m[:, -1]
-    c /= np.linalg.norm(c, axis=0)
-    c = _batch_retract(c, ge, energy_budget)
-
-    def objective(cols):
-        return np.real(np.sum(cols.conj() * (mb @ cols), axis=0))
-
-    vals = objective(c)
-    eta = np.full(restarts, 0.5 / (1.0 + np.max(np.abs(evals_m))))
-    stall = np.zeros(restarts, dtype=int)
-    for _ in range(iterations):
-        grad = mb @ c
-        improved = np.zeros(restarts, dtype=bool)
-        for factor in (2.0, 1.0, 0.25):
-            step = c + (eta * factor) * grad
-            step /= np.linalg.norm(step, axis=0)
-            step = _batch_retract(step, ge, energy_budget)
-            new_vals = objective(step)
-            better = new_vals > vals + 1e-15 * (1.0 + np.abs(vals))
-            if np.any(better):
-                c[:, better] = step[:, better]
-                vals[better] = new_vals[better]
-                eta[better] *= np.where(factor > 1.0, 1.3, 0.7)
-                improved |= better
-        stall = np.where(improved, 0, stall + 1)
-        if np.all(stall > 12):
-            break
-
-    # Polish the strongest restarts with exact 2-plane maximizations along
-    # the gradient, the ground direction, and the top eigenvectors of
-    # M - lam*G at the locally estimated KKT multiplier.
-    ground_dir = np.zeros(d, dtype=complex)
-    ground_dir[0] = 1.0
-
-    def directions_fn(psi):
-        a_dir = ge * psi - (ge @ np.abs(psi) ** 2) * psi
-        b_dir = mb @ psi - float(np.real(psi.conj() @ (mb @ psi))) * psi
-        denom = float(np.real(a_dir.conj() @ a_dir))
-        lam_hat = max(0.0, float(np.real(a_dir.conj() @ b_dir)) / denom) \
-            if denom > 1e-20 else 0.0
-        _, pv = np.linalg.eigh(mb - lam_hat * np.diag(ge))
-        return [mb @ psi, pv[:, -1], pv[:, -2], ground_dir]
-
-    # The two-eigenvector structure: the optimum is the top eigenvector of
-    # M - lam*G at the multiplier where its energy crosses the budget (or a
-    # mix of the two crossing branches).  The energy of the top eigenvector
-    # is nonincreasing in lam by convexity of the top eigenvalue, so a
-    # bisection pins the crossing; the top-2 plane solve handles the mixed
-    # case exactly.  Every candidate is feasible by construction.
-    best_val, best_vec = _structure_candidates(mb, ge, energy_budget, evals_m, evecs_m)
-
-    # Polish the strongest ascent restarts and the enumeration winner with
-    # exact in-plane maximizations.
-    order = np.argsort(vals)[::-1]
-    if best_vec is None or float(vals[order[0]]) > best_val:
-        best_val = float(vals[order[0]])
-        best_vec = c[:, order[0]].copy()
-    seeds = [best_vec] + [c[:, col] for col in order[: min(8, restarts)]]
-    for seed_vec in seeds:
-        val, vec = _plane_sweep(mb, ge, energy_budget, seed_vec, directions_fn)
-        if val > best_val:
-            best_val, best_vec = float(val), vec
+    candidates = [evecs_m[:, -1]]
+    if energy_of(evecs_m[:, -1]) > energy_budget:
+        candidates = []
+        lo = 0.0
+        hi = 2.0 * max(1.0, max(0.0, float(evals_m[-1])) / energy_budget)
+        for _ in range(60):
+            if energy_of(top_vectors(hi)[:, -1]) <= energy_budget:
+                break
+            hi *= 4.0
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            if energy_of(top_vectors(mid)[:, -1]) > energy_budget:
+                lo = mid
+            else:
+                hi = mid
+        # Both sides of the crossing lie in the top eigenspace of M - lam*G,
+        # one above the budget and one within it, so the plane they span
+        # holds a state of energy E on that eigenspace however degenerate it
+        # is.  When the two sides coincide (a simple top eigenvalue) that
+        # plane degenerates, and the top-2 planes on each side carry the
+        # direction in which the top eigenvector turns.
+        evv_lo, evv_hi = top_vectors(lo), top_vectors(hi)
+        v_hi = evv_hi[:, -1]
+        two_sided = np.linalg.qr(np.column_stack([v_hi, evv_lo[:, -1]]))[0]
+        for pair in (evv_lo[:, -2:], evv_hi[:, -2:], two_sided):
+            m2 = pair.conj().T @ (mb @ pair)
+            g2 = pair.conj().T @ (ge[:, None] * pair)
+            got = _plane_max(m2, g2, energy_budget)
+            if got is not None:
+                _, (alpha, beta) = got
+                cand = alpha * pair[:, 0] + beta * pair[:, 1]
+                cand = cand / np.linalg.norm(cand)
+                if energy_of(cand) <= feas_tol:
+                    candidates.append(cand)
+        if energy_of(v_hi) <= energy_budget:
+            candidates.append(v_hi)
+    # The ground state of G is always feasible, so the list is never empty.
+    candidates.append(np.eye(g.dim, 1, dtype=complex)[:, 0])
+    best = max(candidates, key=lambda v: float(np.real(v.conj() @ (mb @ v))))
 
     # Final feasibility guard; the retraction is the identity on feasible
     # vectors and the reported value is always the direct objective.
-    final = _batch_retract(best_vec[:, None].copy(), ge, energy_budget)[:, 0]
+    final = retract_columns(best[:, None], ge, energy_budget)[:, 0]
     final = final / np.linalg.norm(final)
-    best_val = float(np.real(final.conj() @ (mb @ final)))
-    return best_val, gv @ final
+    return float(np.real(final.conj() @ (mb @ final))), gv @ final
 
 
 def random_feasible_sample_max(m: HermitianMatrix, g: ReferenceHamiltonian,
@@ -385,7 +244,7 @@ def random_feasible_sample_max(m: HermitianMatrix, g: ReferenceHamiltonian,
         k = min(batch, left)
         c = rng.standard_normal((g.dim, k)) + 1j * rng.standard_normal((g.dim, k))
         c /= np.linalg.norm(c, axis=0)
-        c = _batch_retract(c, ge, energy_budget)
+        c = retract_columns(c, ge, energy_budget)
         vals = np.real(np.sum(c.conj() * (mb @ c), axis=0))
         best = max(best, float(np.max(vals)))
         left -= k

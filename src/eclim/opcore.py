@@ -269,18 +269,6 @@ def golden_section(f, a: float, b: float, tol: float = GOLDEN_TOL,
     raise RuntimeError("golden-section search did not converge (bracket failure)")
 
 
-def _dual_objective(m_entries: np.ndarray, g_entries: np.ndarray, energy_budget: float):
-    eye = np.eye(m_entries.shape[0])
-
-    def top(lam: float) -> float:
-        return float(np.linalg.eigvalsh(m_entries - lam * g_entries)[-1])
-
-    def g_of(lam: float) -> float:
-        return lam * energy_budget + max(0.0, top(lam))
-
-    return top, g_of, eye
-
-
 def dual_scan(m: HermitianMatrix, g: ReferenceHamiltonian, energy_budget: float):
     """Minimize lam*E + max(0, lambda_max(M - lam*G)) over lam >= 0.
 
@@ -293,7 +281,11 @@ def dual_scan(m: HermitianMatrix, g: ReferenceHamiltonian, energy_budget: float)
     if energy_budget <= 0:
         raise ValueError("energy budget must be positive")
 
-    top, g_of, _ = _dual_objective(m.entries, g.entries, energy_budget)
+    def top(lam: float) -> float:
+        return float(np.linalg.eigvalsh(m.entries - lam * g.entries)[-1])
+
+    def g_of(lam: float) -> float:
+        return lam * energy_budget + max(0.0, top(lam))
 
     # The minimizer obeys lam*E <= g(lam*) <= g(0), so this bracket is safe.
     lam_hi = 2.0 * max(1.0, max(0.0, top(0.0)) / energy_budget)
@@ -347,34 +339,54 @@ def dual_scan_witness(m: HermitianMatrix, g: ReferenceHamiltonian, energy_budget
 
 def project_to_energy_shell(psi: np.ndarray, g: ReferenceHamiltonian,
                             energy_budget: float) -> np.ndarray:
-    """Exact feasibility retraction: scale excited amplitudes by sqrt(E/e).
+    """Exact feasibility retraction of one vector; see ``retract_columns``.
 
-    Works in the eigenbasis of G; the freed weight moves into the ground
-    modes (eigenvalues at numerical zero, which every reference Hamiltonian
-    has), so the result is a unit vector with energy min(e, E) up to the
-    ground modes' 1e-12-relative eigenvalue noise.
+    Returns the normalized input itself when it already has energy <= E.
     """
     v = np.asarray(psi, dtype=complex).reshape(-1)
     v = v / np.linalg.norm(v)
     ge, gv = g.eigh()
     ge = np.clip(ge, 0.0, None)
     c = gv.conj().T @ v
-    e = float(ge @ np.abs(c) ** 2)
-    if e <= energy_budget:
+    if float(ge @ np.abs(c) ** 2) <= energy_budget:
         return v
+    out = gv @ retract_columns(c[:, None], ge, energy_budget)[:, 0]
+    return out / np.linalg.norm(out)
+
+
+def retract_columns(c: np.ndarray, ge: np.ndarray, energy_budget: float) -> np.ndarray:
+    """Exact feasibility retraction of each unit column of ``c``.
+
+    ``c`` holds amplitudes in the eigenbasis of G and ``ge`` the ascending
+    eigenvalues of G clipped at 0.  A column with energy e > E has its
+    excited amplitudes scaled by sqrt(E/e); the freed weight moves into the
+    ground modes (eigenvalues at numerical zero, which every reference
+    Hamiltonian has), so the column stays a unit vector with energy E up to
+    the ground modes' 1e-12-relative eigenvalue noise.  Feasible columns are
+    returned unchanged.
+    """
+    e = ge @ (np.abs(c) ** 2)
+    hot = e > energy_budget
+    if not np.any(hot):
+        return c
     excited = ge > 1e-12 * (1.0 + ge[-1])
     ground = ~excited
     if not np.any(ground):
         raise ValueError("reference Hamiltonian has no numerically zero ground mode")
-    c[excited] *= np.sqrt(energy_budget / e)
-    w = max(0.0, 1.0 - float(np.sum(np.abs(c[excited]) ** 2)))
-    gw = float(np.sum(np.abs(c[ground]) ** 2))
-    if gw > 1e-30:
-        c[ground] *= np.sqrt(w / gw)
-    else:
-        c[int(np.flatnonzero(ground)[0])] = np.sqrt(w)
-    out = gv @ c
-    return out / np.linalg.norm(out)
+    c = c.copy()
+    ch = c[:, hot]
+    ch[excited, :] *= np.sqrt(energy_budget / e[hot])
+    w = np.clip(1.0 - np.sum(np.abs(ch[excited, :]) ** 2, axis=0), 0.0, None)
+    gw = np.sum(np.abs(ch[ground, :]) ** 2, axis=0)
+    has_ground = gw > 1e-30
+    boost = np.ones_like(gw)
+    boost[has_ground] = np.sqrt(w[has_ground] / gw[has_ground])
+    ch[ground, :] *= boost
+    if np.any(~has_ground):
+        gidx = int(np.flatnonzero(ground)[0])
+        ch[gidx, ~has_ground] = np.sqrt(w[~has_ground])
+    c[:, hot] = ch
+    return c
 
 
 def spectral_function(m: HermitianMatrix, f: str, p: float | None = None) -> HermitianMatrix:

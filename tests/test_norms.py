@@ -124,14 +124,41 @@ class TestEcoNormPrimal:
 
     def test_never_exceeds_dual(self):
         rng = rng_from_seed(34)
+        cases = []
         for i in range(15):
             d = int(rng.integers(2, 6))
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             g = random_reference(d, rng)
             e = float(rng.random() * 2 + 0.05)
+            cases.append((a, g, e))
+        a4 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rank2 = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        g4 = random_reference(4, rng)
+        cases += [
+            (a4, ref(0.0, 1.0, 1.0, 1.0), 0.5),  # degenerate excited level
+            (np.eye(4), ref(0.0, 1.0, 1.0, 1.0), 0.5),
+            (a4, ref(0.0, 0.0, 1.0, 3.0), 0.2),  # degenerate ground level
+            (rank2, g4, 0.3),  # rank-2 M = A*A
+            (np.zeros((3, 3)), ref(0.0, 1.0, 2.0), 0.5),
+            (a4, g4, g4.max_energy() + 1.0),  # slack budget
+            (a4, g4, g4.max_energy()),
+            (np.ones((3, 3)), ref(0.0, 1.0, 1.0), 0.5),
+            # M - lam*G degenerate over three or more levels at the crossing
+            (np.diag(np.sqrt([0.0, 1.0, 2.0, 3.0])), ref(0.0, 1.0, 2.0, 3.0), 1.5),
+            (np.diag([0.0, 1.0, 2.0, 3.0, 4.0]), ref(0.0, 1.0, 4.0, 9.0, 16.0), 2.5),
+            (np.diag(np.sqrt([1.0, 1.2, 2.8, 3.0])), ref(0.0, 0.2, 1.8, 2.0), 0.5),
+            (np.diag([1.0, 2.0, 3.0, 4.0]), ref(0.0, 3.0, 8.0, 15.0), 5.0),
+        ]
+        for i, (a, g, e) in enumerate(cases):
             dual, _ = eco_norm(a, g, e)
-            primal, _ = eco_norm_primal(a, g, e, restarts=32, seed=i)
+            primal, psi = eco_norm_primal(a, g, e, restarts=32, seed=i)
             assert primal <= dual * (1.0 + 1e-6) + 1e-12
+            assert dual - primal <= 1e-6 * max(1.0, dual)
+            assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+            assert vector_energy(g, psi) <= e * (1.0 + 1e-12)
+            # deterministic: the seed does not enter the result
+            again, _ = eco_norm_primal(a, g, e, restarts=32, seed=i + 1000)
+            assert again == primal
 
 
 class TestEcdCp:

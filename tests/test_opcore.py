@@ -19,6 +19,7 @@ from eclim.opcore import (
     psd_order_leq,
     random_psd,
     random_reference,
+    retract_columns,
     rng_from_seed,
     spectral_function,
     vector_energy,
@@ -211,6 +212,36 @@ class TestRetraction:
             out = project_to_energy_shell(v, g, e_target)
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
             assert vector_energy(g, out) <= e_target + 1e-10
+
+    def test_feasible_input_unchanged(self):
+        rng = rng_from_seed(4)
+        g = random_reference(5, rng)
+        for _ in range(20):
+            v = g.ground_vector() + 0.05 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+            v /= np.linalg.norm(v)
+            e_target = vector_energy(g, v) * 1.5 + 1e-3
+            out = project_to_energy_shell(v, g, e_target)
+            assert np.array_equal(out, v / np.linalg.norm(v))
+
+    def test_columnwise_matches_vector_form(self):
+        rng = rng_from_seed(6)
+        g = random_reference(6, rng)
+        ge, gv = g.eigh()
+        ge = np.clip(ge, 0.0, None)
+        e_target = 0.3
+        v = rng.standard_normal((6, 40)) + 1j * rng.standard_normal((6, 40))
+        v[:, :5] = g.ground_vector()[:, None] + 0.01 * v[:, :5]  # feasible columns
+        v /= np.linalg.norm(v, axis=0)
+        c = gv.conj().T @ v
+        feasible = ge @ np.abs(c) ** 2 <= e_target
+        assert np.any(feasible) and not np.all(feasible)
+        out = retract_columns(c, ge, e_target)
+        assert np.array_equal(out[:, feasible], c[:, feasible])
+        assert np.all(ge @ np.abs(out) ** 2 <= e_target * (1.0 + 1e-12))
+        assert np.allclose(np.linalg.norm(out, axis=0), 1.0, rtol=0.0, atol=1e-12)
+        for j in range(v.shape[1]):
+            one = project_to_energy_shell(v[:, j], g, e_target)
+            assert np.allclose(gv @ out[:, j], one, rtol=0.0, atol=1e-13)
 
 
 class TestSpectralFunction:
