@@ -8,18 +8,18 @@ and Trotter error checks.
 """
 
 __version__ = "0.1.0"
-INTERFACE_VERSION = "1"  # wire formats and CLI surface
+INTERFACE_VERSION = "2"  # wire formats and CLI surface
 
 from .opcore import (
     AffineCertificate,
     DensityState,
     EnergyCurve,
+    EnergyProfile,
     HermitianMatrix,
     ReferenceHamiltonian,
     dual_scan,
     dual_scan_witness,
     energy,
-    golden_section,
     ground_shift,
     psd_order_leq,
     spectral_function,

@@ -32,7 +32,7 @@ from .lindblad import (
     stability_curve,
 )
 from .models import SpinSystem, ad_norm_su2, spin_system
-from .norms import CpDifference, ecd_norm_seesaw, eco_norm, trace_norm
+from .norms import CpDifference, ecd_norm_seesaw, eco_profile, trace_norm
 from .opcore import (
     DensityState,
     HermitianMatrix,
@@ -136,6 +136,7 @@ def speedlimit_run(cfg: SpeedLimitConfig) -> list:
     ev2, vec2 = h2.eigh()
     c1 = vec1.conj().T @ psi
     c2 = vec2.conj().T @ psi
+    profile = eco_profile(diff.entries, g)
 
     rows = []
     for t in cfg.time_grid:
@@ -147,7 +148,7 @@ def speedlimit_run(cfg: SpeedLimitConfig) -> list:
         actual = float(np.linalg.norm(u1psi - u2psi))
         budget = e_psi if cfg.first_order \
             else best_certificate(certs, e_psi, t).budget(e_psi, t)
-        value, _ = eco_norm(diff.entries, g, budget)
+        value = np.sqrt(max(0.0, profile.solve(budget)[0]))
         rows.append(SpeedLimitRow(float(t), actual, float(t) * value,
                                   float(t) * uniform_rate))
     return rows
@@ -162,15 +163,14 @@ def qsl_integral_bound(h1: HermitianMatrix, h2: HermitianMatrix,
     estimate; the integrand is nondecreasing in s, hence the integral never
     exceeds t * ||H1 - H2||_{op, f_t(E)}.
     """
-    diff = h1 - h2
+    profile = eco_profile((h1 - h2).entries, g)
+
+    def norm_at(s: float) -> float:
+        return np.sqrt(max(0.0, profile.solve(cert.budget(e_psi, s))[0]))
+
     mids = (np.arange(panels) + 0.5) * (t / panels)
-    total = 0.0
-    for s in mids:
-        value, _ = eco_norm(diff.entries, g, cert.budget(e_psi, float(s)))
-        total += value
-    integral = total * (t / panels)
-    t_form = t * eco_norm(diff.entries, g, cert.budget(e_psi, t))[0]
-    return integral, t_form
+    integral = sum(norm_at(float(s)) for s in mids) * (t / panels)
+    return integral, t * norm_at(t)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .opcore import (
     AffineCertificate,
     DensityState,
     EnergyCurve,
+    EnergyProfile,
     HermitianMatrix,
     ReferenceHamiltonian,
     dual_scan,
@@ -169,20 +170,26 @@ def stinespring(t: KrausChannel) -> np.ndarray:
     return v
 
 
+def _output_energy_observable(t: KrausChannel, g_in: ReferenceHamiltonian,
+                              g_out: ReferenceHamiltonian) -> HermitianMatrix:
+    if t.dim_in != g_in.dim or t.dim_out != g_out.dim:
+        raise ValueError("reference Hamiltonian dimensions do not match the channel")
+    return dual_apply(t, g_out.matrix)
+
+
 def max_output_energy(t: KrausChannel, g_in: ReferenceHamiltonian,
                       g_out: ReferenceHamiltonian, energy_budget: float):
     """Exact f_T(E) with a certificate for T*(G_out) <= lam*G_in + e0."""
-    if t.dim_in != g_in.dim or t.dim_out != g_out.dim:
-        raise ValueError("reference Hamiltonian dimensions do not match the channel")
-    m = dual_apply(t, g_out.matrix)
-    return dual_scan(m, g_in, energy_budget)
+    return dual_scan(_output_energy_observable(t, g_in, g_out), g_in, energy_budget)
 
 
 def energy_curve(t: KrausChannel, g_in: ReferenceHamiltonian,
                  g_out: ReferenceHamiltonian, e_grid) -> EnergyCurve:
+    """f_T on a grid of budgets, all solved from one energy profile."""
+    profile = EnergyProfile(_output_energy_observable(t, g_in, g_out), g_in)
     values, certs = [], []
     for e in e_grid:
-        v, c = max_output_energy(t, g_in, g_out, float(e))
+        v, c = profile.solve(float(e))
         values.append(v)
         certs.append(c)
     return EnergyCurve(tuple(float(e) for e in e_grid), tuple(values), tuple(certs))

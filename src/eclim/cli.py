@@ -393,7 +393,11 @@ def main(argv=None) -> int:
     except BoundViolation as exc:
         sys.stderr.write(to_json({"code": "bound_violation", "message": str(exc)}) + "\n")
         return 1
-    except (ValueError, OSError, RuntimeError) as exc:
+    except RuntimeError as exc:
+        # A solver that did not converge or a non-finite result: not the input's fault.
+        sys.stderr.write(to_json({"code": "numerical_error", "message": str(exc)}) + "\n")
+        return 3
+    except (ValueError, OSError) as exc:
         sys.stderr.write(to_json({"code": "input_error", "message": str(exc)}) + "\n")
         return 2
 

@@ -30,7 +30,7 @@ def format_float(x) -> str:
     """Round-trippable decimal rendering (17 significant digits)."""
     v = float(x)
     if not math.isfinite(v):
-        raise InputError("cannot emit a non-finite number")
+        raise RuntimeError("cannot emit a non-finite number")  # exit code 3
     return format(v, ".17g")
 
 

@@ -20,6 +20,7 @@ from .channels import KrausChannel, choi_of_superoperator
 from .opcore import (
     AffineCertificate,
     DensityState,
+    EnergyProfile,
     HermitianMatrix,
     ReferenceHamiltonian,
     dual_scan,
@@ -44,18 +45,26 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
+def _gram(a, g: ReferenceHamiltonian) -> HermitianMatrix:
+    m = _as_matrix(a)
+    if m.shape[1] != g.dim:
+        raise ValueError(f"dimension mismatch: operator acts on {m.shape[1]}, reference on {g.dim}")
+    return HermitianMatrix(m.conj().T @ m)
+
+
 def eco_norm(a, g: ReferenceHamiltonian, energy_budget: float):
     """Exact energy-constrained operator norm of A (A may be non-Hermitian).
 
     Returns ``(value, cert)`` with cert witnessing A*A <= lam*G + e0 and
     lam*E + e0 = value**2.
     """
-    m = _as_matrix(a)
-    if m.shape[1] != g.dim:
-        raise ValueError(f"dimension mismatch: operator acts on {m.shape[1]}, reference on {g.dim}")
-    gram = HermitianMatrix(m.conj().T @ m)
-    value_sq, cert = dual_scan(gram, g, energy_budget)
+    value_sq, cert = dual_scan(_gram(a, g), g, energy_budget)
     return float(np.sqrt(max(0.0, value_sq))), cert
+
+
+def eco_profile(a, g: ReferenceHamiltonian) -> EnergyProfile:
+    """Energy profile of A*A: ``solve(E)`` gives ||A||_{op,E}**2 and its certificate."""
+    return EnergyProfile(_gram(a, g), g)
 
 
 def trace_norm(x) -> float:

@@ -67,6 +67,8 @@ from eclim.opcore import (
     rng_from_seed,
 )
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(num, ok, detail):
     status = "PASS" if ok else "FAIL"

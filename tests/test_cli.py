@@ -72,6 +72,16 @@ class TestEcoNormCommand:
         assert code == 2
         assert json.loads(err)["code"] == "input_error"
 
+    def test_solver_failure_is_a_numerical_error(self, files, capsys, monkeypatch):
+        from eclim import opcore
+        monkeypatch.setattr(opcore, "DUAL_MAX_ITER", 0)
+        op = files["write"]("n.json", op_json(np.diag([0.0, 1.0])))
+        code, out, err = run_main(["eco-norm", "--op", op, "--ref", files["g"],
+                                   "--energy", "0.25"], capsys)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["code"] == "numerical_error"
+
     def test_dimension_mismatch_names_both(self, files, capsys):
         g3 = files["write"]("g3.json", op_json(np.diag([0.0, 1.0, 2.0])))
         code, _, err = run_main(["eco-norm", "--op", files["sx"], "--ref", g3,
@@ -240,6 +250,10 @@ class TestWireFormat:
     def test_seventeen_digit_round_trip(self):
         for value in (1.0 / 3.0, np.pi, 2.0 ** -52, 1e300):
             assert float(format_float(value)) == value
+
+    def test_non_finite_output_is_numerical(self):
+        with pytest.raises(RuntimeError):
+            format_float(float("nan"))
 
     def test_to_json_types(self):
         s = to_json({"a": 1, "b": [0.5, True, None], "c": "x"})

@@ -3,20 +3,22 @@
 import numpy as np
 import pytest
 
+from eclim import opcore
 from eclim.opcore import (
     AffineCertificate,
     DensityState,
     EnergyCurve,
+    EnergyProfile,
     HermitianMatrix,
     ReferenceHamiltonian,
     dual_scan,
     dual_scan_witness,
     energy,
-    golden_section,
     ground_shift,
     identity,
     project_to_energy_shell,
     psd_order_leq,
+    random_hermitian,
     random_psd,
     random_reference,
     retract_columns,
@@ -55,6 +57,17 @@ class TestHermitianMatrix:
         m = diag(1.0, 2.0)
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
+
+    def test_eigendecomposition_cached_read_only(self):
+        m = random_psd(4, rng_from_seed(2))
+        evals, evecs = m.eigh()
+        again = m.eigh()
+        assert again[0] is evals and again[1] is evecs
+        assert m.eigvals() is m.eigvals()
+        assert np.array_equal(m.eigvals(), np.linalg.eigvalsh(m.entries))
+        for arr in (evals, evecs, m.eigvals()):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestPsdOrder:
@@ -116,21 +129,6 @@ class TestEnergy:
     def test_subnormalized_state_allowed(self):
         rho = DensityState(HermitianMatrix(0.4 * np.eye(2)))
         assert rho.trace() == pytest.approx(0.8)
-
-
-class TestGoldenSection:
-    def test_parabola(self):
-        x, fx = golden_section(lambda x: (x - 2.0) ** 2, 0.0, 5.0)
-        assert x == pytest.approx(2.0, abs=1e-8)
-        assert fx == pytest.approx(0.0, abs=1e-15)
-
-    def test_kinked_convex(self):
-        x, fx = golden_section(lambda x: max(1.0 - x, 0.25 * x), 0.0, 10.0)
-        assert x == pytest.approx(0.8, abs=1e-8)
-
-    def test_non_convergence_raises(self):
-        with pytest.raises(RuntimeError):
-            golden_section(lambda x: x, 0.0, 1.0, tol=0.0, max_iter=5)
 
 
 class TestDualScan:
@@ -196,9 +194,150 @@ class TestDualScan:
             assert direct <= value + 1e-8 * (1.0 + abs(value))
             assert direct >= value - 1e-7 * (1.0 + abs(value))
 
+    def test_witness_pins_the_budget(self):
+        # The witness is built at the returned slope, so a slope that is off
+        # by more than the 1e-10 bracket moves its energy and value.
+        rng = rng_from_seed(15)
+        binding = 0
+        for i in range(40):
+            d = int(rng.integers(2, 9))
+            m = random_psd(d, rng)
+            g = random_reference(d, rng)
+            e = [0.05, 0.3, 1.0][i % 3]
+            value, cert, psi = dual_scan_witness(m, g, e)
+            if cert.lam == 0.0:
+                continue
+            binding += 1
+            assert abs(vector_energy(g, psi) - e) <= 1e-9 * (1.0 + e)
+            direct = float(np.real(psi.conj() @ m.entries @ psi))
+            assert abs(direct - value) <= 1e-9 * (1.0 + abs(value))
+        assert binding >= 20
+
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             dual_scan(identity(2), ref(0.0, 1.0), 0.0)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(opcore, "DUAL_MAX_ITER", 2)
+        with pytest.raises(RuntimeError):
+            dual_scan(random_psd(4, rng_from_seed(3)), random_reference(4, rng_from_seed(4)), 0.3)
+
+
+def _grid_reference(m, g, e, rounds=5, points=401):
+    """min over lam >= 0 of lam*E + max(0, lambda_max(M - lam*G)) by zooming grids.
+
+    g is convex, so its minimum stays between the neighbours of each grid's
+    best point.
+    """
+    def f(lam):
+        return lam * e + max(0.0, float(np.linalg.eigvalsh(m.entries - lam * g.entries)[-1]))
+
+    lo, hi = 0.0, 2.0 * max(0.0, float(m.eigvals()[-1])) / e + 1.0
+    best = f(0.0)
+    for _ in range(rounds):
+        lams = np.linspace(lo, hi, points)
+        vals = [f(x) for x in lams]
+        i = int(np.argmin(vals))
+        best = min(best, vals[i])
+        lo, hi = lams[max(i - 1, 0)], lams[min(i + 1, points - 1)]
+    return best
+
+
+def _number_reference():
+    return ref(0.0, 1.0, 2.0, 3.0)
+
+
+def _two_level():
+    return HermitianMatrix(np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)), ref(0.0, 1.0)
+
+
+# (name, M, G, E, closed-form value or None for a grid reference, witness attains it)
+EDGE_CASES = [
+    ("slack", diag(1.0, 2.0), ref(0.0, 1.0), 5.0, 2.0, True),
+    ("negative M", diag(-1.0, -2.0), ref(0.0, 1.0), 0.5, 0.0, False),
+    ("zero M", diag(0.0, 0.0, 0.0), ref(0.0, 1.0, 2.0), 0.5, 0.0, True),
+    # lambda_max(M - lam*G) = 1 - lam reaches 0 at the minimizer lam* = 1;
+    # the optimum is the subnormalized state 0.5|1><1|.
+    ("kink at zero", diag(-1.0, 1.0), ref(0.0, 1.0), 0.5, 0.5, False),
+    # M - lam*G = (1 - lam) G is zero at lam* = 1: all four levels cross.
+    ("degenerate crossing", diag(0.0, 1.0, 2.0, 3.0), _number_reference(), 1.5, 1.5, True),
+    # M = 2G + 0.5: g is flat on [0, 2] at E = 3 and kinked at lam = 2 for E = 1.5.
+    ("flat segment", diag(0.5, 2.5, 4.5, 6.5), _number_reference(), 3.0, 6.5, True),
+    ("collinear kink", diag(0.5, 2.5, 4.5, 6.5), _number_reference(), 1.5, 3.5, True),
+    # Two levels: the budget binds, value a(1-E) + cE + 2|b|sqrt(E(1-E)).
+    ("tiny budget", *_two_level(), 1e-6, 1.0 - 1e-6 + 2e-6 + np.sqrt(1e-6 * (1 - 1e-6)), True),
+    ("huge budget", *_two_level(), 1e6, 1.5 + np.sqrt(0.5), True),
+    ("tiny budget d=5", random_psd(5, rng_from_seed(21)), random_reference(5, rng_from_seed(22)),
+     1e-6, None, True),
+    ("huge budget d=5", random_psd(5, rng_from_seed(21)), random_reference(5, rng_from_seed(22)),
+     1e6, None, True),
+    ("indefinite d=6", random_hermitian(6, rng_from_seed(23)), random_reference(6, rng_from_seed(24)),
+     0.7, None, True),
+]
+
+
+class TestDualSolverEdgeCases:
+    @pytest.mark.parametrize("case", EDGE_CASES, ids=[c[0] for c in EDGE_CASES])
+    def test_value_certificate_and_witness(self, case):
+        _, m, g, e, closed, witness_attains = case
+        expected = _grid_reference(m, g, e) if closed is None else closed
+        value, cert = dual_scan(m, g, e)
+        assert abs(value - expected) <= 1e-10 * (1.0 + abs(expected))
+        assert cert.verify(m, g).residual >= -1e-12 * (1.0 + abs(value))
+        assert cert.bound(e) == pytest.approx(value, rel=1e-15, abs=1e-15)
+        wvalue, wcert, psi = dual_scan_witness(m, g, e)
+        assert (wvalue, wcert.lam, wcert.e0) == (value, cert.lam, cert.e0)
+        assert vector_energy(g, psi) <= e * (1.0 + 1e-12)
+        direct = float(np.real(psi.conj() @ m.entries @ psi))
+        assert direct <= value + 1e-9 * (1.0 + abs(value))
+        if witness_attains:
+            assert direct >= value - 1e-9 * (1.0 + abs(value))
+
+
+class TestEnergyProfile:
+    @staticmethod
+    def _instances():
+        rng = rng_from_seed(31)
+        for d in range(2, 9):
+            yield random_psd(d, rng), random_reference(d, rng)
+        from eclim.models import spin_system
+        spin = spin_system(7)
+        diff = spin.sx + random_hermitian(spin.dim, rng, operator_norm=0.5) - spin.sy
+        yield HermitianMatrix(diff.entries.conj().T @ diff.entries), spin.reference
+
+    def test_grid_matches_cold_solves_in_any_order(self):
+        grid = np.geomspace(1e-3, 50.0, 12)
+        for m, g in self._instances():
+            cold = {e: dual_scan(m, g, e)[0] for e in grid}
+            curves = []
+            for seed in (0, 1):
+                order = rng_from_seed(seed).permutation(grid)
+                profile = EnergyProfile(m, g)
+                solved = {e: profile.solve(e) for e in order}
+                assert profile.last_gap <= 1e-12 * (1.0 + abs(solved[order[-1]][0]))
+                for e, (v, cert) in solved.items():
+                    assert abs(v - cold[e]) <= 1e-12 * (1.0 + abs(cold[e]))
+                    assert cert.bound(e) == pytest.approx(v, rel=1e-15, abs=1e-15)
+                curves.append(EnergyCurve(tuple(grid), tuple(solved[e][0] for e in grid),
+                                          tuple(solved[e][1] for e in grid)))
+            assert max(abs(a - b) / (1.0 + abs(a))
+                       for a, b in zip(curves[0].values, curves[1].values)) <= 1e-12
+
+    def test_warm_solves_reuse_cuts(self):
+        m, g = random_psd(6, rng_from_seed(41)), random_reference(6, rng_from_seed(42))
+        grid = np.geomspace(1e-2, 10.0, 12)
+        cold = 0
+        for e in grid:
+            profile = EnergyProfile(m, g)
+            profile.solve(e)
+            cold += profile.evaluations
+        warm = EnergyProfile(m, g)
+        for e in grid:
+            warm.solve(e)
+        assert warm.evaluations < cold
+        before = warm.evaluations
+        warm.solve(grid[3])
+        assert warm.evaluations == before
 
 
 class TestRetraction:
