@@ -51,6 +51,7 @@ from .lindblad import (
     StabilityCertificate,
     dissipation_matrix,
     evolve,
+    evolve_grid,
     min_omega,
     stability_curve,
     verify_energy_bound,

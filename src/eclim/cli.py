@@ -36,7 +36,7 @@ from .jsonio import (
     to_json,
 )
 from .lindblad import BoundViolation, default_e0_grid, dissipation_matrix, \
-    evolve, min_omega
+    evolve_grid, min_omega
 from .models import BirthRates, birth_epsilons, birth_tau, birth_trace, \
     rabi_certificate, rabi_hamiltonian, spin_system
 from .norms import CpDifference, ecd_norm_cp, ecd_norm_seesaw, eco_norm
@@ -163,12 +163,10 @@ def _cmd_simulate(args) -> int:
     rho = parse_density(load_file(args.state))
     ref = _reference(args.ref)
     times = _float_list(args.times)
-    rows = []
-    for t in times:
-        if t < 0:
-            raise InputError("times must be nonnegative")
-        out = evolve(gen, rho, t)
-        rows.append({"time": t, "energy": energy(ref, out), "trace": out.trace()})
+    if any(t < 0 for t in times):
+        raise InputError("times must be nonnegative")
+    rows = [{"time": t, "energy": energy(ref, out), "trace": out.trace()}
+            for t, out in zip(times, evolve_grid(gen, rho, times))]
     _emit(to_json({"rows": rows}), args.out)
     return 0
 

@@ -7,7 +7,8 @@ tr(gamma)/4 + |beta|^2/2 - n/2.  Channels act as gamma -> X^T gamma X + Y,
 beta -> X^T beta + alpha, and are completely positive iff
 Y + i sigma_B - i X^T sigma_A X >= 0.  Semigroups of nondisplacing Gaussian
 channels are generated by (Xdot, Ydot) with X(t) = exp(t Xdot) and
-Y(t) = int_0^t X(s)^T Ydot X(s) ds.
+Y(t) = int_0^t X(s)^T Ydot X(s) ds; the integral is closed-form, one
+exponential of a block matrix (Van Loan).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from scipy.linalg import expm
 
 GAUSS_PSD_RTOL = 1e-9
-Y_INTEGRAL_TOL = 1e-10
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -242,31 +242,20 @@ def generator_from_dictionary(m: np.ndarray, h: np.ndarray, modes: int) -> Gauss
 
 
 def _noise_integral(g: GaussianGenerator, t: float) -> np.ndarray:
-    """Y(t) = int_0^t X(s)^T Ydot X(s) ds by Simpson panels with doubling."""
-    if t == 0.0:
-        return np.zeros_like(g.ydot)
+    """Y(t) = int_0^t X(s)^T Ydot X(s) ds by Van Loan's block exponential.
 
-    def integrand(s):
-        xs = expm(s * g.xdot)
-        return xs.T @ g.ydot @ xs
-
-    def simpson(panels):
-        xs = np.linspace(0.0, t, 2 * panels + 1)
-        vals = [integrand(s) for s in xs]
-        total = vals[0] + vals[-1]
-        total = total + 4.0 * sum(vals[1:-1:2], np.zeros_like(vals[0]))
-        total = total + 2.0 * sum(vals[2:-1:2], np.zeros_like(vals[0]))
-        return total * (t / (6.0 * panels))
-
-    panels = 8
-    prev = simpson(panels)
-    for _ in range(16):
-        panels *= 2
-        cur = simpson(panels)
-        if np.max(np.abs(cur - prev)) <= Y_INTEGRAL_TOL * (1.0 + np.max(np.abs(cur))):
-            return cur
-        prev = cur
-    raise RuntimeError("noise integral did not converge")
+    With B = [[-Xdot^T, Ydot], [0, Xdot]] and F = exp(t B), the blocks are
+    F22 = exp(t Xdot) and F12 = int_0^t exp(-(t-s) Xdot^T) Ydot exp(s Xdot) ds,
+    so Y(t) = F22^T F12 (Van Loan 1978, "Computing integrals involving the
+    matrix exponential").
+    """
+    d = g.xdot.shape[0]
+    block = np.zeros((2 * d, 2 * d))
+    block[:d, :d] = -g.xdot.T
+    block[:d, d:] = g.ydot
+    block[d:, d:] = g.xdot
+    f = expm(t * block)
+    return f[d:, d:].T @ f[:d, d:]
 
 
 def semigroup_channel(g: GaussianGenerator, t: float) -> GaussianChannel:
@@ -323,7 +312,7 @@ def fock_damping_crosscheck(kappa: float, nbar: float, times, cutoff: int = 60):
     the Lindbladian with L = sqrt(kappa) a on cutoff+1 levels, started from
     the thermal state with mean occupation nbar.
     """
-    from .lindblad import LindbladGenerator, evolve
+    from .lindblad import LindbladGenerator, evolve_grid
     from .opcore import DensityState, HermitianMatrix, ReferenceHamiltonian, energy
 
     n = cutoff + 1
@@ -338,9 +327,6 @@ def fock_damping_crosscheck(kappa: float, nbar: float, times, cutoff: int = 60):
     ggen = GaussianGenerator.damping(kappa)
     gstate = GaussianState.thermal(1, nbar)
 
-    rows = []
-    for t in times:
-        e_gauss = state_energy(evolve_gaussian(ggen, gstate, float(t)))
-        e_fock = energy(number, evolve(gen, rho, float(t)))
-        rows.append((float(t), e_gauss, e_fock))
-    return rows
+    times = [float(t) for t in times]
+    return [(t, state_energy(evolve_gaussian(ggen, gstate, t)), energy(number, out))
+            for t, out in zip(times, evolve_grid(gen, rho, times))]

@@ -72,6 +72,17 @@ def parse_matrix(data, what: str = "operator") -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise InputError(f"{what} needs exactly dim^2 = {dim * dim} entries")
     out = np.empty((dim, dim), dtype=complex)
+    # Decoded JSON with only finite numbers converts in one step; anything
+    # else goes through the entry loop, which names the offending entry.
+    try:
+        arr = np.array(entries)
+    except (ValueError, TypeError, OverflowError):
+        arr = None
+    if (arr is not None and arr.dtype.kind in "biuf" and arr.shape == (dim * dim, 2)
+            and np.all(np.isfinite(arr))):
+        out.real = arr[:, 0].reshape(dim, dim)
+        out.imag = arr[:, 1].reshape(dim, dim)
+        return out
     for idx, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
             raise InputError(f"{what} entry {idx} must be a [re, im] pair")

@@ -11,6 +11,9 @@ M <= omega*(G + e0) is read off a Hermitian-definite pencil.  Together
 Simulation vectorizes rho row-major, vec(A rho B) = (A (x) B^T) vec(rho),
 so the superoperator is K (x) 1 + 1 (x) conj(K) + sum L (x) conj(L).
 The amplitude-damping closed form pins this convention in the tests.
+A time grid is evolved in one call: small systems apply dense propagators,
+which a generator keeps for its last grid only; larger ones step the action
+exp(dt L) vec(rho) through the sorted grid.
 """
 
 from __future__ import annotations
@@ -25,7 +28,11 @@ from scipy.sparse.linalg import expm_multiply
 from .opcore import DensityState, HermitianMatrix, ReferenceHamiltonian, energy
 
 DISSIPATIVITY_RTOL = 1e-9
-DENSE_EXPM_MAX_DIM = 24
+# Up to this dimension a dense expm of the d^2 x d^2 superoperator is cheaper
+# than the sparse action on one state (d = 8: 1.6 against 1.8 ms; d = 9:
+# 2.6 against 1.8 ms; 2-vCPU x86_64 VM, one BLAS thread), and its
+# propagators serve every state evolved on the same grid.
+DENSE_EXPM_MAX_DIM = 8
 
 
 class BoundViolation(RuntimeError):
@@ -106,13 +113,19 @@ class LindbladGenerator:
             out = out + l @ rho_entries @ l.conj().T
         return out
 
-    def propagator(self, t: float) -> np.ndarray:
-        """exp(t * superoperator); cached per time for reuse across states."""
+    def grid_propagators(self, times) -> dict:
+        """exp(t * superoperator) for each time, keyed by time.
+
+        Only the last grid's propagators are kept, so a grid reused across
+        states costs one expm per time and memory stays bounded by one grid.
+        """
         cache = object.__getattribute__(self, "_cache")
-        key = ("prop", float(t))
-        if key not in cache:
-            cache[key] = expm(float(t) * self.superoperator())
-        return cache[key]
+        last = cache.get("grid", {})
+        if not all(t in last for t in times):
+            s = self.superoperator()
+            last = {t: last[t] if t in last else expm(t * s) for t in times}
+            cache["grid"] = last
+        return last
 
 
 def dissipation_matrix(gen: LindbladGenerator, g: ReferenceHamiltonian) -> HermitianMatrix:
@@ -221,30 +234,52 @@ def joint_constants(cert_lists) -> list:
     return joined
 
 
-def evolve(gen: LindbladGenerator, rho: DensityState, t: float) -> DensityState:
-    """rho(t) = exp(t L) rho via the vectorized superoperator.
+def evolve_grid(gen: LindbladGenerator, rho: DensityState, times) -> list:
+    """The states exp(tL) rho for every t in ``times``, in input order.
 
-    Dense Pade scaling-and-squaring up to dimension 24; beyond that the
-    action exp(tL) vec(rho) is computed directly (Al-Mohy/Higham), which
-    the large truncated models need.  Output trace may only decrease.
+    Up to dimension DENSE_EXPM_MAX_DIM each state is a dense propagator
+    exp(tS) applied to vec(rho).  Beyond it the sorted distinct times are
+    swept once, each step applying the action exp((t - prev) S) to the
+    previous state (Al-Mohy/Higham), so no time restarts from zero.  The
+    trace may only decrease.
     """
-    if t < 0:
-        raise ValueError("negative evolution times are not defined for semigroups")
+    times = [float(t) for t in times]
+    for t in times:
+        if t < 0:
+            raise ValueError("negative evolution times are not defined for semigroups")
+        if not np.isfinite(t):
+            raise ValueError(f"evolution times must be finite, got {t}")
     if gen.dim != rho.dim:
         raise ValueError(f"dimension mismatch: generator {gen.dim}, state {rho.dim}")
-    if t == 0:
-        return rho
+    steps = sorted({t for t in times if t != 0})
     vec = rho.entries.reshape(-1)
+    tr_in = rho.trace()
+    states = {0.0: rho}
     if gen.dim <= DENSE_EXPM_MAX_DIM:
-        out_vec = gen.propagator(t) @ vec
+        props = gen.grid_propagators(steps)
+        for t in steps:
+            states[t] = _checked_state(props[t] @ vec, gen.dim, tr_in)
     else:
-        out_vec = expm_multiply(float(t) * gen.superoperator_sparse(), vec)
-    out = out_vec.reshape(gen.dim, gen.dim)
+        s, prev = gen.superoperator_sparse(), 0.0
+        for t in steps:
+            vec = expm_multiply((t - prev) * s, vec)
+            prev = t
+            states[t] = _checked_state(vec, gen.dim, tr_in)
+    return [states[t] for t in times]
+
+
+def _checked_state(vec: np.ndarray, dim: int, tr_in: float) -> DensityState:
+    out = vec.reshape(dim, dim)
     out = (out + out.conj().T) / 2.0
-    tr_in, tr_out = rho.trace(), float(np.real(np.trace(out)))
+    tr_out = float(np.real(np.trace(out)))
     if tr_out > tr_in + 1e-9:
         raise BoundViolation(f"evolution increased the trace: {tr_in} -> {tr_out}")
     return DensityState(HermitianMatrix(out))
+
+
+def evolve(gen: LindbladGenerator, rho: DensityState, t: float) -> DensityState:
+    """rho(t) = exp(t L) rho; the one-time case of ``evolve_grid``."""
+    return evolve_grid(gen, rho, (t,))[0]
 
 
 @dataclass(frozen=True)
@@ -270,13 +305,12 @@ def verify_energy_bound(gen: LindbladGenerator, g: ReferenceHamiltonian,
     """
     e_in = energy(g, rho)
     tol = 1e-7 * (1.0 + e_in + cert.e0)
-    times, energies, bounds, margins = [], [], [], []
-    for t in t_grid:
-        t = float(t)
-        e_t = energy(g, evolve(gen, rho, t))
+    times = [float(t) for t in t_grid]
+    energies, bounds, margins = [], [], []
+    for t, out in zip(times, evolve_grid(gen, rho, times)):
+        e_t = energy(g, out)
         bound = cert.budget(e_in, t)
         margin = bound - e_t
-        times.append(t)
         energies.append(e_t)
         bounds.append(bound)
         margins.append(margin)

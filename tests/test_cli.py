@@ -247,6 +247,49 @@ class TestWireFormat:
         with pytest.raises(InputError):
             parse_matrix({"dim": 1, "entries": [[float("inf"), 0.0]]})
 
+    def test_parsed_values_match_entry_loop(self):
+        def loop(entries, dim):
+            out = np.empty((dim, dim), dtype=complex)
+            for idx, (re, im) in enumerate(entries):
+                out[idx // dim, idx % dim] = complex(re, im)
+            return out
+
+        rng = np.random.default_rng(12)
+        special = [0, -0.0, 7, -3, True, False, 1.7976931348623157e308,
+                   -1e308, 2 ** 60 + 1, 5e-324]
+        for dim in (1, 3, 8):
+            for mix in (False, True):
+                flat = rng.standard_normal(2 * dim * dim).tolist()
+                if mix:
+                    for i in rng.integers(0, len(flat), size=len(flat) // 2):
+                        flat[i] = special[int(rng.integers(0, len(special)))]
+                entries = [flat[i:i + 2] for i in range(0, len(flat), 2)]
+                data = json.loads(json.dumps({"dim": dim, "entries": entries}))
+                got = parse_matrix(data)
+                expect = loop(data["entries"], dim)
+                assert got.dtype == expect.dtype
+                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    def test_bad_entries_keep_their_messages(self):
+        good = [1.0, 0.0]
+        cases = [
+            (["1", 0.0], "operator entry 2 must be finite numbers"),
+            ([float("nan"), 0.0], "operator entry 2 must be finite numbers"),
+            ([0.0, float("inf")], "operator entry 2 must be finite numbers"),
+            ([1.0], "operator entry 2 must be a [re, im] pair"),
+            ([[1.0, 2.0], [3.0, 4.0]], "operator entry 2 must be finite numbers"),
+            (None, "operator entry 2 must be a [re, im] pair"),
+            ([None, 1.0], "operator entry 2 must be finite numbers"),
+        ]
+        for bad, message in cases:
+            entries = [good, good, bad, good]
+            with pytest.raises(InputError) as exc:
+                parse_matrix({"dim": 2, "entries": entries})
+            assert str(exc.value) == message
+        with pytest.raises(InputError) as exc:
+            parse_matrix({"dim": 2, "entries": [good] * 5})
+        assert str(exc.value) == "operator needs exactly dim^2 = 4 entries"
+
     def test_seventeen_digit_round_trip(self):
         for value in (1.0 / 3.0, np.pi, 2.0 ** -52, 1e300):
             assert float(format_float(value)) == value

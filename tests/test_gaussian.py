@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
+from scipy.linalg import expm
 
 from eclim.gaussian import (
     GaussianChannel,
@@ -190,6 +192,55 @@ class TestEvolution:
         s = GaussianState.coherent(1, np.array([np.sqrt(2.0), 0.0]))
         out = evolve_gaussian(g, s, np.pi / 2)
         assert np.allclose(out.beta, [0.0, -np.sqrt(2.0)], atol=1e-9)
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
+
+
+class TestNoiseIntegral:
+    """Y(t) = int_0^t X(s)^T Ydot X(s) ds against closed forms and quadrature."""
+
+    def test_damping(self):
+        kappa = 0.8
+        g = GaussianGenerator.damping(kappa)
+        for t in (0.0, 0.3, 1.0, 4.0):
+            y = semigroup_channel(g, t).y
+            assert rel_err(y, (1.0 - np.exp(-kappa * t)) * np.eye(2)) <= 1e-12
+
+    def test_rotation_adds_no_noise(self):
+        g = GaussianGenerator.rotation(1.3, modes=2)
+        for t in (0.5, 2.0):
+            assert np.max(np.abs(semigroup_channel(g, t).y)) <= 1e-14
+
+    def test_pure_diffusion(self):
+        ydot = np.array([[0.5, 0.1], [0.1, 0.3]])
+        g = GaussianGenerator(1, np.zeros((2, 2)), ydot)
+        for t in (0.5, 1.0, 2.5):
+            assert rel_err(semigroup_channel(g, t).y, t * ydot) <= 1e-14
+
+    def test_composition_law(self):
+        # T(s + t) = T(t) o T(s): Y(s+t) = X(t)^T Y(s) X(t) + Y(t).
+        rng = rng_from_seed(8)
+        for _ in range(20):
+            g = random_generator(int(rng.integers(1, 4)), rng)
+            s_, t = (float(v) for v in rng.random(2) * 1.5)
+            a, b = semigroup_channel(g, s_), semigroup_channel(g, t)
+            expect = semigroup_channel(g, s_ + t).y
+            assert rel_err(b.x.T @ a.y @ b.x + b.y, expect) <= 1e-12
+
+    def test_matches_quadrature(self):
+        rng = rng_from_seed(9)
+        for _ in range(5):
+            g = random_generator(int(rng.integers(1, 3)), rng)
+            t = float(rng.random() * 1.5) + 0.1
+
+            def integrand(s):
+                xs = expm(s * g.xdot)
+                return xs.T @ g.ydot @ xs
+
+            y, _ = quad_vec(integrand, 0.0, t, epsabs=0.0, epsrel=1e-13)
+            assert rel_err(semigroup_channel(g, t).y, (y + y.T) / 2.0) <= 1e-10
 
 
 class TestStability:

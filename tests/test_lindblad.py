@@ -1,9 +1,13 @@
 """Generator certification, semigroup simulation, and energy-bound tests."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
+import eclim.lindblad as lindblad
 from eclim.lindblad import (
+    DENSE_EXPM_MAX_DIM,
     BoundViolation,
     EnergyBoundReport,
     LindbladGenerator,
@@ -12,6 +16,7 @@ from eclim.lindblad import (
     default_e0_grid,
     dissipation_matrix,
     evolve,
+    evolve_grid,
     joint_constants,
     min_omega,
     pencil_vector,
@@ -175,8 +180,12 @@ class TestEvolve:
 
     def test_negative_time_rejected(self):
         gen = LindbladGenerator.from_hamiltonian(np.zeros((2, 2)))
+        rho = DensityState.pure(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            evolve(gen, DensityState.pure(np.array([1.0, 0.0])), -0.1)
+            evolve(gen, rho, -0.1)
+        for grid in ((0.5, -0.1), (0.5, float("nan")), (float("inf"),)):
+            with pytest.raises(ValueError):
+                evolve_grid(gen, rho, grid)
 
     def test_large_dimension_sparse_path(self):
         # dim 30 exercises the expm_multiply branch against the dense one
@@ -190,6 +199,97 @@ class TestEvolve:
         e0 = energy(number, rho)
         out = evolve(gen, rho, 0.8)
         assert energy(number, out) == pytest.approx(e0 * np.exp(-0.8), rel=1e-8)
+
+
+# One dimension on each side of the dense/sparse dispatch.
+REGIMES = (max(2, DENSE_EXPM_MAX_DIM // 2), DENSE_EXPM_MAX_DIM + 4)
+
+
+def fock_damping(d, kappa=1.0):
+    a = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
+    return LindbladGenerator.from_hamiltonian(np.zeros((d, d)), (np.sqrt(kappa) * a,))
+
+
+class TestEvolveGrid:
+    @pytest.mark.parametrize("d", REGIMES)
+    def test_shuffled_grid_matches_per_time_evolve(self, d):
+        rng = rng_from_seed(40 + d)
+        gen = random_generator(d, rng, conservative=False)
+        rho = random_density(d, rng)
+        grid = [0.9, 0.0, 0.3, 1.7, 0.3, 0.05, 0.9, 0.0, 1.1]
+        states = evolve_grid(gen, rho, grid)
+        assert len(states) == len(grid)
+        assert states[1] is rho and states[7] is rho
+        for t, out in zip(grid, states):
+            expect = evolve(gen, rho, t).entries
+            assert np.max(np.abs(out.entries - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("d", (2,) + REGIMES)
+    def test_amplitude_damping_closed_form(self, d):
+        # From the top Fock level |d-1>, the populations are binomial with
+        # survival probability exp(-kappa t) per quantum.
+        kappa = 0.7
+        gen = fock_damping(d, kappa)
+        top = np.zeros(d)
+        top[-1] = 1.0
+        rho = DensityState.pure(top)
+        grid = (1.5, 0.1, 0.6, 3.0)
+        for t, out in zip(grid, evolve_grid(gen, rho, grid)):
+            p = np.exp(-kappa * t)
+            k = d - 1
+            pops = [comb(k, n) * p ** n * (1.0 - p) ** (k - n) for n in range(d)]
+            assert np.max(np.abs(out.entries - np.diag(pops))) <= 1e-10
+
+    @pytest.mark.parametrize("d", REGIMES)
+    def test_trace_increase_raises_inside_sweep(self, d, monkeypatch):
+        gen = fock_damping(d)
+        rho = DensityState(HermitianMatrix(np.eye(d, dtype=complex) / d))
+        calls = []
+        if d <= DENSE_EXPM_MAX_DIM:
+            real = lindblad.expm
+
+            def inflated(a):
+                calls.append(a)
+                return real(a) * (1.5 if len(calls) == 3 else 1.0)
+
+            monkeypatch.setattr(lindblad, "expm", inflated)
+        else:
+            real = lindblad.expm_multiply
+
+            def inflated(a, v):
+                calls.append(a)
+                return real(a, v) * (1.5 if len(calls) == 3 else 1.0)
+
+            monkeypatch.setattr(lindblad, "expm_multiply", inflated)
+        with pytest.raises(BoundViolation):
+            evolve_grid(gen, rho, (0.4, 0.1, 0.2, 0.8))
+        # The dense regime builds the grid's propagators before applying them;
+        # the sweep stops at the step that raised.
+        assert len(calls) == (4 if d <= DENSE_EXPM_MAX_DIM else 3)
+
+    @pytest.mark.parametrize("d", REGIMES)
+    def test_cache_holds_only_the_last_grid(self, d):
+        gen = fock_damping(d)
+        rho = DensityState(HermitianMatrix(np.eye(d, dtype=complex) / d))
+        rng = rng_from_seed(41)
+        for _ in range(50):
+            grid = [0.0] + list(rng.random(3) * 2.0)
+            evolve_grid(gen, rho, grid)
+        cache = gen._cache
+        assert set(cache) <= {"superop", "superop_sparse", "grid"}
+        if d <= DENSE_EXPM_MAX_DIM:
+            assert set(cache["grid"]) == set(grid[1:])
+        else:
+            assert "grid" not in cache
+
+    def test_evolve_reuses_the_last_grid(self, monkeypatch):
+        gen = fock_damping(3)
+        rho = DensityState.pure(np.array([0.0, 0.6, 0.8]))
+        grid = (0.2, 0.5, 1.0)
+        states = evolve_grid(gen, rho, grid)
+        monkeypatch.setattr(lindblad, "expm", None)  # any new propagator would fail
+        for t, out in zip(grid, states):
+            assert np.array_equal(evolve(gen, rho, t).entries, out.entries)
 
 
 class TestVerifyEnergyBound:
