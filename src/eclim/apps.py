@@ -48,6 +48,9 @@ from .opcore import (
 
 ROW_TOL = 1e-7
 OPEN_TOL = 1e-6
+# Operator norm of each random perturbation in the "left" scenario.
+LEFT_PERTURBATION_NORM = 0.5
+QSL_PANELS = 64
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,6 @@ class SpeedLimitConfig:
     scenario: str = "left"
     time_grid: tuple = tuple(np.linspace(0.0, 0.6, 61))
     seed: int = 0
-    perturbation_norms: tuple = ()
     first_order: bool = False
     h1: HermitianMatrix | None = None
     h2: HermitianMatrix | None = None
@@ -70,8 +72,6 @@ class SpeedLimitConfig:
         if self.scenario == "custom" and (self.h1 is None or self.h2 is None):
             raise ValueError("custom scenario needs explicit h1 and h2")
         object.__setattr__(self, "time_grid", grid)
-        object.__setattr__(self, "perturbation_norms",
-                           tuple(float(x) for x in self.perturbation_norms))
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,11 @@ def unitary_certificates(h: HermitianMatrix, g: ReferenceHamiltonian, e0_grid) -
 
 def _scenario_hamiltonians(cfg: SpeedLimitConfig, spin: SpinSystem, rng):
     if cfg.scenario == "left":
-        norms = cfg.perturbation_norms or (0.5, 0.5)
-        r1 = random_hermitian(spin.dim, rng, operator_norm=norms[0])
-        r2 = random_hermitian(spin.dim, rng, operator_norm=norms[1])
+        r1 = random_hermitian(spin.dim, rng, operator_norm=LEFT_PERTURBATION_NORM)
+        r2 = random_hermitian(spin.dim, rng, operator_norm=LEFT_PERTURBATION_NORM)
         return spin.sx + r1, spin.sy + r2
     if cfg.scenario == "right":
-        target = cfg.perturbation_norms[0] if cfg.perturbation_norms \
-            else spin.sx.operator_norm()
-        return spin.sx, random_hermitian(spin.dim, rng, operator_norm=target)
+        return spin.sx, random_hermitian(spin.dim, rng, operator_norm=spin.sx.operator_norm())
     return cfg.h1, cfg.h2
 
 
@@ -156,7 +153,7 @@ def speedlimit_run(cfg: SpeedLimitConfig) -> list:
 
 def qsl_integral_bound(h1: HermitianMatrix, h2: HermitianMatrix,
                        g: ReferenceHamiltonian, e_psi: float,
-                       cert: StabilityCertificate, t: float, panels: int = 64):
+                       cert: StabilityCertificate, t: float):
     """Midpoint-rule value of the integrated bound and its t-form majorant.
 
     Uses one fixed certificate so that both quantities instantiate the same
@@ -168,8 +165,8 @@ def qsl_integral_bound(h1: HermitianMatrix, h2: HermitianMatrix,
     def norm_at(s: float) -> float:
         return np.sqrt(max(0.0, profile.solve(cert.budget(e_psi, s))[0]))
 
-    mids = (np.arange(panels) + 0.5) * (t / panels)
-    integral = sum(norm_at(float(s)) for s in mids) * (t / panels)
+    mids = (np.arange(QSL_PANELS) + 0.5) * (t / QSL_PANELS)
+    integral = sum(norm_at(float(s)) for s in mids) * (t / QSL_PANELS)
     return integral, t * norm_at(t)
 
 
@@ -186,8 +183,11 @@ class OpenSpeedLimitRow:
 
 
 @dataclass(frozen=True)
-class OpenSpeedLimitReport:
+class BoundCheckReport:
+    """Rows of a see-saw bound check; only ``trotter_run`` sets ``decay_exponent``."""
+
     rows: tuple
+    decay_exponent: float | None
 
     @property
     def all_ok(self) -> bool:
@@ -196,6 +196,18 @@ class OpenSpeedLimitReport:
     @property
     def any_failed(self) -> bool:
         return any(r.status == "failed" for r in self.rows)
+
+
+def _status(lhs: float, rhs: float, exact_upper) -> str:
+    """ok when the see-saw bound ``rhs`` covers ``lhs``; inconclusive when only
+    ``exact_upper()`` does, the bound with the exact cp upper estimate of the
+    norm in place of the see-saw value; failed otherwise.
+    """
+    if lhs <= rhs + OPEN_TOL:
+        return "ok"
+    if lhs <= exact_upper() + OPEN_TOL:
+        return "inconclusive"
+    return "failed"
 
 
 def _feasible_density(rng, g: ReferenceHamiltonian, energy_budget: float) -> DensityState:
@@ -225,8 +237,8 @@ def generator_commutator(gen1: LindbladGenerator, gen2: LindbladGenerator) -> Cp
 
 def open_speedlimit(gen1: LindbladGenerator, gen2: LindbladGenerator,
                     g: ReferenceHamiltonian, energy_budget: float, t_grid,
-                    n_states: int = 20, seed: int = 0, restarts: int = 64,
-                    ancilla_dim: int | None = None) -> OpenSpeedLimitReport:
+                    n_states: int = 20, seed: int = 0,
+                    restarts: int = 64) -> BoundCheckReport:
     """Check ||T1(t)rho - T2(t)rho||_1 <= t ||L1 - L2||_{<>, f_t(E)}.
 
     The right-hand side is a see-saw lower bound of the ECD norm, so it can
@@ -245,21 +257,15 @@ def open_speedlimit(gen1: LindbladGenerator, gen2: LindbladGenerator,
         if t <= 0:
             raise ValueError("time grid entries must be positive")
         budget = best_certificate(certs, energy_budget, t).budget(energy_budget, t)
-        estimate = ecd_norm_seesaw(diff, g, budget, ancilla_dim=ancilla_dim,
-                                   restarts=restarts, seed=seed)
+        estimate = ecd_norm_seesaw(diff, g, budget, restarts=restarts, seed=seed)
         rhs = t * estimate.value
         lhs = 0.0
         for rho in states:
             delta = evolve(gen1, rho, t).entries - evolve(gen2, rho, t).entries
             lhs = max(lhs, trace_norm(delta))
-        if lhs <= rhs + OPEN_TOL:
-            status = "ok"
-        elif lhs <= t * diff.exact_cp_upper_bound(g, budget) + OPEN_TOL:
-            status = "inconclusive"
-        else:
-            status = "failed"
+        status = _status(lhs, rhs, lambda: t * diff.exact_cp_upper_bound(g, budget))
         rows.append(OpenSpeedLimitRow(t, lhs, rhs, status))
-    return OpenSpeedLimitReport(tuple(rows))
+    return BoundCheckReport(tuple(rows), None)
 
 
 # ---------------------------------------------------------------------------
@@ -274,24 +280,10 @@ class TrotterRow:
     status: str
 
 
-@dataclass(frozen=True)
-class TrotterReport:
-    rows: tuple
-    decay_exponent: float | None
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.status == "ok" for r in self.rows)
-
-    @property
-    def any_failed(self) -> bool:
-        return any(r.status == "failed" for r in self.rows)
-
-
 def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
                 g: ReferenceHamiltonian, energy_budget: float, t: float,
                 n_grid, n_states: int = 10, seed: int = 0,
-                restarts: int = 64) -> TrotterReport:
+                restarts: int = 64) -> BoundCheckReport:
     """Check ||(T1(t/n) T2(t/n))^n rho - e^(tL) rho||_1 <= (t^2/2n) ||[L1, L2]||_{<>, f_2t(E)}.
 
     Joint stability constants are the pairwise max over the e0 grid; the
@@ -322,12 +314,10 @@ def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
         for rho in states:
             vec = rho.entries.reshape(-1)
             delta = (trotterized @ vec - full @ vec).reshape(g.dim, g.dim)
-            lhs = max(lhs, trace_norm((delta + delta.conj().T) / 2.0))
-        rhs = (t * t / (2.0 * n)) * estimate.value
-        status = "ok" if lhs <= rhs + OPEN_TOL else (
-            "inconclusive" if lhs <= (t * t / (2.0 * n))
-            * comm.exact_cp_upper_bound(g, budget) + OPEN_TOL else "failed"
-        )
+            lhs = max(lhs, trace_norm(delta))
+        factor = t * t / (2.0 * n)
+        rhs = factor * estimate.value
+        status = _status(lhs, rhs, lambda: factor * comm.exact_cp_upper_bound(g, budget))
         rows.append(TrotterRow(n, lhs, rhs, status))
         lhs_series.append(lhs)
 
@@ -337,7 +327,7 @@ def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
     if np.all(ls > 1e-12):
         slope = np.polyfit(np.log(ns), np.log(ls), 1)[0]
         exponent = float(-slope)
-    return TrotterReport(tuple(rows), exponent)
+    return BoundCheckReport(tuple(rows), exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from .opcore import (
 )
 
 KRAUS_SUM_RTOL = 1e-9
+# Choi eigenvalues within this (relative) distance of 0 give no Kraus operator.
+CHOI_RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,7 @@ def choi(t: KrausChannel) -> HermitianMatrix:
     return HermitianMatrix(c)
 
 
-def kraus_from_choi(c: HermitianMatrix, dim_in: int, dim_out: int,
-                    tol: float = 1e-12) -> KrausChannel:
+def kraus_from_choi(c: HermitianMatrix, dim_in: int, dim_out: int) -> KrausChannel:
     """Rebuild a Kraus form from a PSD Choi matrix."""
     if c.dim != dim_in * dim_out:
         raise ValueError("Choi dimension does not match dim_in * dim_out")
@@ -136,7 +137,7 @@ def kraus_from_choi(c: HermitianMatrix, dim_in: int, dim_out: int,
         raise ValueError(f"Choi matrix is not PSD (min eigenvalue {evals[0]:.3e})")
     ops = []
     for w, v in zip(evals, evecs.T):
-        if w > tol * scale:
+        if w > CHOI_RANK_RTOL * scale:
             ops.append(np.sqrt(w) * v.reshape(dim_in, dim_out).T)
     if not ops:
         ops.append(np.zeros((dim_out, dim_in)))

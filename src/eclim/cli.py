@@ -9,6 +9,7 @@ with identical arguments are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -276,10 +277,12 @@ def _cmd_group_qsl(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
-    return run_selftest(verbose=True)
+    return run_selftest()
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it holds no per-call state."""
     p = argparse.ArgumentParser(
         prog="eclim",
         description="Energy-constrained norms, energy-limitedness certificates, "

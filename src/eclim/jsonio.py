@@ -93,14 +93,6 @@ def parse_matrix(data, what: str = "operator") -> np.ndarray:
     return out
 
 
-def matrix_to_json(m) -> dict:
-    a = m.entries if hasattr(m, "entries") else np.asarray(m, dtype=complex)
-    dim = a.shape[0]
-    entries = [[float(a[i, j].real), float(a[i, j].imag)]
-               for i in range(dim) for j in range(dim)]
-    return {"dim": dim, "entries": entries}
-
-
 def parse_hermitian(data, what: str = "operator") -> HermitianMatrix:
     try:
         return HermitianMatrix(parse_matrix(data, what))

@@ -33,6 +33,7 @@ DISSIPATIVITY_RTOL = 1e-9
 # 2.6 against 1.8 ms; 2-vCPU x86_64 VM, one BLAS thread), and its
 # propagators serve every state evolved on the same grid.
 DENSE_EXPM_MAX_DIM = 8
+E0_GRID_POINTS = 13
 
 
 class BoundViolation(RuntimeError):
@@ -107,12 +108,6 @@ class LindbladGenerator:
             cache["superop_sparse"] = scipy.sparse.csr_matrix(s)
         return cache["superop_sparse"]
 
-    def apply(self, rho_entries: np.ndarray) -> np.ndarray:
-        out = self.k @ rho_entries + rho_entries @ self.k.conj().T
-        for l in self.lindblad:
-            out = out + l @ rho_entries @ l.conj().T
-        return out
-
     def grid_propagators(self, times) -> dict:
         """exp(t * superoperator) for each time, keyed by time.
 
@@ -156,11 +151,17 @@ class StabilityCertificate:
         return float(np.exp(self.omega * abs(t)) * (energy_in + self.e0) - self.e0)
 
 
-def _pencil_transform(g: ReferenceHamiltonian, e0: float) -> np.ndarray:
-    """(G + e0)^(-1/2) through the eigendecomposition of G."""
+def _pencil(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float):
+    """W = (G + e0)^(-1/2) and the Hermitian part of W M W (the pencil's eigenvalues)."""
+    if m.dim != g.dim:
+        raise ValueError(f"dimension mismatch: {m.dim} vs {g.dim}")
+    if e0 <= 0:
+        raise ValueError("e0 must be positive so that G + e0 is definite")
     ge, gv = g.eigh()
     d = (np.clip(ge, 0.0, None) + e0) ** -0.5
-    return gv @ (d[:, None] * gv.conj().T)
+    w = gv @ (d[:, None] * gv.conj().T)
+    a = w @ m.entries @ w
+    return w, (a + a.conj().T) / 2.0
 
 
 def min_omega(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
@@ -170,13 +171,7 @@ def min_omega(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
     With ``symmetric`` the bound is enforced for -M as well (both time
     directions of a unitary group).
     """
-    if m.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {m.dim} vs {g.dim}")
-    if e0 <= 0:
-        raise ValueError("e0 must be positive so that G + e0 is definite")
-    w = _pencil_transform(g, e0)
-    a = w @ m.entries @ w
-    a = (a + a.conj().T) / 2.0
+    _, a = _pencil(m, g, e0)
     evals = np.linalg.eigvalsh(a)
     omega = max(0.0, float(evals[-1]))
     if symmetric:
@@ -192,9 +187,7 @@ def min_omega(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
 def pencil_vector(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
                   symmetric: bool = False) -> np.ndarray:
     """Unit vector saturating the pencil: the first-order-sharp state."""
-    w = _pencil_transform(g, e0)
-    a = w @ m.entries @ w
-    a = (a + a.conj().T) / 2.0
+    w, a = _pencil(m, g, e0)
     evals, evecs = np.linalg.eigh(a)
     idx = len(evals) - 1
     if symmetric and -evals[0] > evals[-1]:
@@ -203,10 +196,10 @@ def pencil_vector(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
     return v / np.linalg.norm(v)
 
 
-def default_e0_grid(g: ReferenceHamiltonian, points: int = 13) -> np.ndarray:
+def default_e0_grid(g: ReferenceHamiltonian) -> np.ndarray:
     """Logarithmic grid 2^-6 .. 2^6 scaled by the top energy of G."""
     scale = max(g.max_energy(), 1e-6)
-    return scale * np.logspace(-6, 6, points, base=2.0)
+    return scale * np.logspace(-6, 6, E0_GRID_POINTS, base=2.0)
 
 
 def stability_curve(gen: LindbladGenerator, g: ReferenceHamiltonian, e0_grid) -> list:

@@ -83,32 +83,21 @@ class BirthRates:
         return self.parameter ** np.arange(count, dtype=float)
 
 
-def birth_tau(rates: BirthRates, cutoff: int, divergence_threshold: float = math.inf):
-    """Partial sum of tau = sum 1/mu_n and a convergence verdict.
+def birth_tau(rates: BirthRates, cutoff: int):
+    """Partial sum of tau = sum 1/mu_n over n < cutoff and a convergence verdict.
 
     The verdict is provable for the closed-form rules (power p > 1 and
     geometric r > 1 converge; p <= 1 and r <= 1 diverge) and ``undecided``
-    for explicit lists.  ``divergence_threshold`` only caps the partial
-    summation; it never upgrades the verdict.
+    for explicit lists; the partial sum never changes it.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    if rates.kind == "power":
-        verdict = "finite" if rates.parameter > 1.0 else "diverges"
-    elif rates.kind == "geometric":
+    if rates.kind in ("power", "geometric"):
         verdict = "finite" if rates.parameter > 1.0 else "diverges"
     else:
         verdict = "undecided"
-
     mu = rates.rates_array(cutoff)
-    inv = 1.0 / mu
-    if math.isfinite(divergence_threshold):
-        csum = np.cumsum(inv)
-        stop = int(np.searchsorted(csum, divergence_threshold))
-        partial = float(csum[min(stop, cutoff - 1)])
-    else:
-        partial = float(np.sum(inv))
-    return partial, verdict
+    return float(np.sum(1.0 / mu)), verdict
 
 
 def birth_generator(rates: BirthRates, cutoff: int) -> LindbladGenerator:

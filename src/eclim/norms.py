@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, choi_of_superoperator
+from .channels import CHOI_RANK_RTOL, KrausChannel, choi_of_superoperator, extend_reference
 from .opcore import (
     AffineCertificate,
     DensityState,
@@ -34,6 +34,7 @@ from .opcore import (
 DEFAULT_RESTARTS = 64
 SEESAW_STALL = 1e-8
 SEESAW_MAX_ITER = 200
+SAMPLE_BATCH = 20000
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -147,24 +148,21 @@ def eco_norm_primal(a, g: ReferenceHamiltonian, energy_budget: float,
 
     The returned value is ||A psi|| for a feasible unit witness psi, so it
     never exceeds the exact dual value (up to roundoff).  The result is
-    deterministic and depends on neither ``restarts`` nor ``seed``; both
-    are still accepted and ``restarts`` must be at least 1.
+    deterministic.  ``restarts`` and ``seed`` change nothing; they stay only
+    because the benchmark's ``duality-primal`` workload passes them, and
+    ``restarts`` must be at least 1.
 
     Returns ``(value, witness)``.
     """
-    m = _as_matrix(a)
-    if m.shape[1] != g.dim:
-        raise ValueError(f"dimension mismatch: operator acts on {m.shape[1]}, reference on {g.dim}")
+    gram = _gram(a, g)
     if restarts < 1:
         raise ValueError("need at least one restart")
-    gram = m.conj().T @ m
-    value_sq, psi = constrained_rayleigh_max(HermitianMatrix(gram), g, energy_budget)
+    value_sq, psi = constrained_rayleigh_max(gram, g, energy_budget)
     return float(np.sqrt(max(0.0, value_sq))), psi
 
 
 def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
-                             energy_budget: float, restarts: int = DEFAULT_RESTARTS,
-                             seed: int = 0):
+                             energy_budget: float):
     """Maximize <psi|M|psi> over unit vectors with <psi|G|psi> <= E.
 
     Independent of the dual scan.  The optimum is the top eigenvector of
@@ -174,8 +172,7 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
     pins the crossing, and exact solves on two-dimensional planes handle the
     mixed case: the plane of the top eigenvectors on both sides of the
     crossing, and the plane of the top two eigenvectors on each side.  The
-    result is deterministic and depends on neither ``restarts`` nor
-    ``seed``.
+    result is deterministic.
 
     Returns ``(value, psi)`` with psi feasible and value evaluated directly.
     """
@@ -240,8 +237,7 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
 
 
 def random_feasible_sample_max(m: HermitianMatrix, g: ReferenceHamiltonian,
-                               energy_budget: float, samples: int, seed: int = 0,
-                               batch: int = 20000) -> float:
+                               energy_budget: float, samples: int, seed: int = 0) -> float:
     """Best of Haar-random pure states retracted onto the energy shell."""
     ge, gv = g.eigh()
     ge = np.clip(ge, 0.0, None)
@@ -250,7 +246,7 @@ def random_feasible_sample_max(m: HermitianMatrix, g: ReferenceHamiltonian,
     best = -np.inf
     left = samples
     while left > 0:
-        k = min(batch, left)
+        k = min(SAMPLE_BATCH, left)
         c = rng.standard_normal((g.dim, k)) + 1j * rng.standard_normal((g.dim, k))
         c /= np.linalg.norm(c, axis=0)
         c = retract_columns(c, ge, energy_budget)
@@ -324,8 +320,7 @@ class CpDifference:
         return CpDifference(plus, minus, c)
 
     @staticmethod
-    def from_superoperator(s_hat: np.ndarray, dim_in: int, dim_out: int,
-                           tol: float = 1e-12) -> "CpDifference":
+    def from_superoperator(s_hat: np.ndarray, dim_in: int, dim_out: int) -> "CpDifference":
         """Canonical cp decomposition through the Choi eigendecomposition."""
         c = choi_of_superoperator(s_hat, dim_in, dim_out)
         evals, evecs = c.eigh()
@@ -333,9 +328,9 @@ class CpDifference:
         plus_ops, minus_ops = [], []
         for w, v in zip(evals, evecs.T):
             k = v.reshape(dim_in, dim_out).T
-            if w > tol * scale:
+            if w > CHOI_RANK_RTOL * scale:
                 plus_ops.append(np.sqrt(w) * k)
-            elif w < -tol * scale:
+            elif w < -CHOI_RANK_RTOL * scale:
                 minus_ops.append(np.sqrt(-w) * k)
         return CpDifference.from_kraus_pair(plus_ops, minus_ops, dim_in, dim_out)
 
@@ -408,9 +403,7 @@ def ecd_norm_seesaw(s: CpDifference, g: ReferenceHamiltonian, energy_budget: flo
     if restarts < 1:
         raise ValueError("need at least one restart")
 
-    g_ext = ReferenceHamiltonian(
-        HermitianMatrix(np.kron(g.entries, np.eye(ancilla_dim)))
-    )
+    g_ext = extend_reference(g, ancilla_dim)
     rng = rng_from_seed(seed)
 
     best_value, best_psi, histories = -np.inf, None, []

@@ -36,6 +36,9 @@ CERT_RESIDUAL_RTOL = 1e-8
 DUAL_GAP_RTOL = 1e-12
 DUAL_BRACKET_RTOL = 1e-10
 DUAL_MAX_ITER = 200
+# Eigenvalues of M - lam*G this close to the top (relative to 1 + the
+# spectral radius) span the space the dual-scan witness is built in.
+WITNESS_GAP_RTOL = 1e-8
 # Above this dimension the top eigenpair comes from a one-eigenvalue LAPACK
 # subset solve, which beats a full eigh from d ~ 12 on (2.0 ms against
 # 4.6 ms at d = 128 on one x86_64 core with OpenBLAS); below it the full
@@ -73,10 +76,6 @@ class HermitianMatrix:
         object.__setattr__(self, "entries", sym)
         object.__setattr__(self, "dim", sym.shape[0])
         object.__setattr__(self, "_cache", {})
-
-    @staticmethod
-    def from_real(entries) -> "HermitianMatrix":
-        return HermitianMatrix(np.asarray(entries, dtype=float).astype(complex))
 
     def eigh(self):
         """Ascending eigenvalues and eigenvectors (deterministic LAPACK order).
@@ -393,8 +392,7 @@ def dual_scan(m: HermitianMatrix, g: ReferenceHamiltonian, energy_budget: float)
     return EnergyProfile(m, g).solve(energy_budget)
 
 
-def dual_scan_witness(m: HermitianMatrix, g: ReferenceHamiltonian, energy_budget: float,
-                      gap_tol: float = 1e-8):
+def dual_scan_witness(m: HermitianMatrix, g: ReferenceHamiltonian, energy_budget: float):
     """Reconstruct a primal-optimal pure state from the dual scan.
 
     At the optimal slope the witness lives in the top eigenspace of
@@ -407,7 +405,7 @@ def dual_scan_witness(m: HermitianMatrix, g: ReferenceHamiltonian, energy_budget
     value, cert = dual_scan(m, g, energy_budget)
     evals, evecs = np.linalg.eigh(m.entries - cert.lam * g.entries)
     scale = 1.0 + float(np.max(np.abs(evals)))
-    pick = evals >= evals[-1] - gap_tol * scale
+    pick = evals >= evals[-1] - WITNESS_GAP_RTOL * scale
     basis = evecs[:, pick]
 
     # Compress G to the top eigenspace and aim for energy exactly E.

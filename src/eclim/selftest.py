@@ -146,7 +146,7 @@ def _checks():
     yield "birth process: tau and doubling epsilons", birth_trivials
 
 
-def run_selftest(verbose: bool = True) -> int:
+def run_selftest() -> int:
     failures = 0
     for name, check in _checks():
         try:
@@ -154,9 +154,7 @@ def run_selftest(verbose: bool = True) -> int:
         except Exception as exc:  # a trivial check must never raise
             ok = False
             name = f"{name} (raised {exc!r})"
-        if verbose:
-            sys.stdout.write(("ok   - " if ok else "FAIL - ") + name + "\n")
+        sys.stdout.write(("ok   - " if ok else "FAIL - ") + name + "\n")
         failures += 0 if ok else 1
-    if verbose:
-        sys.stdout.write(f"selftest: {'pass' if failures == 0 else f'{failures} failures'}\n")
+    sys.stdout.write(f"selftest: {'pass' if failures == 0 else f'{failures} failures'}\n")
     return 0 if failures == 0 else 1

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from eclim import apps
 from eclim.apps import (
+    OPEN_TOL,
     SpeedLimitConfig,
     SpeedLimitRow,
     generator_commutator,
@@ -18,7 +20,7 @@ from eclim.apps import (
 from eclim.lindblad import BoundViolation, LindbladGenerator, best_certificate, \
     default_e0_grid
 from eclim.models import spin_system
-from eclim.norms import eco_norm
+from eclim.norms import CpDifference, EcdEstimate, eco_norm
 from eclim.opcore import (
     HermitianMatrix,
     ReferenceHamiltonian,
@@ -187,6 +189,51 @@ class TestTrotter:
         report = trotter_run(gen1, gen2, ref01(), 0.8, 0.7, (4, 16, 64),
                              n_states=8, seed=1, restarts=16)
         assert not report.any_failed
+
+
+def _zero_seesaw(*args, **kwargs):
+    return EcdEstimate(value=0.0, kind="seesaw_lower")
+
+
+class TestStatusRule:
+    """The shared ok/inconclusive/failed rule of open_speedlimit and trotter_run."""
+
+    @staticmethod
+    def _open(monkeypatch):
+        monkeypatch.setattr(apps, "ecd_norm_seesaw", _zero_seesaw)
+        gen1 = LindbladGenerator.from_hamiltonian(SX)
+        gen2 = LindbladGenerator.from_hamiltonian(SZ)
+        return open_speedlimit(gen1, gen2, ref01(), 0.6, (0.2, 0.5), n_states=4,
+                               seed=2, restarts=1)
+
+    @staticmethod
+    def _trotter(monkeypatch):
+        monkeypatch.setattr(apps, "ecd_norm_seesaw", _zero_seesaw)
+        gen1 = LindbladGenerator.from_hamiltonian(SX)
+        gen2 = LindbladGenerator.from_hamiltonian(SZ)
+        return trotter_run(gen1, gen2, ref01(), 1.0, 1.0, (4, 16), n_states=4,
+                           seed=0, restarts=1)
+
+    @staticmethod
+    def _assert_statuses(report, positive):
+        assert any(r.lhs_max > OPEN_TOL for r in report.rows)
+        for r in report.rows:
+            assert r.rhs == 0.0
+            assert r.status == (positive if r.lhs_max > OPEN_TOL else "ok")
+
+    @pytest.mark.parametrize("run", ["_open", "_trotter"])
+    def test_zero_seesaw_is_inconclusive(self, monkeypatch, run):
+        report = getattr(self, run)(monkeypatch)
+        self._assert_statuses(report, "inconclusive")
+        assert not report.all_ok
+        assert not report.any_failed
+
+    @pytest.mark.parametrize("run", ["_open", "_trotter"])
+    def test_zero_upper_bound_is_failed(self, monkeypatch, run):
+        monkeypatch.setattr(CpDifference, "exact_cp_upper_bound", lambda *args: 0.0)
+        report = getattr(self, run)(monkeypatch)
+        self._assert_statuses(report, "failed")
+        assert report.any_failed
 
 
 class TestCpDecompositions:

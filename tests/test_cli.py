@@ -203,6 +203,18 @@ class TestTrotterCommand:
         data = json.loads(out)
         assert all(r["status"] == "ok" for r in data["rows"])
 
+    def test_failed_row_exits_one(self, files, capsys, monkeypatch):
+        from eclim import apps
+        from eclim.norms import CpDifference, EcdEstimate
+        monkeypatch.setattr(apps, "ecd_norm_seesaw",
+                            lambda *args, **kwargs: EcdEstimate(0.0, "seesaw_lower"))
+        monkeypatch.setattr(CpDifference, "exact_cp_upper_bound", lambda *args: 0.0)
+        code, out, _ = run_main(["trotter", "--gen1", files["genx"], "--gen2",
+                                 files["genz"], "--ref", files["g"], "--energy",
+                                 "1", "--time", "1", "--n", "4,8", "--states", "4"], capsys)
+        assert code == 1
+        assert [r["status"] for r in json.loads(out)["rows"]] == ["failed", "failed"]
+
 
 class TestGroupQslCommand:
     def test_runs(self, files, capsys):
@@ -218,6 +230,36 @@ class TestSelftest:
         code, out, _ = run_main(["selftest"], capsys)
         assert code == 0
         assert "selftest: pass" in out
+
+
+class TestRepeatedCalls:
+    """One parser serves every call in a process; no call's arguments leak."""
+
+    def test_different_subcommands_back_to_back(self, files, capsys):
+        out_path = files["tmp"] / "eco.json"
+        code1, out1, _ = run_main(["eco-norm", "--op", files["sx"], "--ref", files["g"],
+                                   "--energy", "0.5", "--out", str(out_path)], capsys)
+        written = out_path.read_text()
+        code2, out2, _ = run_main(["birth", "--rule", "geometric:2", "--cutoff", "10"],
+                                  capsys)
+        assert code1 == code2 == 0
+        assert out1 == ""
+        assert json.loads(written)["value"] == pytest.approx(1.0, abs=1e-9)
+        assert out_path.read_text() == written
+        assert set(json.loads(out2)) == {"rule", "cutoff", "tau_partial", "verdict",
+                                         "certificate"}
+
+    def test_same_subcommand_keeps_no_options(self, files, capsys):
+        out_path = files["tmp"] / "grid.json"
+        base = ["output-energy", "--channel", files["ad"], "--ref-in", files["g"],
+                "--ref-out", files["g"]]
+        code1, out1, _ = run_main(base + ["--grid", "0.25,0.5", "--out", str(out_path)],
+                                  capsys)
+        code2, out2, _ = run_main(base + ["--energy", "0.5"], capsys)
+        assert code1 == code2 == 0
+        assert out1 == ""
+        assert set(json.loads(out2)) == {"value", "lambda", "e0"}
+        assert set(json.loads(out_path.read_text())) == {"grid", "values", "certificates"}
 
 
 class TestUsageAndVersion:

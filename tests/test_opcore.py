@@ -176,7 +176,7 @@ class TestDualScan:
             g = random_reference(d, rng)
             e = [0.1, 1.0, 10.0][i % 3]
             dv, _ = dual_scan(m, g, e)
-            pv, _ = constrained_rayleigh_max(m, g, e, restarts=64, seed=i)
+            pv, _ = constrained_rayleigh_max(m, g, e)
             sv = random_feasible_sample_max(m, g, e, 10000, seed=i)
             gap = (dv - max(pv, sv)) / max(1.0, abs(dv))
             assert -1e-9 <= gap <= 1e-6
