@@ -5,6 +5,15 @@ Its maximal output energy at budget E is computed exactly by the dual scan
 applied to the Heisenberg-picture image T*(G_out) = sum K_a* G_out K_a,
 and every value comes with an affine certificate (lam, e0) witnessing
 T*(G_out) <= lam*G_in + e0.
+
+Choi convention: C = sum_ij E_ij (x) T(E_ij), so block (i, j) of C is
+T(E_ij) and row i*dim_out + a pairs input index i with output index a.  A
+Kraus operator K enters as the vector v with v[i*dim_out + a] = K[a, i].
+A superoperator S acts on row-major vectorized matrices,
+vec(A rho B) = (A (x) B^T) vec(rho).  The Jordan split of a Hermitian C is
+C = C_+ - C_- with C_+ (C_-) the part on its positive (negative)
+eigenvalues; eigenpair (w, v) gives sqrt(|w|) times the Kraus operator of v,
+for the cp map with Choi matrix C_+ or C_-.
 """
 
 from __future__ import annotations
@@ -127,38 +136,41 @@ def choi(t: KrausChannel) -> HermitianMatrix:
     return HermitianMatrix(c)
 
 
-def kraus_from_choi(c: HermitianMatrix, dim_in: int, dim_out: int) -> KrausChannel:
-    """Rebuild a Kraus form from a PSD Choi matrix."""
+def jordan_kraus(c: HermitianMatrix, dim_in: int, dim_out: int):
+    """Kraus families (plus, minus) of the Jordan split C = C_+ - C_-."""
     if c.dim != dim_in * dim_out:
         raise ValueError("Choi dimension does not match dim_in * dim_out")
     evals, evecs = c.eigh()
     scale = 1.0 + float(np.max(np.abs(evals)))
-    if float(evals[0]) < -1e-9 * scale:
-        raise ValueError(f"Choi matrix is not PSD (min eigenvalue {evals[0]:.3e})")
-    ops = []
+    plus, minus = [], []
     for w, v in zip(evals, evecs.T):
+        k = v.reshape(dim_in, dim_out).T
         if w > CHOI_RANK_RTOL * scale:
-            ops.append(np.sqrt(w) * v.reshape(dim_in, dim_out).T)
-    if not ops:
-        ops.append(np.zeros((dim_out, dim_in)))
-    return KrausChannel(tuple(ops))
+            plus.append(np.sqrt(w) * k)
+        elif w < -CHOI_RANK_RTOL * scale:
+            minus.append(np.sqrt(-w) * k)
+    return plus, minus
 
 
-def superoperator(t: KrausChannel) -> np.ndarray:
-    """Matrix of T on row-major vectorized inputs: vec(A rho B) = (A (x) B^T) vec(rho)."""
-    return sum(np.kron(k, k.conj()) for k in t.kraus)
+def kraus_from_choi(c: HermitianMatrix, dim_in: int, dim_out: int) -> KrausChannel:
+    """Rebuild a Kraus form from a PSD Choi matrix."""
+    plus, minus = jordan_kraus(c, dim_in, dim_out)
+    # the Kraus operator of eigenvalue w has ||K||_F^2 = |w|
+    weights = [float(np.vdot(k, k).real) for k in plus + minus]
+    low = max(weights[len(plus):], default=0.0)
+    if low > 1e-9 * (1.0 + max(weights, default=0.0)):
+        raise ValueError(f"Choi matrix is not PSD (min eigenvalue {-low:.3e})")
+    return KrausChannel(tuple(plus) or (np.zeros((dim_out, dim_in)),))
 
 
 def choi_of_superoperator(s_hat: np.ndarray, dim_in: int, dim_out: int) -> HermitianMatrix:
-    """Choi matrix of any Hermiticity-preserving map given as a superoperator."""
-    c = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=complex)
-    for i in range(dim_in):
-        for j in range(dim_in):
-            e = np.zeros((dim_in, dim_in), dtype=complex)
-            e[i, j] = 1.0
-            out = (s_hat @ e.reshape(-1)).reshape(dim_out, dim_out)
-            c[i * dim_out:(i + 1) * dim_out, j * dim_out:(j + 1) * dim_out] = out
-    return HermitianMatrix(c)
+    """Choi matrix of any Hermiticity-preserving map given as a superoperator.
+
+    Column i*dim_in + j of S is vec(S(E_ij)), so S[a*dim_out + b, i*dim_in + j]
+    is entry (i*dim_out + a, j*dim_out + b) of C.
+    """
+    s4 = np.asarray(s_hat, dtype=complex).reshape(dim_out, dim_out, dim_in, dim_in)
+    return HermitianMatrix(s4.transpose(2, 0, 3, 1).reshape(dim_in * dim_out, dim_in * dim_out))
 
 
 def stinespring(t: KrausChannel) -> np.ndarray:

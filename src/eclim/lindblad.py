@@ -184,15 +184,10 @@ def min_omega(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
     return StabilityCertificate(omega, e0, residual=residual)
 
 
-def pencil_vector(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
-                  symmetric: bool = False) -> np.ndarray:
+def pencil_vector(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float) -> np.ndarray:
     """Unit vector saturating the pencil: the first-order-sharp state."""
     w, a = _pencil(m, g, e0)
-    evals, evecs = np.linalg.eigh(a)
-    idx = len(evals) - 1
-    if symmetric and -evals[0] > evals[-1]:
-        idx = 0
-    v = w @ evecs[:, idx]
+    v = w @ np.linalg.eigh(a)[1][:, -1]
     return v / np.linalg.norm(v)
 
 

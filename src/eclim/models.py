@@ -64,15 +64,6 @@ class BirthRates:
     def geometric(r: float) -> "BirthRates":
         return BirthRates("geometric", parameter=float(r))
 
-    def rate(self, n: int) -> float:
-        if self.kind == "explicit":
-            if n >= len(self.explicit):
-                raise IndexError(f"explicit rate list has no entry {n}")
-            return self.explicit[n]
-        if self.kind == "power":
-            return float((n + 1) ** self.parameter)
-        return float(self.parameter ** n)
-
     def rates_array(self, count: int) -> np.ndarray:
         if self.kind == "explicit":
             if count > len(self.explicit):

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import CHOI_RANK_RTOL, KrausChannel, choi_of_superoperator, extend_reference
+from .channels import (
+    KrausChannel,
+    choi_of_superoperator,
+    extend_reference,
+    jordan_kraus,
+    tensor_with_identity,
+)
 from .opcore import (
     AffineCertificate,
     DensityState,
@@ -321,17 +327,9 @@ class CpDifference:
 
     @staticmethod
     def from_superoperator(s_hat: np.ndarray, dim_in: int, dim_out: int) -> "CpDifference":
-        """Canonical cp decomposition through the Choi eigendecomposition."""
-        c = choi_of_superoperator(s_hat, dim_in, dim_out)
-        evals, evecs = c.eigh()
-        scale = 1.0 + float(np.max(np.abs(evals)))
-        plus_ops, minus_ops = [], []
-        for w, v in zip(evals, evecs.T):
-            k = v.reshape(dim_in, dim_out).T
-            if w > CHOI_RANK_RTOL * scale:
-                plus_ops.append(np.sqrt(w) * k)
-            elif w < -CHOI_RANK_RTOL * scale:
-                minus_ops.append(np.sqrt(-w) * k)
+        """Canonical cp decomposition: the Jordan split of the Choi matrix."""
+        plus_ops, minus_ops = jordan_kraus(choi_of_superoperator(s_hat, dim_in, dim_out),
+                                           dim_in, dim_out)
         return CpDifference.from_kraus_pair(plus_ops, minus_ops, dim_in, dim_out)
 
     def apply_bipartite_pure(self, psi: np.ndarray, ancilla_dim: int) -> np.ndarray:
@@ -346,16 +344,13 @@ class CpDifference:
             out -= np.outer(w, w.conj())
         return self.scale * out
 
-    def dual_apply_bipartite(self, w: np.ndarray, ancilla_dim: int) -> np.ndarray:
-        """(S* (x) id)(W), times scale."""
-        eye = np.eye(ancilla_dim, dtype=complex)
-        out = np.zeros((self.dim_in * ancilla_dim, self.dim_in * ancilla_dim), dtype=complex)
+    def dual_apply_bipartite(self, w: np.ndarray) -> np.ndarray:
+        """S*(W), times scale, for S given on system (x) ancilla with Kraus operators K (x) 1."""
+        out = np.zeros((self.dim_in, self.dim_in), dtype=complex)
         for k in self.plus.kraus:
-            ke = np.kron(k, eye)
-            out += ke.conj().T @ w @ ke
+            out += k.conj().T @ w @ k
         for k in self.minus.kraus:
-            ke = np.kron(k, eye)
-            out -= ke.conj().T @ w @ ke
+            out -= k.conj().T @ w @ k
         return self.scale * out
 
     def exact_cp_upper_bound(self, g: ReferenceHamiltonian, energy_budget: float) -> float:
@@ -404,6 +399,8 @@ def ecd_norm_seesaw(s: CpDifference, g: ReferenceHamiltonian, energy_budget: flo
         raise ValueError("need at least one restart")
 
     g_ext = extend_reference(g, ancilla_dim)
+    s_ext = CpDifference(tensor_with_identity(s.plus, ancilla_dim),
+                         tensor_with_identity(s.minus, ancilla_dim), s.scale)
     rng = rng_from_seed(seed)
 
     best_value, best_psi, histories = -np.inf, None, []
@@ -424,7 +421,7 @@ def ecd_norm_seesaw(s: CpDifference, g: ReferenceHamiltonian, energy_budget: flo
             value_prev = value
             signs = np.where(evals >= 0.0, 1.0, -1.0)
             w = evecs @ (signs[:, None] * evecs.conj().T)
-            m = HermitianMatrix(s.dual_apply_bipartite(w, ancilla_dim))
+            m = HermitianMatrix(s_ext.dual_apply_bipartite(w))
             _, _, psi = dual_scan_witness(m, g_ext, energy_budget)
         histories.append(tuple(trace))
         if local_best_value > best_value:
@@ -440,13 +437,11 @@ def ecd_norm_seesaw(s: CpDifference, g: ReferenceHamiltonian, energy_budget: flo
     )
 
 
-def reevaluate_seesaw_witness(s: CpDifference, estimate: EcdEstimate,
-                              ancilla_dim: int | None = None) -> float:
+def reevaluate_seesaw_witness(s: CpDifference, estimate: EcdEstimate) -> float:
     """Trace norm of the image of the stored witness (for verification)."""
     if estimate.witness_state is None:
         raise ValueError("estimate carries no witness state")
-    if ancilla_dim is None:
-        ancilla_dim = estimate.witness_state.dim // s.dim_in
+    ancilla_dim = estimate.witness_state.dim // s.dim_in
     evals, evecs = estimate.witness_state.matrix.eigh()
     psi = evecs[:, -1]
     image = s.apply_bipartite_pure(psi, ancilla_dim)

@@ -110,11 +110,6 @@ class HermitianMatrix:
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         return HermitianMatrix(self.entries - other.entries)
 
-    def __mul__(self, scalar: float) -> "HermitianMatrix":
-        return HermitianMatrix(self.entries * float(scalar))
-
-    __rmul__ = __mul__
-
 
 def identity(dim: int) -> HermitianMatrix:
     return HermitianMatrix(np.eye(dim, dtype=complex))

@@ -8,12 +8,14 @@ from eclim.channels import (
     amplitude_damping,
     apply,
     choi,
+    choi_of_superoperator,
     compose,
     compose_energy_bound,
     depolarizing,
     dual_apply,
     energy_curve,
     extend_reference,
+    jordan_kraus,
     kraus_from_choi,
     max_output_energy,
     monotone_image_check,
@@ -22,6 +24,7 @@ from eclim.channels import (
     tensor_reference,
     tensor_with_identity,
 )
+from eclim.lindblad import LindbladGenerator
 from eclim.opcore import (
     AffineCertificate,
     DensityState,
@@ -30,6 +33,7 @@ from eclim.opcore import (
     dual_scan_witness,
     energy,
     psd_order_leq,
+    random_hermitian,
     random_psd,
     random_reference,
     rng_from_seed,
@@ -118,6 +122,31 @@ class TestChoi:
             rebuilt = kraus_from_choi(choi(chan), 3, 3)
             assert np.allclose(choi(rebuilt).entries, choi(chan).entries, atol=1e-10)
 
+    def test_rejects_non_psd(self):
+        minus_identity = HermitianMatrix(-choi(KrausChannel.identity(2)).entries)
+        with pytest.raises(ValueError, match="not PSD"):
+            kraus_from_choi(minus_identity, 2, 2)
+
+    def test_zero_choi_gives_zero_channel(self):
+        chan = kraus_from_choi(HermitianMatrix(np.zeros((6, 6))), 2, 3)
+        assert len(chan.kraus) == 1
+        assert chan.kraus[0].shape == (3, 2)
+        assert not np.any(chan.kraus[0])
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dim_in"):
+            kraus_from_choi(choi(amplitude_damping(0.3)), 2, 3)
+
+    def test_jordan_split_rebuilds_difference(self):
+        rng = rng_from_seed(7)
+        t_plus, t_minus = random_cp_channel(3, rng), random_cp_channel(3, rng)
+        c = HermitianMatrix(choi(t_plus).entries - choi(t_minus).entries)
+        plus, minus = jordan_kraus(c, 3, 3)
+        assert plus and minus
+        rebuilt = (choi(KrausChannel(tuple(0.5 * k for k in plus))).entries
+                   - choi(KrausChannel(tuple(0.5 * k for k in minus))).entries)
+        assert np.allclose(4.0 * rebuilt, c.entries, atol=1e-10)
+
     def test_partial_trace_bounded(self):
         rng = rng_from_seed(3)
         chan = random_cp_channel(2, rng)
@@ -127,6 +156,44 @@ class TestChoi:
             for j in range(2):
                 red[i, j] = np.trace(c[i * 2:(i + 1) * 2, j * 2:(j + 1) * 2])
         assert psd_order_leq(HermitianMatrix(red), HermitianMatrix(np.eye(2)), 1e-9)
+
+
+def choi_from_images(s_hat, dim_in, dim_out):
+    """Block (i, j) is S(E_ij), one basis image at a time."""
+    c = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=complex)
+    for i in range(dim_in):
+        for j in range(dim_in):
+            e = np.zeros((dim_in, dim_in), dtype=complex)
+            e[i, j] = 1.0
+            out = (s_hat @ e.reshape(-1)).reshape(dim_out, dim_out)
+            c[i * dim_out:(i + 1) * dim_out, j * dim_out:(j + 1) * dim_out] = out
+    return HermitianMatrix(c)
+
+
+class TestChoiOfSuperoperator:
+    @staticmethod
+    def random_generator(d, rng):
+        ls = tuple(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                   for _ in range(int(rng.integers(1, 3))))
+        return LindbladGenerator.from_hamiltonian(random_hermitian(d, rng), ls)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_basis_images(self, d):
+        rng = rng_from_seed(100 + d)
+        s1 = self.random_generator(d, rng).superoperator()
+        s2 = self.random_generator(d, rng).superoperator()
+        for s_hat in (s1 - s2, s1 @ s2 - s2 @ s1):
+            got = choi_of_superoperator(s_hat, d, d)
+            assert np.array_equal(got.entries, choi_from_images(s_hat, d, d).entries)
+
+    def test_kraus_superoperator_gives_choi(self):
+        rng = rng_from_seed(8)
+        ks = [rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)) for _ in range(2)]
+        top = np.linalg.norm(np.vstack(ks), 2) ** 2
+        chan = KrausChannel(tuple(k / np.sqrt(2.0 * top) for k in ks))
+        s_hat = sum(np.kron(k, k.conj()) for k in chan.kraus)
+        assert np.allclose(choi_of_superoperator(s_hat, 2, 3).entries,
+                           choi(chan).entries, atol=1e-12)
 
 
 class TestMaxOutputEnergy:

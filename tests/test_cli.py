@@ -108,6 +108,30 @@ class TestEcdNormCommand:
         assert data["value"] <= 1.0 + 1e-7
 
 
+    def test_seesaw_minus(self, files, capsys):
+        # X against the identity: |0> has energy 0 and an orthogonal image, so 2
+        x = files["write"]("x.json", {"dim_in": 2, "dim_out": 2, "kraus": [
+            op_json(np.array([[0, 1], [1, 0]]))]})
+        eye = files["write"]("id.json", {"dim_in": 2, "dim_out": 2,
+                                         "kraus": [op_json(np.eye(2))]})
+        code, out, _ = run_main(["ecd-norm", "--channel", x, "--minus", eye, "--ref",
+                                 files["g"], "--energy", "0.5", "--seesaw",
+                                 "--restarts", "4", "--seed", "1"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["kind"] == "seesaw_lower"
+        assert 2.0 - 1e-6 <= data["value"] <= 2.0 + 1e-7
+
+    def test_minus_requires_seesaw(self, files, capsys):
+        code, out, err = run_main(["ecd-norm", "--channel", files["ad"], "--minus",
+                                   files["ad"], "--ref", files["g"], "--energy", "0.5"],
+                                  capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"code": "input_error",
+                                   "message": "--minus requires --seesaw"}
+
+
 class TestOutputEnergyCommand:
     def test_grid(self, files, capsys):
         code, out, _ = run_main(["output-energy", "--channel", files["ad"],
@@ -128,6 +152,24 @@ class TestCertifyAndSimulate:
         certs = json.loads(out)["certificates"]
         assert certs[0]["omega"] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
         assert certs[1]["omega"] == pytest.approx(1.0 / np.sqrt(12.0), abs=1e-10)
+
+    def test_generator_in_k_form(self, files, capsys):
+        # K = -iH is the form from_hamiltonian builds; the output must not differ
+        genk = files["write"]("genk.json", {"dim": 2, "lindblad": [],
+                                            "k": op_json(-1j * np.array([[0, 1], [1, 0]]))})
+        outs = []
+        for gen in (files["genx"], genk):
+            code, out, _ = run_main(["certify", "--gen", gen, "--ref", files["g"],
+                                     "--e0-grid", "1.0,3.0"], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_k_form_dimension_mismatch(self, files, capsys):
+        genk = files["write"]("genk.json", {"dim": 3, "k": op_json(np.eye(2))})
+        code, _, err = run_main(["certify", "--gen", genk, "--ref", files["g"]], capsys)
+        assert code == 2
+        assert json.loads(err)["message"] == "generator: k dimension mismatch"
 
     def test_simulate(self, files, capsys):
         code, out, _ = run_main(["simulate", "--gen", files["genx"], "--state",
@@ -170,6 +212,25 @@ class TestBirthAndRabi:
         assert data["verdict"] == "finite"
         assert data["tau_partial"] == pytest.approx(2.0, abs=1e-5)
         assert data["traces"][1]["trace"] < 0.9
+
+    @pytest.mark.parametrize("rule, tau, verdict", [
+        ("power:2", 1.0 + 1.0 / 4.0 + 1.0 / 9.0, "finite"),
+        ("constant", 3.0, "diverges"),
+        ("explicit:1,2,4", 1.75, "undecided"),
+    ])
+    def test_birth_rules(self, rule, tau, verdict, capsys):
+        code, out, _ = run_main(["birth", "--rule", rule, "--cutoff", "3"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["rule"] == rule
+        assert data["tau_partial"] == pytest.approx(tau, rel=1e-15)
+        assert data["verdict"] == verdict
+
+    def test_unknown_birth_rule(self, capsys):
+        code, out, err = run_main(["birth", "--rule", "cubic:3", "--cutoff", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "unknown rate rule 'cubic:3'" in json.loads(err)["message"]
 
     def test_rabi(self, files, capsys):
         code, out, _ = run_main(["rabi", "--omega", "1", "--g", "0.3", "--nu", "0.5",
@@ -223,6 +284,21 @@ class TestGroupQslCommand:
         assert code == 0
         data = json.loads(out)
         assert data["lhs"] <= data["rhs"]
+
+
+    def test_bound_violation_exits_one(self, capsys, monkeypatch):
+        from eclim import cli
+        from eclim.lindblad import BoundViolation
+
+        def violated(*args):
+            raise BoundViolation("group speed limit violated: 2 > 1")
+        monkeypatch.setattr(cli, "group_qsl", violated)
+        code, out, err = run_main(["group-qsl", "--qubits", "2", "--cx", "1,0,0",
+                                   "--cy", "0,1,0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"code": "bound_violation",
+                                   "message": "group speed limit violated: 2 > 1"}
 
 
 class TestSelftest:

@@ -127,7 +127,7 @@ class TestBirthEpsilons:
             cert = birth_epsilons(rates, cutoff)
             assert min(cert.residuals) >= 0.0
             assert cert.omega == 1.0
-            assert cert.e0 == pytest.approx(1.0 / rates.rate(0))
+            assert cert.e0 == pytest.approx(1.0 / rates.rates_array(1)[0])
 
     def test_overflowing_sequence_raises(self):
         with pytest.raises(OverflowError):

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from eclim.channels import KrausChannel, amplitude_damping, extend_reference
+from eclim.channels import (
+    KrausChannel,
+    amplitude_damping,
+    extend_reference,
+    tensor_with_identity,
+)
 from eclim.norms import (
     CpDifference,
     ecd_norm_cp,
@@ -257,6 +262,26 @@ class TestCpDifference:
         expect = expect - sum((k @ mat).reshape(-1)[:, None] * (k @ mat).reshape(-1).conj()
                               for k in t_minus.kraus)
         assert np.allclose(img, expect, atol=1e-10)
+
+    @pytest.mark.parametrize("ancilla_dim", [1, 2, 3])
+    def test_extended_dual_apply_is_kraus_tensor_identity(self, ancilla_dim):
+        rng = rng_from_seed(47 + ancilla_dim)
+        s_hat = (sum(np.kron(k, k.conj()) for k in random_cp_channel(3, rng, 3).kraus)
+                 - sum(np.kron(k, k.conj()) for k in random_cp_channel(3, rng).kraus))
+        diff = CpDifference.from_superoperator(2.5 * s_hat, 3, 3)
+        n = 3 * ancilla_dim
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w = a + a.conj().T
+        eye = np.eye(ancilla_dim, dtype=complex)
+        expect = np.zeros((n, n), dtype=complex)
+        for k in diff.plus.kraus:
+            expect += np.kron(k, eye).conj().T @ w @ np.kron(k, eye)
+        for k in diff.minus.kraus:
+            expect -= np.kron(k, eye).conj().T @ w @ np.kron(k, eye)
+        ext = CpDifference(tensor_with_identity(diff.plus, ancilla_dim),
+                           tensor_with_identity(diff.minus, ancilla_dim), diff.scale)
+        got = ext.dual_apply_bipartite(w)
+        assert np.array_equal(got, diff.scale * expect)
 
     def test_scale_restores_norm(self):
         rng = rng_from_seed(45)
