@@ -7,7 +7,12 @@ top eigenvectors at the crossing) provides certified lower bounds used to
 confirm strong duality.  The ECD norm is exact for cp maps; for general
 *-preserving maps, given as an ordered difference of cp parts, a see-saw
 yields certified lower bounds: every iterate is a feasible input state, so
-the reported trace norm never exceeds the true ECD value.
+the reported trace norm never exceeds the true ECD value.  The see-saw's
+restarts advance in lockstep on stacked (R, n, n) arrays: per iteration,
+one stacked eigensolve of the images and one ``dual_scan_witness`` call on
+the stack of dual images, for every restart that has not yet stalled or
+reached ``SEESAW_MAX_ITER``.  Stacked LAPACK calls loop over the matrices,
+so each restart's history is bitwise what it would be alone.
 """
 
 from __future__ import annotations
@@ -200,12 +205,18 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
         candidates = []
         lo = 0.0
         hi = 2.0 * max(1.0, max(0.0, float(evals_m[-1])) / energy_budget)
+        hi_feasible = False
         for _ in range(60):
             if energy_of(top_vectors(hi)[:, -1]) <= energy_budget:
+                hi_feasible = True
                 break
             hi *= 4.0
         for _ in range(90):
             mid = 0.5 * (lo + hi)
+            # lo is infeasible, so with hi feasible a mid that is lo or hi
+            # leaves both where they are: the bisection has reached its fixed point.
+            if hi_feasible and not lo < mid < hi:
+                break
             if energy_of(top_vectors(mid)[:, -1]) > energy_budget:
                 lo = mid
             else:
@@ -333,20 +344,30 @@ class CpDifference:
         return CpDifference.from_kraus_pair(plus_ops, minus_ops, dim_in, dim_out)
 
     def apply_bipartite_pure(self, psi: np.ndarray, ancilla_dim: int) -> np.ndarray:
-        """(S (x) id)(|psi><psi|) for psi on system (x) ancilla, times scale."""
-        mat = np.asarray(psi, dtype=complex).reshape(self.dim_in, ancilla_dim)
-        out = np.zeros((self.dim_out * ancilla_dim, self.dim_out * ancilla_dim), dtype=complex)
+        """(S (x) id)(|psi><psi|) for psi on system (x) ancilla, times scale.
+
+        ``psi`` may carry leading batch axes, (..., dim_in * ancilla_dim); the
+        images stack along the same axes.
+        """
+        psi = np.asarray(psi, dtype=complex)
+        batch = psi.shape[:-1]
+        mat = psi.reshape(batch + (self.dim_in, ancilla_dim))
+        side = self.dim_out * ancilla_dim
+        out = np.zeros(batch + (side, side), dtype=complex)
         for k in self.plus.kraus:
-            w = (k @ mat).reshape(-1)
-            out += np.outer(w, w.conj())
+            w = (k @ mat).reshape(batch + (side,))
+            out += w[..., :, None] * w[..., None, :].conj()
         for k in self.minus.kraus:
-            w = (k @ mat).reshape(-1)
-            out -= np.outer(w, w.conj())
+            w = (k @ mat).reshape(batch + (side,))
+            out -= w[..., :, None] * w[..., None, :].conj()
         return self.scale * out
 
     def dual_apply_bipartite(self, w: np.ndarray) -> np.ndarray:
-        """S*(W), times scale, for S given on system (x) ancilla with Kraus operators K (x) 1."""
-        out = np.zeros((self.dim_in, self.dim_in), dtype=complex)
+        """S*(W), times scale, for S given on system (x) ancilla with Kraus operators K (x) 1.
+
+        ``w`` may carry leading batch axes, (..., dim_out, dim_out).
+        """
+        out = np.zeros(w.shape[:-2] + (self.dim_in, self.dim_in), dtype=complex)
         for k in self.plus.kraus:
             out += k.conj().T @ w @ k
         for k in self.minus.kraus:
@@ -384,8 +405,10 @@ def ecd_norm_seesaw(s: CpDifference, g: ReferenceHamiltonian, energy_budget: flo
     of (S (x) id)|psi><psi| is evaluated by eigendecomposition and the
     optimal sign operator W is read off; (ii) for fixed W the next psi is
     the dual-scan witness of (S* (x) id)(W) under G (x) 1 at budget E.
-    Restarts reduce deterministically (max by value, ties to the lowest
-    restart index).
+    All start states are drawn first, in restart order; the restarts then
+    advance together, and each leaves when it stalls or reaches
+    ``SEESAW_MAX_ITER``.  Restarts reduce deterministically (max by value,
+    ties to the lowest restart index).
     """
     if s.dim_in != g.dim:
         raise ValueError(f"dimension mismatch: map input {s.dim_in}, reference {g.dim}")
@@ -402,38 +425,40 @@ def ecd_norm_seesaw(s: CpDifference, g: ReferenceHamiltonian, energy_budget: flo
     s_ext = CpDifference(tensor_with_identity(s.plus, ancilla_dim),
                          tensor_with_identity(s.minus, ancilla_dim), s.scale)
     rng = rng_from_seed(seed)
+    dim = s.dim_in * ancilla_dim
+    psi = np.array([project_to_energy_shell(haar_state(dim, rng), g_ext, energy_budget)
+                    for _ in range(restarts)])
 
-    best_value, best_psi, histories = -np.inf, None, []
-    for _ in range(restarts):
-        psi = haar_state(s.dim_in * ancilla_dim, rng)
-        psi = project_to_energy_shell(psi, g_ext, energy_budget)
-        value_prev, trace = -np.inf, []
-        local_best_value, local_best_psi = -np.inf, psi
-        for _ in range(SEESAW_MAX_ITER):
-            image = s.apply_bipartite_pure(psi, ancilla_dim)
-            evals, evecs = np.linalg.eigh((image + image.conj().T) / 2.0)
-            value = float(np.sum(np.abs(evals)))
-            trace.append(value)
-            if value > local_best_value:
-                local_best_value, local_best_psi = value, psi
-            if value <= value_prev + SEESAW_STALL * (1.0 + abs(value)):
-                break
-            value_prev = value
-            signs = np.where(evals >= 0.0, 1.0, -1.0)
-            w = evecs @ (signs[:, None] * evecs.conj().T)
-            m = HermitianMatrix(s_ext.dual_apply_bipartite(w))
-            _, _, psi = dual_scan_witness(m, g_ext, energy_budget)
-        histories.append(tuple(trace))
-        if local_best_value > best_value:
-            best_value, best_psi = local_best_value, local_best_psi
+    histories = [[] for _ in range(restarts)]
+    best_values = np.full(restarts, -np.inf)
+    best_psis = psi.copy()
+    value_prev = np.full(restarts, -np.inf)
+    live = np.arange(restarts)
+    for step in range(SEESAW_MAX_ITER):
+        image = s.apply_bipartite_pure(psi, ancilla_dim)
+        evals, evecs = np.linalg.eigh((image + np.swapaxes(image.conj(), -1, -2)) / 2.0)
+        values = np.sum(np.abs(evals), axis=-1)
+        for r, value in zip(live.tolist(), values.tolist()):
+            histories[r].append(value)
+        better = values > best_values[live]
+        best_values[live[better]] = values[better]
+        best_psis[live[better]] = psi[better]
+        going = ~(values <= value_prev[live] + SEESAW_STALL * (1.0 + np.abs(values)))
+        if step == SEESAW_MAX_ITER - 1 or not np.any(going):
+            break
+        live, evals, evecs = live[going], evals[going], evecs[going]
+        value_prev[live] = values[going]
+        signs = np.where(evals >= 0.0, 1.0, -1.0)
+        w = evecs @ (signs[..., None] * np.swapaxes(evecs.conj(), -1, -2))
+        _, _, psi = dual_scan_witness(s_ext.dual_apply_bipartite(w), g_ext, energy_budget)
 
-    witness = DensityState.pure(best_psi)
+    best = int(np.argmax(best_values))  # the first maximum: ties go to the lowest restart
     return EcdEstimate(
-        value=max(0.0, best_value),
+        value=max(0.0, float(best_values[best])),
         kind="seesaw_lower",
         restarts_used=restarts,
-        witness_state=witness,
-        history=tuple(histories),
+        witness_state=DensityState.pure(best_psis[best]),
+        history=tuple(tuple(h) for h in histories),
     )
 
 

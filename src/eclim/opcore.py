@@ -55,6 +55,20 @@ def _as_complex_matrix(entries) -> np.ndarray:
     return a
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 of a square matrix, or of each matrix in a stack (..., n, n).
+
+    Rejects an A whose anti-Hermitian part exceeds
+    ``1e-10 * (1 + frobenius norm)``.
+    """
+    adj = np.swapaxes(a.conj(), -1, -2)
+    skew = np.linalg.norm(a - adj, axis=(-2, -1))
+    bad = skew > HERMITICITY_RTOL * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+    if np.any(bad):
+        raise ValueError(f"matrix is not Hermitian (defect {np.max(skew[bad]):.3e})")
+    return (a + adj) / 2.0
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
     """Dense complex square matrix with enforced Hermiticity.
@@ -67,11 +81,7 @@ class HermitianMatrix:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        a = _as_complex_matrix(self.entries)
-        skew = np.linalg.norm(a - a.conj().T)
-        if skew > HERMITICITY_RTOL * (1.0 + np.linalg.norm(a)):
-            raise ValueError(f"matrix is not Hermitian (defect {skew:.3e})")
-        sym = (a + a.conj().T) / 2.0
+        sym = _hermitian_part(_as_complex_matrix(self.entries))
         sym.flags.writeable = False
         object.__setattr__(self, "entries", sym)
         object.__setattr__(self, "dim", sym.shape[0])
@@ -223,11 +233,25 @@ class AffineCertificate:
 
     def verify(self, m: HermitianMatrix, g: ReferenceHamiltonian) -> "AffineCertificate":
         """Recompute the residual against M <= lam*G + e0 and check it."""
-        gap = self.lam * g.entries + self.e0 * np.eye(g.dim) - m.entries
-        res = float(np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)[0])
-        if res < -CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm()):
-            raise ValueError(f"certificate fails verification (residual {res:.3e})")
-        return AffineCertificate(self.lam, self.e0, residual=res)
+        res = _verified_residuals(self.lam, self.e0, m.entries, m.operator_norm(), g)
+        return AffineCertificate(self.lam, self.e0, residual=float(res))
+
+
+def _verified_residuals(lam, e0, m: np.ndarray, m_norm, g: ReferenceHamiltonian):
+    """Smallest eigenvalue of lam*G + e0 - M, checked against -1e-8 * (1 + ||M||).
+
+    ``m`` is one matrix or a stack (R, n, n), with ``lam``, ``e0`` and the
+    operator norms ``m_norm`` scalars or one per matrix.  Raises ValueError
+    when any certificate fails.
+    """
+    lam = np.asarray(lam, dtype=float)[..., None, None]
+    e0 = np.asarray(e0, dtype=float)[..., None, None]
+    gap = lam * g.entries + e0 * np.eye(g.dim) - m
+    res = np.linalg.eigvalsh((gap + np.swapaxes(gap.conj(), -1, -2)) / 2.0)[..., 0]
+    bad = res < -CERT_RESIDUAL_RTOL * (1.0 + np.asarray(m_norm))
+    if np.any(bad):
+        raise ValueError(f"certificate fails verification (residual {np.min(res[bad]):.3e})")
+    return res
 
 
 def psd_order_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float = PSD_RTOL) -> bool:
@@ -259,14 +283,34 @@ def vector_energy(g: ReferenceHamiltonian, psi: np.ndarray) -> float:
     return max(0.0, float(np.real(v.conj() @ (g.entries @ v))))
 
 
-def _top_eigenpair(a: np.ndarray):
-    """Largest eigenvalue of the Hermitian matrix ``a`` and a unit eigenvector."""
-    d = a.shape[0]
+def _top_cuts(a: np.ndarray, g: ReferenceHamiltonian):
+    """The cut (lambda_max, <v|G|v>) of each Hermitian matrix in the stack ``a``.
+
+    v is a unit top eigenvector.  Returns ``(cuts, full)``: ``full`` is the
+    stack's whole ``eigh`` up to ``FULL_EIGH_MAX_DIM`` and None above, where
+    each top eigenpair comes from a one-eigenvalue subset solve.  Stacked
+    ``eigh`` loops LAPACK over the matrices, so every cut is bitwise the one
+    a single matrix gets.
+    """
+    d = a.shape[-1]
     if d <= FULL_EIGH_MAX_DIM:
-        evals, evecs = np.linalg.eigh(a)
+        full = np.linalg.eigh(a)
+        tops, vecs = full[0][:, -1], full[1][:, :, -1]
     else:
-        evals, evecs = scipy.linalg.eigh(a, subset_by_index=[d - 1, d - 1])
-    return float(evals[-1]), evecs[:, -1]
+        full = None
+        pairs = [scipy.linalg.eigh(x, subset_by_index=[d - 1, d - 1]) for x in a]
+        tops = [evals[-1] for evals, _ in pairs]
+        vecs = np.array([evecs[:, -1] for _, evecs in pairs])
+    g_vecs = g.entries @ vecs[..., None]
+    cuts = [(float(top), float(np.real(np.vdot(v, gv[:, 0]))))
+            for top, v, gv in zip(tops, vecs, g_vecs)]
+    return cuts, full
+
+
+def _subgradient(cut, energy_budget: float) -> float:
+    """Subgradient at a cut's slope of lam*E + max(0, lambda_max(M - lam*G))."""
+    top, g_energy = cut
+    return energy_budget - g_energy if top > 0.0 else energy_budget
 
 
 class EnergyProfile:
@@ -288,18 +332,27 @@ class EnergyProfile:
         self.last_gap = float("nan")
         self._cut(0.0)
 
+    @classmethod
+    def _from_first_cut(cls, m: HermitianMatrix, g: ReferenceHamiltonian, cut):
+        """The profile whose cut at lam = 0, ``cut``, came from a stacked eigensolve."""
+        profile = cls.__new__(cls)
+        profile.m, profile.g = m, g
+        profile._cuts = {0.0: cut}
+        profile.evaluations = 1
+        profile.last_gap = float("nan")
+        return profile
+
     def _cut(self, lam: float):
         if lam not in self._cuts:
-            top, v = _top_eigenpair(self.m.entries - lam * self.g.entries)
-            self._cuts[lam] = (top, float(np.real(np.vdot(v, self.g.entries @ v))))
+            cuts, _ = _top_cuts((self.m.entries - lam * self.g.entries)[None], self.g)
+            self._cuts[lam] = cuts[0]
             self.evaluations += 1
         return self._cuts[lam]
 
     def _point(self, lam: float, energy_budget: float):
         """(lam, g(lam), a subgradient of g at lam) for this budget."""
-        top, g_energy = self._cut(lam)
-        slope = energy_budget - g_energy if top > 0.0 else energy_budget
-        return lam, lam * energy_budget + max(0.0, top), slope
+        cut = self._cut(lam)
+        return lam, lam * energy_budget + max(0.0, cut[0]), _subgradient(cut, energy_budget)
 
     def solve(self, energy_budget: float):
         """Minimize g for this budget; returns ``(value, cert)``.
@@ -387,7 +440,7 @@ def dual_scan(m: HermitianMatrix, g: ReferenceHamiltonian, energy_budget: float)
     return EnergyProfile(m, g).solve(energy_budget)
 
 
-def dual_scan_witness(m: HermitianMatrix, g: ReferenceHamiltonian, energy_budget: float):
+def dual_scan_witness(m, g: ReferenceHamiltonian, energy_budget: float):
     """Reconstruct a primal-optimal pure state from the dual scan.
 
     At the optimal slope the witness lives in the top eigenspace of
@@ -395,10 +448,67 @@ def dual_scan_witness(m: HermitianMatrix, g: ReferenceHamiltonian, energy_budget
     straddle the budget pins the energy to exactly E.  The returned vector
     is always feasible, so tr[M psi psi*] is a certified lower bound.
 
-    Returns ``(value, cert, psi)``.
+    Returns ``(value, cert, psi)``.  ``m`` may also be an array (R, n, n)
+    of Hermitian matrices, checked and symmetrized as ``HermitianMatrix``
+    does; then ``value`` and ``cert`` are lists and ``psi`` is an (R, n)
+    array, each entry bitwise what its matrix gives alone.  One stacked
+    eigensolve makes every cut at lam = 0.  Where that cut's subgradient is
+    nonnegative the budget is slack and lam = 0 is optimal: those
+    certificates are re-verified together, and up to ``FULL_EIGH_MAX_DIM``
+    the cut's eigensolve is the witness's too, since M - 0*G is the same
+    matrix.  The other matrices go on to ``EnergyProfile.solve`` from that cut.
     """
-    value, cert = dual_scan(m, g, energy_budget)
-    evals, evecs = np.linalg.eigh(m.entries - cert.lam * g.entries)
+    if isinstance(m, HermitianMatrix):
+        values, certs, psis = _dual_scan_witnesses(m.entries[None], g, energy_budget)
+        return values[0], certs[0], psis[0]
+    ms = np.asarray(m, dtype=complex)
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {ms.shape}")
+    if not np.all(np.isfinite(ms)):
+        raise ValueError("matrix entries must be finite")
+    return _dual_scan_witnesses(_hermitian_part(ms), g, energy_budget)
+
+
+def _dual_scan_witnesses(ms: np.ndarray, g: ReferenceHamiltonian, energy_budget: float):
+    """``dual_scan_witness`` of each Hermitian matrix in the stack ``ms``."""
+    if ms.shape[1:] != (g.dim, g.dim):
+        raise ValueError(f"dimension mismatch: {ms.shape[-1]} vs {g.dim}")
+    if not energy_budget > 0:
+        raise ValueError("energy budget must be positive")
+    e = float(energy_budget)
+    count = ms.shape[0]
+    cuts, full = _top_cuts(ms - 0.0 * g.entries, g)
+    slack = [r for r in range(count) if _subgradient(cuts[r], e) >= 0.0]
+    values, certs = [None] * count, [None] * count
+    if slack:
+        e0 = [max(0.0, cuts[r][0]) for r in slack]
+        norms = np.max(np.abs(np.linalg.eigvalsh(ms[slack])), axis=-1)
+        residuals = _verified_residuals(0.0, e0, ms[slack], norms, g)
+        for r, e0_r, res in zip(slack, e0, residuals.tolist()):
+            values[r] = 0.0 * e + e0_r
+            certs[r] = AffineCertificate(0.0, e0_r, residual=res)
+    for r in range(count):
+        if certs[r] is None:
+            profile = EnergyProfile._from_first_cut(HermitianMatrix(ms[r]), g, cuts[r])
+            values[r], certs[r] = profile.solve(e)
+
+    eigs = [None] * count
+    if full is not None:
+        for r in slack:
+            eigs[r] = full[0][r], full[1][r]
+    redo = [r for r in range(count) if eigs[r] is None]
+    if redo:
+        lam = np.array([certs[r].lam for r in redo])
+        evals, evecs = np.linalg.eigh(ms[redo] - lam[:, None, None] * g.entries)
+        for r, ev, vecs in zip(redo, evals, evecs):
+            eigs[r] = ev, vecs
+    psis = np.array([_pinned_witness(ev, vecs, g, e) for ev, vecs in eigs])
+    return values, certs, psis
+
+
+def _pinned_witness(evals: np.ndarray, evecs: np.ndarray, g: ReferenceHamiltonian,
+                    energy_budget: float) -> np.ndarray:
+    """The witness in the top eigenspace of M - lam*G, given that matrix's ``eigh``."""
     scale = 1.0 + float(np.max(np.abs(evals)))
     pick = evals >= evals[-1] - WITNESS_GAP_RTOL * scale
     basis = evecs[:, pick]
@@ -422,8 +532,7 @@ def dual_scan_witness(m: HermitianMatrix, g: ReferenceHamiltonian, energy_budget
         psi = vecs[:, 0]
     # The retraction is the identity on feasible vectors and guards the
     # float edge cases of the branch above.
-    psi = project_to_energy_shell(psi / np.linalg.norm(psi), g, energy_budget)
-    return value, cert, psi
+    return project_to_energy_shell(psi / np.linalg.norm(psi), g, energy_budget)
 
 
 def project_to_energy_shell(psi: np.ndarray, g: ReferenceHamiltonian,

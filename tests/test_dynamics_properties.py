@@ -11,7 +11,7 @@ from eclim.gaussian import GaussianGenerator, semigroup_channel, symplectic_form
 from eclim.lindblad import DENSE_EXPM_MAX_DIM, LindbladGenerator, evolve_grid  # noqa: E402
 from eclim.opcore import random_density, random_hermitian, rng_from_seed  # noqa: E402
 
-PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
+PROPERTY_SETTINGS = settings(settings.get_profile("eclim"), max_examples=50)
 
 dims = st.sampled_from((2, 3, DENSE_EXPM_MAX_DIM, DENSE_EXPM_MAX_DIM + 2))
 grids = st.lists(st.floats(0.0, 2.0, allow_nan=False), min_size=1, max_size=6)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eclim import norms
 from eclim.channels import (
     KrausChannel,
     amplitude_damping,
@@ -19,9 +20,14 @@ from eclim.norms import (
     trace_norm,
 )
 from eclim.opcore import (
+    FULL_EIGH_MAX_DIM,
+    DensityState,
     HermitianMatrix,
     ReferenceHamiltonian,
+    dual_scan_witness,
     energy,
+    haar_state,
+    project_to_energy_shell,
     random_reference,
     rng_from_seed,
     vector_energy,
@@ -244,6 +250,88 @@ class TestSeesaw:
         assert a.value == b.value
 
 
+def seesaw_per_restart(s, g, energy_budget, ancilla_dim, restarts, seed):
+    """The see-saw with each restart run alone to its end: the reference for the lockstep.
+
+    Returns ``(value, histories, witness_state)``.
+    """
+    g_ext = extend_reference(g, ancilla_dim)
+    s_ext = CpDifference(tensor_with_identity(s.plus, ancilla_dim),
+                         tensor_with_identity(s.minus, ancilla_dim), s.scale)
+    rng = rng_from_seed(seed)
+    best_value, best_psi, histories = -np.inf, None, []
+    for _ in range(restarts):
+        psi = haar_state(s.dim_in * ancilla_dim, rng)
+        psi = project_to_energy_shell(psi, g_ext, energy_budget)
+        value_prev, trace = -np.inf, []
+        local_best_value, local_best_psi = -np.inf, psi
+        for _ in range(norms.SEESAW_MAX_ITER):
+            image = s.apply_bipartite_pure(psi, ancilla_dim)
+            evals, evecs = np.linalg.eigh((image + image.conj().T) / 2.0)
+            value = float(np.sum(np.abs(evals)))
+            trace.append(value)
+            if value > local_best_value:
+                local_best_value, local_best_psi = value, psi
+            if value <= value_prev + norms.SEESAW_STALL * (1.0 + abs(value)):
+                break
+            value_prev = value
+            signs = np.where(evals >= 0.0, 1.0, -1.0)
+            w = evecs @ (signs[:, None] * evecs.conj().T)
+            m = HermitianMatrix(s_ext.dual_apply_bipartite(w))
+            _, _, psi = dual_scan_witness(m, g_ext, energy_budget)
+        histories.append(tuple(trace))
+        if local_best_value > best_value:
+            best_value, best_psi = local_best_value, local_best_psi
+    return max(0.0, best_value), tuple(histories), DensityState.pure(best_psi)
+
+
+class TestSeesawLockstep:
+    """The lockstep see-saw is bitwise the per-restart loop."""
+
+    @staticmethod
+    def check(diff, g, e, ancilla_dim, restarts, seed):
+        est = ecd_norm_seesaw(diff, g, e, ancilla_dim=ancilla_dim, restarts=restarts, seed=seed)
+        value, histories, witness = seesaw_per_restart(diff, g, e, ancilla_dim, restarts, seed)
+        assert est.value == value
+        assert est.history == histories
+        assert est.restarts_used == restarts
+        assert np.array_equal(est.witness_state.entries, witness.entries)
+        return est
+
+    @pytest.mark.parametrize("e", [0.05, 0.4, 2.0])  # G (x) 1 tops out at energy 1
+    @pytest.mark.parametrize("ancilla_dim", [1, 2, 3])
+    def test_budgets_and_ancillas(self, e, ancilla_dim):
+        rng = rng_from_seed(60 + ancilla_dim)
+        diff = CpDifference.from_channels(random_cp_channel(2, rng),
+                                          random_cp_channel(2, rng, n_kraus=3))
+        self.check(diff, ref(0.0, 1.0), e, ancilla_dim, 6, 5)
+
+    @pytest.mark.parametrize("e", [0.05, 3.0])
+    def test_above_full_eigh_dimension(self, e):
+        rng = rng_from_seed(64)
+        g = random_reference(4, rng)
+        diff = CpDifference.from_channels(random_cp_channel(4, rng), random_cp_channel(4, rng))
+        assert 4 * 4 > FULL_EIGH_MAX_DIM
+        self.check(diff, g, e * g.max_energy(), 4, 3, 2)
+
+    def test_minus_pair_and_single_restart(self):
+        rng = rng_from_seed(65)
+        g = random_reference(3, rng)
+        plus = random_cp_channel(3, rng, trace_preserving=True)
+        minus = random_cp_channel(3, rng, trace_preserving=True)
+        self.check(CpDifference.from_channels(plus, minus), g, 0.3, 3, 5, 1)
+        self.check(CpDifference.from_channels(minus, plus), g, 0.3, 2, 1, 4)
+
+    # Under a cap of 2 every restart leaves at the cap; under 7, some stall first.
+    @pytest.mark.parametrize("cap, lengths", [(2, {2}), (7, {5, 6, 7})])
+    def test_restarts_leave_at_different_iterations(self, monkeypatch, cap, lengths):
+        monkeypatch.setattr(norms, "SEESAW_MAX_ITER", cap)
+        rng = rng_from_seed(65)
+        diff = CpDifference.from_channels(random_cp_channel(2, rng), random_cp_channel(2, rng))
+        est = self.check(diff, ref(0.0, 1.0), 0.3, 2, 8, 3)
+        assert {len(h) for h in est.history} == lengths
+
+
 class TestCpDifference:
     def test_from_superoperator_round_trip(self):
         rng = rng_from_seed(44)
@@ -282,6 +370,21 @@ class TestCpDifference:
                            tensor_with_identity(diff.minus, ancilla_dim), diff.scale)
         got = ext.dual_apply_bipartite(w)
         assert np.array_equal(got, diff.scale * expect)
+
+    @pytest.mark.parametrize("ancilla_dim", [1, 3])
+    def test_stacked_actions_match_per_slice(self, ancilla_dim):
+        rng = rng_from_seed(67 + ancilla_dim)
+        diff = CpDifference.from_channels(random_cp_channel(3, rng, 3), random_cp_channel(3, rng))
+        ext = CpDifference(tensor_with_identity(diff.plus, ancilla_dim),
+                           tensor_with_identity(diff.minus, ancilla_dim), diff.scale)
+        n = 3 * ancilla_dim
+        psi = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        w = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+        images = diff.apply_bipartite_pure(psi, ancilla_dim)
+        duals = ext.dual_apply_bipartite(w)
+        for r in range(5):
+            assert np.array_equal(images[r], diff.apply_bipartite_pure(psi[r], ancilla_dim))
+            assert np.array_equal(duals[r], ext.dual_apply_bipartite(w[r]))
 
     def test_scale_restores_norm(self):
         rng = rng_from_seed(45)

@@ -5,6 +5,7 @@ import pytest
 
 from eclim import opcore
 from eclim.opcore import (
+    FULL_EIGH_MAX_DIM,
     AffineCertificate,
     DensityState,
     EnergyCurve,
@@ -212,6 +213,27 @@ class TestDualScan:
             direct = float(np.real(psi.conj() @ m.entries @ psi))
             assert abs(direct - value) <= 1e-9 * (1.0 + abs(value))
         assert binding >= 20
+
+    @pytest.mark.parametrize("d", [4, FULL_EIGH_MAX_DIM + 2])
+    def test_witness_stack_matches_single_matrices(self, d):
+        rng = rng_from_seed(16 + d)
+        g = random_reference(d, rng)
+        ms = [random_hermitian(d, rng) for _ in range(5)] + [random_psd(d, rng) for _ in range(3)]
+        stack = np.array([m.entries for m in ms])
+        kinds = set()
+        for e in (0.05 * g.max_energy(), 0.5 * g.max_energy(), 2.0 * g.max_energy()):
+            values, certs, psis = dual_scan_witness(stack, g, e)
+            for m, value, cert, psi in zip(ms, values, certs, psis):
+                single_value, single_cert, single_psi = dual_scan_witness(m, g, e)
+                assert (value, cert) == (single_value, single_cert)
+                assert np.array_equal(psi, single_psi)
+                kinds.add(cert.lam == 0.0)
+        assert kinds == {True, False}  # slack and binding budgets both occur
+
+    def test_witness_stack_rejects_non_hermitian(self):
+        a = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            dual_scan_witness(a, ref(0.0, 1.0), 0.5)
 
     def test_bad_budget(self):
         with pytest.raises(ValueError):
