@@ -289,8 +289,11 @@ def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
     Joint stability constants are the pairwise max over the e0 grid; the
     empirical 1/n decay exponent of the left-hand side is recorded.
     """
-    if t <= 0:
-        raise ValueError("time must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError("time must be positive and finite")
+    n_grid = [int(n) for n in n_grid]
+    if not n_grid or min(n_grid) < 1:
+        raise ValueError("need at least one Trotter step count, each at least 1")
     e0_grid = default_e0_grid(g)
     joint = joint_constants([stability_curve(gen1, g, e0_grid),
                              stability_curve(gen2, g, e0_grid)])
@@ -307,7 +310,6 @@ def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
     rows = []
     lhs_series = []
     for n in n_grid:
-        n = int(n)
         step = expm((t / n) * s1) @ expm((t / n) * s2)
         trotterized = np.linalg.matrix_power(step, n)
         lhs = 0.0

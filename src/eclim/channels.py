@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .opcore import (
+    CERT_RESIDUAL_RTOL,
+    PSD_RTOL,
     AffineCertificate,
     DensityState,
     EnergyCurve,
@@ -31,6 +33,8 @@ from .opcore import (
     ReferenceHamiltonian,
     dual_scan,
     psd_order_leq,
+    require_psd,
+    require_psd_spectrum,
     spectral_function,
 )
 
@@ -59,7 +63,7 @@ class KrausChannel:
             if not np.all(np.isfinite(k)):
                 raise ValueError("Kraus entries must be finite")
         s = sum(k.conj().T @ k for k in ops)
-        top = float(np.linalg.eigvalsh((s + s.conj().T) / 2.0)[-1])
+        top = kraus_sum_top(s)
         if top > 1.0 + KRAUS_SUM_RTOL:
             raise ValueError(f"Kraus sum exceeds identity (top eigenvalue {top})")
         tp = bool(np.linalg.norm(s - np.eye(cols)) <= KRAUS_SUM_RTOL * cols)
@@ -86,6 +90,11 @@ class KrausChannel:
     def kraus_sum(self) -> HermitianMatrix:
         """T*(1) = sum K_a* K_a on the input space."""
         return HermitianMatrix(sum(k.conj().T @ k for k in self.kraus))
+
+
+def kraus_sum_top(s: np.ndarray) -> float:
+    """Top eigenvalue of a Kraus sum s = sum K_a* K_a (at most 1 when trace-nonincreasing)."""
+    return float(np.linalg.eigvalsh((s + s.conj().T) / 2.0)[-1])
 
 
 def apply(t: KrausChannel, rho: DensityState) -> DensityState:
@@ -154,12 +163,10 @@ def jordan_kraus(c: HermitianMatrix, dim_in: int, dim_out: int):
 
 def kraus_from_choi(c: HermitianMatrix, dim_in: int, dim_out: int) -> KrausChannel:
     """Rebuild a Kraus form from a PSD Choi matrix."""
-    plus, minus = jordan_kraus(c, dim_in, dim_out)
-    # the Kraus operator of eigenvalue w has ||K||_F^2 = |w|
-    weights = [float(np.vdot(k, k).real) for k in plus + minus]
-    low = max(weights[len(plus):], default=0.0)
-    if low > 1e-9 * (1.0 + max(weights, default=0.0)):
-        raise ValueError(f"Choi matrix is not PSD (min eigenvalue {-low:.3e})")
+    plus, _ = jordan_kraus(c, dim_in, dim_out)
+    evals = c.eigh()[0]
+    require_psd_spectrum(evals, PSD_RTOL * (1.0 + float(np.max(np.abs(evals)))),
+                         "Choi matrix is not PSD")
     return KrausChannel(tuple(plus) or (np.zeros((dim_out, dim_in)),))
 
 
@@ -227,17 +234,11 @@ def sqrt_reference_certificate(t: KrausChannel, g_in: ReferenceHamiltonian,
     cert = cert.verify(dual_apply(t, g_out.matrix), g_in)
     lam_s, e0_s = float(np.sqrt(cert.lam)), float(np.sqrt(cert.e0))
     lhs = dual_apply(t, spectral_function(g_out.matrix, "sqrt"))
-    rhs = HermitianMatrix(
-        lam_s * spectral_function(g_in.matrix, "sqrt").entries
-        + e0_s * np.eye(g_in.dim)
-    )
-    gap = rhs - lhs
-    residual = float(gap.eigvals()[0])
-    if residual < -1e-8 * (1.0 + lhs.operator_norm()):
-        raise ValueError(
-            f"square-root reference certificate fails verification (residual {residual:.3e})"
-        )
-    return AffineCertificate(lam_s, e0_s, residual=residual)
+    gap = (lam_s * spectral_function(g_in.matrix, "sqrt").entries
+           + e0_s * np.eye(g_in.dim) - lhs.entries)
+    residual = require_psd(gap, CERT_RESIDUAL_RTOL * (1.0 + lhs.operator_norm()),
+                           "square-root reference certificate fails verification")
+    return AffineCertificate(lam_s, e0_s, residual=float(residual))
 
 
 def amplitude_damping(p: float) -> KrausChannel:

@@ -60,9 +60,12 @@ def _reference(path: str):
 
 def _float_list(text: str):
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise InputError(f"expected a comma-separated number list, got {text!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _int_list(text: str):

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from .opcore import require_psd
+
 GAUSS_PSD_RTOL = 1e-9
 
 
@@ -34,10 +36,6 @@ def _check_real_matrix(a, shape, name: str) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} must be finite")
     return m
-
-
-def _hermitian_min_eig(h: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
 
 
 @dataclass(frozen=True)
@@ -57,11 +55,9 @@ class GaussianState:
             raise ValueError(f"beta must have length {2 * n}")
         if not np.all(np.isfinite(beta)):
             raise ValueError("beta must be finite")
-        sigma = symplectic_form(n)
-        lo = _hermitian_min_eig(gamma + 1j * sigma)
-        scale = 1.0 + float(np.max(np.abs(gamma)))
-        if lo < -GAUSS_PSD_RTOL * scale:
-            raise ValueError(f"gamma + i*sigma is not PSD (min eigenvalue {lo:.3e})")
+        require_psd(gamma + 1j * symplectic_form(n),
+                    GAUSS_PSD_RTOL * (1.0 + float(np.max(np.abs(gamma)))),
+                    "gamma + i*sigma is not PSD")
         gamma.flags.writeable = False
         beta.flags.writeable = False
         object.__setattr__(self, "modes", n)
@@ -109,10 +105,11 @@ class GaussianChannel:
         if alpha.shape != (2 * n_out,):
             raise ValueError(f"alpha must have length {2 * n_out}")
         cp = y + 1j * symplectic_form(n_out) - 1j * (x.T @ symplectic_form(n_in) @ x)
-        lo = _hermitian_min_eig(cp)
-        scale = 1.0 + float(np.max(np.abs(y))) + float(np.max(np.abs(x))) ** 2
-        if lo < -GAUSS_PSD_RTOL * scale:
-            raise ValueError(f"channel is not completely positive (min eigenvalue {lo:.3e})")
+        # X^T sigma X is antisymmetric only up to rounding.
+        require_psd((cp + cp.conj().T) / 2.0,
+                    GAUSS_PSD_RTOL * (1.0 + float(np.max(np.abs(y)))
+                                      + float(np.max(np.abs(x))) ** 2),
+                    "channel is not completely positive")
         for arr in (x, y, alpha):
             arr.flags.writeable = False
         object.__setattr__(self, "x", x)
@@ -179,10 +176,10 @@ class GaussianGenerator:
         xdot = _check_real_matrix(self.xdot, (2 * n, 2 * n), "xdot")
         ydot = _check_real_matrix(self.ydot, (2 * n, 2 * n), "ydot")
         ydot = (ydot + ydot.T) / 2.0
-        lo = _hermitian_min_eig(_generator_condition(xdot, ydot, n))
-        scale = 1.0 + float(np.max(np.abs(ydot))) + float(np.max(np.abs(xdot)))
-        if lo < -GAUSS_PSD_RTOL * scale:
-            raise ValueError(f"generator condition violated (min eigenvalue {lo:.3e})")
+        require_psd(_generator_condition(xdot, ydot, n),
+                    GAUSS_PSD_RTOL * (1.0 + float(np.max(np.abs(ydot)))
+                                      + float(np.max(np.abs(xdot)))),
+                    "generator condition violated")
         xdot = xdot.copy()
         ydot = ydot.copy()
         xdot.flags.writeable = False

@@ -25,7 +25,8 @@ import scipy.sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from .opcore import DensityState, HermitianMatrix, ReferenceHamiltonian, energy
+from .opcore import CERT_RESIDUAL_RTOL, DensityState, HermitianMatrix, ReferenceHamiltonian, \
+    energy, require_psd
 
 DISSIPATIVITY_RTOL = 1e-9
 # Up to this dimension a dense expm of the d^2 x d^2 superoperator is cheaper
@@ -155,8 +156,8 @@ def _pencil(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float):
     """W = (G + e0)^(-1/2) and the Hermitian part of W M W (the pencil's eigenvalues)."""
     if m.dim != g.dim:
         raise ValueError(f"dimension mismatch: {m.dim} vs {g.dim}")
-    if e0 <= 0:
-        raise ValueError("e0 must be positive so that G + e0 is definite")
+    if not 0 < e0 < np.inf:
+        raise ValueError("e0 must be positive and finite so that G + e0 is definite")
     ge, gv = g.eigh()
     d = (np.clip(ge, 0.0, None) + e0) ** -0.5
     w = gv @ (d[:, None] * gv.conj().T)
@@ -169,7 +170,10 @@ def min_omega(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
     """Least omega >= 0 with M <= omega (G + e0), via the definite pencil.
 
     With ``symmetric`` the bound is enforced for -M as well (both time
-    directions of a unitary group).
+    directions of a unitary group).  The certificate is re-verified: its
+    ``residual``, the smallest eigenvalue of omega (G + e0) - M (and of
+    omega (G + e0) + M), must be at least -1e-8 * (1 + ||M||), or
+    ValueError is raised.
     """
     _, a = _pencil(m, g, e0)
     evals = np.linalg.eigvalsh(a)
@@ -178,9 +182,11 @@ def min_omega(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
         omega = max(omega, float(-evals[0]))
 
     shifted = omega * (g.entries + e0 * np.eye(g.dim))
-    residual = float(np.linalg.eigvalsh(shifted - m.entries)[0])
+    slack = CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm())
+    what = "stability certificate fails verification"
+    residual = float(require_psd(shifted - m.entries, slack, what))
     if symmetric:
-        residual = min(residual, float(np.linalg.eigvalsh(shifted + m.entries)[0]))
+        residual = min(residual, float(require_psd(shifted + m.entries, slack, what)))
     return StabilityCertificate(omega, e0, residual=residual)
 
 

@@ -65,13 +65,23 @@ class BirthRates:
         return BirthRates("geometric", parameter=float(r))
 
     def rates_array(self, count: int) -> np.ndarray:
+        """mu_0 .. mu_(count-1); ValueError unless each is a normal float, so
+        that 1/mu is finite as well."""
         if self.kind == "explicit":
             if count > len(self.explicit):
-                raise IndexError("explicit rate list shorter than requested")
-            return np.array(self.explicit[:count], dtype=float)
-        if self.kind == "power":
-            return (np.arange(count, dtype=float) + 1.0) ** self.parameter
-        return self.parameter ** np.arange(count, dtype=float)
+                raise ValueError("explicit rate list shorter than requested")
+            mu = np.array(self.explicit[:count], dtype=float)
+        else:
+            levels = np.arange(count, dtype=float)
+            with np.errstate(over="ignore"):
+                if self.kind == "power":
+                    mu = (levels + 1.0) ** self.parameter
+                else:
+                    mu = self.parameter ** levels
+        if not np.all((mu >= np.finfo(float).tiny) & (mu <= np.finfo(float).max)):
+            raise ValueError(f"{self.kind} rates leave the float range below level {count}; "
+                             "reduce the cutoff")
+        return mu
 
 
 def birth_tau(rates: BirthRates, cutoff: int):
@@ -116,6 +126,8 @@ def birth_trace(rates: BirthRates, cutoff: int, t: float) -> float:
     """
     from scipy.linalg import expm
 
+    if not 0 <= t < np.inf:
+        raise ValueError("time must be nonnegative and finite")
     mu = rates.rates_array(cutoff + 1)
     a = np.diag(-mu) + np.diag(mu[:cutoff], -1)
     p0 = np.zeros(cutoff + 1)
@@ -166,7 +178,7 @@ def birth_epsilons(rates: BirthRates, cutoff: int) -> BirthCertificate:
         for n in range(1, cutoff):
             eps[n + 1] = (1.0 + 1.0 / mu[n]) * eps[n]
             if not math.isfinite(eps[n + 1]):
-                raise OverflowError(
+                raise ValueError(
                     f"epsilon sequence exceeds float range at level {n + 1}; "
                     "reduce the cutoff"
                 )

@@ -26,6 +26,7 @@ from .channels import (
     choi_of_superoperator,
     extend_reference,
     jordan_kraus,
+    kraus_sum_top,
     tensor_with_identity,
 )
 from .opcore import (
@@ -322,13 +323,8 @@ class CpDifference:
     @staticmethod
     def from_kraus_pair(plus_ops, minus_ops, dim_in: int, dim_out: int) -> "CpDifference":
         """Build from unnormalized Kraus families, renormalizing jointly."""
-        def top(ops):
-            if not ops:
-                return 0.0
-            s = sum(k.conj().T @ k for k in ops)
-            return float(np.linalg.eigvalsh((s + s.conj().T) / 2.0)[-1])
-
-        c = max(1.0, top(plus_ops), top(minus_ops))
+        c = max([1.0] + [kraus_sum_top(sum(k.conj().T @ k for k in ops))
+                         for ops in (plus_ops, minus_ops) if ops])
         r = 1.0 / np.sqrt(c)
         plus = KrausChannel(tuple(r * k for k in plus_ops)) if plus_ops \
             else KrausChannel.zero(dim_in, dim_out)
@@ -412,8 +408,8 @@ def ecd_norm_seesaw(s: CpDifference, g: ReferenceHamiltonian, energy_budget: flo
     """
     if s.dim_in != g.dim:
         raise ValueError(f"dimension mismatch: map input {s.dim_in}, reference {g.dim}")
-    if energy_budget <= 0:
-        raise ValueError("energy budget must be positive")
+    if not 0 < energy_budget < np.inf:
+        raise ValueError("energy budget must be positive and finite")
     if ancilla_dim is None:
         ancilla_dim = s.dim_in
     if ancilla_dim < 1:

@@ -137,11 +137,9 @@ class ReferenceHamiltonian:
     ground_energy_removed: float = 0.0
 
     def __post_init__(self):
-        evals = self.matrix.eigvals()
-        lo = float(evals[0])
-        scale = 1.0 + float(np.max(np.abs(evals))) if evals.size else 1.0
-        if lo < -PSD_RTOL * scale:
-            raise ValueError(f"reference Hamiltonian is not PSD (min eigenvalue {lo:.3e})")
+        lo = float(require_psd_spectrum(self.matrix.eigvals(),
+                                        PSD_RTOL * (1.0 + self.matrix.operator_norm()),
+                                        "reference Hamiltonian is not PSD"))
         if lo != 0.0:
             shifted = HermitianMatrix(self.matrix.entries - lo * np.eye(self.matrix.dim))
             object.__setattr__(self, "matrix", shifted)
@@ -183,10 +181,10 @@ class DensityState:
     matrix: HermitianMatrix
 
     def __post_init__(self):
-        evals = self.matrix.eigvals()
-        scale = 1.0 + float(np.max(np.abs(evals))) if evals.size else 1.0
-        if evals.size and float(evals[0]) < -PSD_RTOL * scale:
-            raise ValueError(f"state is not PSD (min eigenvalue {evals[0]:.3e})")
+        if self.dim:
+            require_psd_spectrum(self.matrix.eigvals(),
+                                 PSD_RTOL * (1.0 + self.matrix.operator_norm()),
+                                 "state is not PSD")
         tr = float(np.real(np.trace(self.matrix.entries)))
         if tr < -1e-10 or tr > 1.0 + 1e-10:
             raise ValueError(f"state trace {tr} outside [0, 1]")
@@ -233,25 +231,28 @@ class AffineCertificate:
 
     def verify(self, m: HermitianMatrix, g: ReferenceHamiltonian) -> "AffineCertificate":
         """Recompute the residual against M <= lam*G + e0 and check it."""
-        res = _verified_residuals(self.lam, self.e0, m.entries, m.operator_norm(), g)
+        res = require_psd(self.lam * g.entries + self.e0 * np.eye(g.dim) - m.entries,
+                          CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm()),
+                          "certificate fails verification")
         return AffineCertificate(self.lam, self.e0, residual=float(res))
 
 
-def _verified_residuals(lam, e0, m: np.ndarray, m_norm, g: ReferenceHamiltonian):
-    """Smallest eigenvalue of lam*G + e0 - M, checked against -1e-8 * (1 + ||M||).
+def require_psd(gap, slack, what: str):
+    """The smallest eigenvalue of each gap B - A in ``gap`` (one matrix or a
+    stack); ValueError naming ``what`` where one is below -``slack``.  The gap
+    is not symmetrized: ``eigvalsh`` reads one triangle, and gaps built from
+    ``HermitianMatrix`` entries are exactly Hermitian."""
+    return require_psd_spectrum(np.linalg.eigvalsh(gap), slack, what)
 
-    ``m`` is one matrix or a stack (R, n, n), with ``lam``, ``e0`` and the
-    operator norms ``m_norm`` scalars or one per matrix.  Raises ValueError
-    when any certificate fails.
-    """
-    lam = np.asarray(lam, dtype=float)[..., None, None]
-    e0 = np.asarray(e0, dtype=float)[..., None, None]
-    gap = lam * g.entries + e0 * np.eye(g.dim) - m
-    res = np.linalg.eigvalsh((gap + np.swapaxes(gap.conj(), -1, -2)) / 2.0)[..., 0]
-    bad = res < -CERT_RESIDUAL_RTOL * (1.0 + np.asarray(m_norm))
-    if np.any(bad):
-        raise ValueError(f"certificate fails verification (residual {np.min(res[bad]):.3e})")
-    return res
+
+def require_psd_spectrum(evals, slack, what: str):
+    """``require_psd`` on ascending spectra already at hand, such as a cached ``eigvals``."""
+    lo = evals[..., 0]
+    bad = lo < -np.asarray(slack)
+    # Not np.any: a numpy reduction right after a d = 128 LAPACK call costs 2-4% of it.
+    if True in bad.ravel().tolist():
+        raise ValueError(f"{what} (min eigenvalue {np.min(lo[bad]):.3e})")
+    return lo
 
 
 def psd_order_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float = PSD_RTOL) -> bool:
@@ -363,8 +364,8 @@ class EnergyProfile:
         float is left inside the bracket.  Raises RuntimeError when neither
         happens within ``DUAL_MAX_ITER`` steps.
         """
-        if not energy_budget > 0:
-            raise ValueError("energy budget must be positive")
+        if not 0 < energy_budget < np.inf:
+            raise ValueError("energy budget must be positive and finite")
         e = float(energy_budget)
         points = [self._point(lam, e) for lam in self._cuts]
         start = points[0]  # lam = 0
@@ -473,18 +474,20 @@ def _dual_scan_witnesses(ms: np.ndarray, g: ReferenceHamiltonian, energy_budget:
     """``dual_scan_witness`` of each Hermitian matrix in the stack ``ms``."""
     if ms.shape[1:] != (g.dim, g.dim):
         raise ValueError(f"dimension mismatch: {ms.shape[-1]} vs {g.dim}")
-    if not energy_budget > 0:
-        raise ValueError("energy budget must be positive")
+    if not 0 < energy_budget < np.inf:
+        raise ValueError("energy budget must be positive and finite")
     e = float(energy_budget)
     count = ms.shape[0]
     cuts, full = _top_cuts(ms - 0.0 * g.entries, g)
     slack = [r for r in range(count) if _subgradient(cuts[r], e) >= 0.0]
     values, certs = [None] * count, [None] * count
     if slack:
-        e0 = [max(0.0, cuts[r][0]) for r in slack]
+        e0 = np.array([max(0.0, cuts[r][0]) for r in slack])
         norms = np.max(np.abs(np.linalg.eigvalsh(ms[slack])), axis=-1)
-        residuals = _verified_residuals(0.0, e0, ms[slack], norms, g)
-        for r, e0_r, res in zip(slack, e0, residuals.tolist()):
+        residuals = require_psd(e0[:, None, None] * np.eye(g.dim) - ms[slack],
+                                CERT_RESIDUAL_RTOL * (1.0 + norms),
+                                "certificate fails verification")
+        for r, e0_r, res in zip(slack, e0.tolist(), residuals.tolist()):
             values[r] = 0.0 * e + e0_r
             certs[r] = AffineCertificate(0.0, e0_r, residual=res)
     for r in range(count):
@@ -590,10 +593,9 @@ def retract_columns(c: np.ndarray, ge: np.ndarray, energy_budget: float) -> np.n
 def spectral_function(m: HermitianMatrix, f: str, p: float | None = None) -> HermitianMatrix:
     """Apply sqrt, power(p in (0,1]), or log1p through the eigendecomposition."""
     evals, evecs = m.eigh()
-    scale = 1.0 + float(np.max(np.abs(evals))) if evals.size else 1.0
     if f in ("sqrt", "power"):
-        if float(evals[0]) < -PSD_RTOL * scale:
-            raise ValueError(f"{f} undefined on spectrum (min eigenvalue {evals[0]:.3e})")
+        require_psd_spectrum(evals, PSD_RTOL * (1.0 + float(np.max(np.abs(evals)))),
+                             f"{f} undefined on spectrum")
         d = np.clip(evals, 0.0, None)
         if f == "sqrt":
             fd = np.sqrt(d)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eclim import channels
 from eclim.channels import (
     KrausChannel,
     amplitude_damping,
@@ -26,6 +27,8 @@ from eclim.channels import (
 )
 from eclim.lindblad import LindbladGenerator
 from eclim.opcore import (
+    CERT_RESIDUAL_RTOL,
+    PSD_RTOL,
     AffineCertificate,
     DensityState,
     HermitianMatrix,
@@ -126,6 +129,17 @@ class TestChoi:
         minus_identity = HermitianMatrix(-choi(KrausChannel.identity(2)).entries)
         with pytest.raises(ValueError, match="not PSD"):
             kraus_from_choi(minus_identity, 2, 2)
+
+    @pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)],
+                             ids=["inside", "past"])
+    def test_psd_gate_boundary(self, factor, accepted):
+        x = factor * PSD_RTOL * 2.0  # slack 1e-9 * (1 + ||C||)
+        c = HermitianMatrix(np.diag([1.0, 0.0, 0.0, -x]).astype(complex))
+        if accepted:
+            assert len(kraus_from_choi(c, 2, 2).kraus) == 1
+        else:
+            with pytest.raises(ValueError, match="Choi matrix is not PSD"):
+                kraus_from_choi(c, 2, 2)
 
     def test_zero_choi_gives_zero_channel(self):
         chan = kraus_from_choi(HermitianMatrix(np.zeros((6, 6))), 2, 3)
@@ -325,6 +339,30 @@ class TestSqrtReference:
                              np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)))
         with pytest.raises(ValueError):
             sqrt_reference_certificate(chan, g, g, AffineCertificate(0.0, 0.0))
+
+
+    @pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)],
+                             ids=["inside", "past"])
+    def test_gate_boundary(self, monkeypatch, factor, accepted):
+        # Raising sqrt(G_out) by x on the ground state leaves the residual -x
+        # against the slack 1e-8 * (1 + ||T*(sqrt(G_out))||).
+        g_in, g_out = ref(0.0, 1.0), ref(0.0, 1.0)
+        x = factor * CERT_RESIDUAL_RTOL * 2.0
+        spectral_function = channels.spectral_function
+
+        def raised(m, f, p=None):
+            out = spectral_function(m, f, p)
+            if m is g_out.matrix:
+                out = HermitianMatrix(out.entries + np.diag([x, 0.0]))
+            return out
+
+        monkeypatch.setattr(channels, "spectral_function", raised)
+        args = (KrausChannel.identity(2), g_in, g_out, AffineCertificate(1.0, 0.0))
+        if accepted:
+            assert sqrt_reference_certificate(*args).residual == pytest.approx(-x, rel=1e-6)
+        else:
+            with pytest.raises(ValueError, match="square-root reference certificate"):
+                sqrt_reference_certificate(*args)
 
 
 class TestOperatorMonotoneImage:

@@ -153,6 +153,23 @@ class TestCertifyAndSimulate:
         assert certs[0]["omega"] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
         assert certs[1]["omega"] == pytest.approx(1.0 / np.sqrt(12.0), abs=1e-10)
 
+    def test_certify_residuals_are_the_gap_floors(self, files, capsys):
+        from eclim.jsonio import load_file, parse_generator, parse_hermitian
+        from eclim.lindblad import dissipation_matrix
+        from eclim.opcore import ground_shift
+        ref = ground_shift(parse_hermitian(load_file(files["g"]), "reference"))
+        m = dissipation_matrix(parse_generator(load_file(files["genx"])), ref).entries
+        for symmetric in ([], ["--symmetric"]):
+            code, out, _ = run_main(["certify", "--gen", files["genx"], "--ref", files["g"],
+                                     "--e0-grid", "0.3,1.0,7.0"] + symmetric, capsys)
+            assert code == 0
+            for c in json.loads(out)["certificates"]:
+                shifted = c["omega"] * (ref.entries + c["e0"] * np.eye(2))
+                expect = float(np.linalg.eigvalsh(shifted - m)[0])
+                if symmetric:
+                    expect = min(expect, float(np.linalg.eigvalsh(shifted + m)[0]))
+                assert c["residual"] == expect
+
     def test_generator_in_k_form(self, files, capsys):
         # K = -iH is the form from_hamiltonian builds; the output must not differ
         genk = files["write"]("genk.json", {"dim": 2, "lindblad": [],
@@ -241,6 +258,20 @@ class TestBirthAndRabi:
         assert data["omega_certified"] <= 0.3 * 1.001
 
 
+    def test_rabi_residual_is_the_gap_floor(self, capsys):
+        from eclim.models import rabi_commutator, rabi_hamiltonian
+        code, out, _ = run_main(["rabi", "--omega", "1", "--g", "0.3", "--nu", "0.5",
+                                 "--cutoff", "12", "--e0", "2"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        model = rabi_hamiltonian(1.0, 0.3, 0.5, 12)
+        m = model.compress(rabi_commutator(model)).entries
+        g = model.compress_reference().entries
+        shifted = data["omega_certified"] * (g + data["e0"] * np.eye(len(g)))
+        assert data["residual"] == min(float(np.linalg.eigvalsh(shifted - m)[0]),
+                                       float(np.linalg.eigvalsh(shifted + m)[0]))
+
+
 class TestSpeedlimitCommand:
     def test_csv_deterministic(self, files, capsys):
         args = ["speedlimit", "--scenario", "left", "--qubits", "2", "--tmax",
@@ -275,6 +306,38 @@ class TestTrotterCommand:
                                  "1", "--time", "1", "--n", "4,8", "--states", "4"], capsys)
         assert code == 1
         assert [r["status"] for r in json.loads(out)["rows"]] == ["failed", "failed"]
+
+
+class TestBadNumbersExitTwo:
+    """Non-finite numbers and out-of-range counts are input errors: exit 2 with
+    one JSON line on stderr, nothing on stdout, no traceback."""
+
+    TROTTER = ["trotter", "--gen1", "{genx}", "--gen2", "{genz}", "--ref", "{g}",
+               "--energy", "1", "--time", "0.5", "--restarts", "2", "--states", "2", "--n"]
+
+    @pytest.mark.parametrize("argv", [
+        ["eco-norm", "--op", "{g}", "--ref", "{g}", "--energy", "inf"],
+        ["output-energy", "--channel", "{ad}", "--ref-in", "{g}", "--ref-out", "{g}",
+         "--energy", "inf"],
+        ["ecd-norm", "--channel", "{ad}", "--ref", "{g}", "--energy", "inf", "--seesaw"],
+        ["certify", "--gen", "{genx}", "--ref", "{g}", "--e0-grid", "nan"],
+        ["certify", "--gen", "{genx}", "--ref", "{g}", "--e0-grid", "1,inf"],
+        ["birth", "--rule", "power:1.5", "--cutoff", "10", "--times", "nan"],
+        ["rabi", "--omega", "1", "--g", "0.5", "--nu", "0.3", "--cutoff", "10", "--e0", "inf"],
+        TROTTER + ["0,4"],
+        TROTTER + ["4,-2"],
+        TROTTER + [""],
+        ["birth", "--rule", "geometric:0.5", "--cutoff", "2000"],
+        ["birth", "--rule", "power:400", "--cutoff", "10"],
+        ["birth", "--rule", "explicit:1,2", "--cutoff", "10"],
+    ])
+    def test_input_error(self, files, capfd, argv):
+        # capfd also sees what LAPACK writes to the file descriptors directly.
+        code, out, err = run_main([a.format(**files) for a in argv], capfd)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == "input_error"
 
 
 class TestGroupQslCommand:

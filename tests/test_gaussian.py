@@ -6,6 +6,7 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 from eclim.gaussian import (
+    GAUSS_PSD_RTOL,
     GaussianChannel,
     GaussianGenerator,
     GaussianState,
@@ -39,6 +40,29 @@ def random_channel(n, rng):
     y = rng.standard_normal((2 * n, 2 * n))
     y = y @ y.T + need * np.eye(2 * n)
     return GaussianChannel(x, y, np.zeros(2 * n))
+
+
+# Each gate's smallest eigenvalue is -x; the slacks are 1e-9 times
+# 1 + max|gamma|, 1 + max|Y| + max|X|^2 and 1 + max|Ydot| + max|Xdot|.
+GATES = {
+    "state": (lambda x: GaussianState(1, (1.0 - x) * np.eye(2), np.zeros(2)), 2.0),
+    "channel": (lambda x: GaussianChannel(np.sqrt(0.5) * np.eye(2), (0.5 - x) * np.eye(2),
+                                          np.zeros(2)), 2.0),
+    "generator": (lambda x: GaussianGenerator(1, -0.5 * np.eye(2), (1.0 - x) * np.eye(2)), 2.5),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+@pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)],
+                         ids=["inside", "past"])
+def test_psd_gate_boundary(gate, factor, accepted):
+    build, scale = GATES[gate]
+    x = factor * GAUSS_PSD_RTOL * scale
+    if accepted:
+        build(x)
+    else:
+        with pytest.raises(ValueError, match="min eigenvalue"):
+            build(x)
 
 
 class TestStates:

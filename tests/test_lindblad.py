@@ -24,6 +24,7 @@ from eclim.lindblad import (
     verify_energy_bound,
 )
 from eclim.opcore import (
+    CERT_RESIDUAL_RTOL,
     DensityState,
     HermitianMatrix,
     ReferenceHamiltonian,
@@ -126,6 +127,45 @@ class TestMinOmega:
             g = random_reference(d, rng)
             cert = min_omega(m, g, 0.7, symmetric=bool(rng.integers(0, 2)))
             assert cert.residual >= -1e-10 * (1.0 + m.operator_norm())
+
+    def test_residual_is_the_unsymmetrized_gap_floor(self):
+        rng = rng_from_seed(6)
+        for _ in range(20):
+            d = int(rng.integers(2, 9))
+            m = random_hermitian(d, rng)
+            g = random_reference(d, rng)
+            for e0 in (0.1, 2.0):
+                for symmetric in (False, True):
+                    cert = min_omega(m, g, e0, symmetric=symmetric)
+                    shifted = cert.omega * (g.entries + e0 * np.eye(d))
+                    expect = float(np.linalg.eigvalsh(shifted - m.entries)[0])
+                    if symmetric:
+                        expect = min(expect, float(np.linalg.eigvalsh(shifted + m.entries)[0]))
+                    assert cert.residual == expect
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["minus_m", "plus_m"])
+    @pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)],
+                             ids=["inside", "past"])
+    def test_too_small_omega_is_rejected(self, monkeypatch, sign, factor, accepted):
+        # M = diag(0, +-2), G = diag(0, 1), e0 = 1 pencil to omega = 1; an
+        # omega lowered to 1 - delta leaves the residual -2 delta against the
+        # slack 1e-8 * (1 + ||M||).  The symmetric certificate checks
+        # omega (G + e0) - M and omega (G + e0) + M; sign picks which one binds.
+        delta = factor * CERT_RESIDUAL_RTOL * 3.0 / 2.0
+        pencil = lindblad._pencil
+
+        def lowered(m, g, e0):
+            w, a = pencil(m, g, e0)
+            return w, (1.0 - delta) * a
+
+        monkeypatch.setattr(lindblad, "_pencil", lowered)
+        m = HermitianMatrix(np.diag([0.0, 2.0 * sign]).astype(complex))
+        if accepted:
+            cert = min_omega(m, ref(0.0, 1.0), 1.0, symmetric=True)
+            assert cert.residual == pytest.approx(-2.0 * delta, rel=1e-6)
+        else:
+            with pytest.raises(ValueError, match="stability certificate fails verification"):
+                min_omega(m, ref(0.0, 1.0), 1.0, symmetric=True)
 
 
 class TestStabilityCurve:

@@ -130,7 +130,7 @@ class TestBirthEpsilons:
             assert cert.e0 == pytest.approx(1.0 / rates.rates_array(1)[0])
 
     def test_overflowing_sequence_raises(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="epsilon sequence exceeds float range"):
             birth_epsilons(BirthRates.geometric(0.5), 100)
 
 

@@ -5,7 +5,9 @@ import pytest
 
 from eclim import opcore
 from eclim.opcore import (
+    CERT_RESIDUAL_RTOL,
     FULL_EIGH_MAX_DIM,
+    PSD_RTOL,
     AffineCertificate,
     DensityState,
     EnergyCurve,
@@ -22,6 +24,8 @@ from eclim.opcore import (
     random_hermitian,
     random_psd,
     random_reference,
+    require_psd,
+    require_psd_spectrum,
     retract_columns,
     rng_from_seed,
     spectral_function,
@@ -482,3 +486,101 @@ class TestAffineCertificate:
     def test_rejects_negative_constants(self):
         with pytest.raises(ValueError):
             AffineCertificate(-0.1, 0.0)
+
+
+# Each gate's smallest eigenvalue x below 0 as a function of the input, and
+# its slack: the gate accepts x just inside the slack and rejects it just past.
+GATES = {
+    "reference": (lambda x: ReferenceHamiltonian(diag(-x, 1.0)), PSD_RTOL * 2.0),
+    "state": (lambda x: DensityState(diag(-x, 0.5)), PSD_RTOL * 1.5),
+    "sqrt": (lambda x: spectral_function(diag(-x, 1.0), "sqrt"), PSD_RTOL * 2.0),
+    "power": (lambda x: spectral_function(diag(-x, 1.0), "power", p=0.5), PSD_RTOL * 2.0),
+    "affine_certificate": (lambda x: AffineCertificate(1.0, 0.0).verify(diag(x, 1.0),
+                                                                       ref(0.0, 1.0)),
+                           CERT_RESIDUAL_RTOL * 2.0),
+}
+SIDES = pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)],
+                                ids=["inside", "past"])
+
+
+class TestOneCheck:
+    def test_stack_gives_each_floor_and_names_the_object(self):
+        gaps = np.array([np.diag([1.0, 2.0]), np.diag([-0.5, 3.0])], dtype=complex)
+        assert require_psd(gaps, np.array([0.0, 0.5]), "gap").tolist() == [1.0, -0.5]
+        with pytest.raises(ValueError, match=r"^gap \(min eigenvalue -5\.000e-01\)$"):
+            require_psd(gaps, np.array([0.0, 0.4]), "gap")
+
+    def test_spectrum_form_reads_the_first_eigenvalue(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        assert float(require_psd_spectrum(np.array([-1e-3, 2.0]), 1e-3, "x")) == -1e-3
+        with pytest.raises(ValueError, match="x"):
+            require_psd_spectrum(np.array([-2e-3, 2.0]), 1e-3, "x")
+
+    @pytest.mark.parametrize("gate", sorted(GATES))
+    @SIDES
+    def test_gate_boundary(self, gate, factor, accepted):
+        build, slack = GATES[gate]
+        if accepted:
+            build(factor * slack)
+        else:
+            with pytest.raises(ValueError, match="min eigenvalue"):
+                build(factor * slack)
+
+    @SIDES
+    def test_stacked_slack_certificates_boundary(self, monkeypatch, factor, accepted):
+        # M = diag(1, 0) leaves every budget slack, so the certificate is
+        # (0, lambda_max(M)); lowering that cut by x leaves the residual -x.
+        x = factor * CERT_RESIDUAL_RTOL * 2.0
+        top_cuts = opcore._top_cuts
+
+        def lowered(a, g):
+            cuts, full = top_cuts(a, g)
+            return [(top - x, g_energy) for top, g_energy in cuts], full
+
+        monkeypatch.setattr(opcore, "_top_cuts", lowered)
+        ms = np.array([np.diag([1.0, 0.0])], dtype=complex)
+        if accepted:
+            _, certs, _ = dual_scan_witness(ms, ref(0.0, 1.0), 0.5)
+            assert certs[0].residual == pytest.approx(-x, rel=1e-6)
+        else:
+            with pytest.raises(ValueError, match="certificate fails verification"):
+                dual_scan_witness(ms, ref(0.0, 1.0), 0.5)
+
+
+class TestNonFiniteInput:
+    """A budget, e0 or time that is not finite is bad input, not an answer."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_budgets(self, bad):
+        from eclim.channels import KrausChannel
+        from eclim.norms import CpDifference, ecd_norm_seesaw, eco_norm
+        g = ref(0.0, 1.0)
+        m = diag(0.0, 1.0)
+        identity_map = CpDifference.from_channel(KrausChannel.identity(2))
+        calls = [
+            lambda: eco_norm(m.entries, g, bad),
+            lambda: EnergyProfile(m, g).solve(bad),
+            lambda: dual_scan_witness(m, g, bad),
+            lambda: dual_scan_witness(m.entries[None], g, bad),
+            lambda: ecd_norm_seesaw(identity_map, g, bad, restarts=1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="positive and finite"):
+                call()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_stability_e0(self, bad):
+        from eclim.lindblad import min_omega
+        with pytest.raises(ValueError, match="e0 must be positive and finite"):
+            min_omega(diag(0.0, 1.0), ref(0.0, 1.0), bad)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    def test_times(self, bad):
+        from eclim.apps import trotter_run
+        from eclim.lindblad import LindbladGenerator
+        from eclim.models import BirthRates, birth_trace
+        with pytest.raises(ValueError, match="time must be"):
+            birth_trace(BirthRates.power(0.0), 5, bad)
+        gen = LindbladGenerator.from_hamiltonian(SX)
+        with pytest.raises(ValueError, match="time must be"):
+            trotter_run(gen, gen, ref(0.0, 1.0), 1.0, bad, [4])
