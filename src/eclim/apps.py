@@ -37,6 +37,7 @@ from .opcore import (
     DensityState,
     HermitianMatrix,
     ReferenceHamiltonian,
+    _set_fields,
     energy,
     haar_state,
     random_density,
@@ -71,7 +72,7 @@ class SpeedLimitConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.scenario == "custom" and (self.h1 is None or self.h2 is None):
             raise ValueError("custom scenario needs explicit h1 and h2")
-        object.__setattr__(self, "time_grid", grid)
+        _set_fields(self, time_grid=grid)
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,8 @@ def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
     """Check ||(T1(t/n) T2(t/n))^n rho - e^(tL) rho||_1 <= (t^2/2n) ||[L1, L2]||_{<>, f_2t(E)}.
 
     Joint stability constants are the pairwise max over the e0 grid; the
-    empirical 1/n decay exponent of the left-hand side is recorded.
+    empirical 1/n decay exponent of the left-hand side is recorded, or None
+    with fewer than two distinct step counts or a vanishing left-hand side.
     """
     if not 0 < t < np.inf:
         raise ValueError("time must be positive and finite")
@@ -326,7 +328,7 @@ def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
     exponent = None
     ns = np.array([r.steps for r in rows], dtype=float)
     ls = np.array(lhs_series)
-    if np.all(ls > 1e-12):
+    if len(set(n_grid)) > 1 and np.all(ls > 1e-12):
         slope = np.polyfit(np.log(ns), np.log(ls), 1)[0]
         exponent = float(-slope)
     return BoundCheckReport(tuple(rows), exponent)

@@ -31,6 +31,7 @@ from .opcore import (
     EnergyProfile,
     HermitianMatrix,
     ReferenceHamiltonian,
+    _set_fields,
     dual_scan,
     psd_order_leq,
     require_psd,
@@ -67,13 +68,7 @@ class KrausChannel:
         if top > 1.0 + KRAUS_SUM_RTOL:
             raise ValueError(f"Kraus sum exceeds identity (top eigenvalue {top})")
         tp = bool(np.linalg.norm(s - np.eye(cols)) <= KRAUS_SUM_RTOL * cols)
-        ops = tuple(k.copy() for k in ops)
-        for k in ops:
-            k.flags.writeable = False
-        object.__setattr__(self, "kraus", ops)
-        object.__setattr__(self, "dim_in", cols)
-        object.__setattr__(self, "dim_out", rows)
-        object.__setattr__(self, "trace_preserving", tp)
+        _set_fields(self, kraus=ops, dim_in=cols, dim_out=rows, trace_preserving=tp)
 
     @staticmethod
     def zero(dim_in: int, dim_out: int | None = None) -> "KrausChannel":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .opcore import require_psd
+from .opcore import _set_fields, require_psd
 
 GAUSS_PSD_RTOL = 1e-9
 
@@ -58,11 +58,7 @@ class GaussianState:
         require_psd(gamma + 1j * symplectic_form(n),
                     GAUSS_PSD_RTOL * (1.0 + float(np.max(np.abs(gamma)))),
                     "gamma + i*sigma is not PSD")
-        gamma.flags.writeable = False
-        beta.flags.writeable = False
-        object.__setattr__(self, "modes", n)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "beta", beta)
+        _set_fields(self, modes=n, gamma=gamma, beta=beta)
 
     @staticmethod
     def vacuum(modes: int) -> "GaussianState":
@@ -110,11 +106,7 @@ class GaussianChannel:
                     GAUSS_PSD_RTOL * (1.0 + float(np.max(np.abs(y)))
                                       + float(np.max(np.abs(x))) ** 2),
                     "channel is not completely positive")
-        for arr in (x, y, alpha):
-            arr.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "alpha", alpha)
+        _set_fields(self, x=x, y=y, alpha=alpha)
 
     @property
     def modes_in(self) -> int:
@@ -180,13 +172,7 @@ class GaussianGenerator:
                     GAUSS_PSD_RTOL * (1.0 + float(np.max(np.abs(ydot)))
                                       + float(np.max(np.abs(xdot)))),
                     "generator condition violated")
-        xdot = xdot.copy()
-        ydot = ydot.copy()
-        xdot.flags.writeable = False
-        ydot.flags.writeable = False
-        object.__setattr__(self, "modes", n)
-        object.__setattr__(self, "xdot", xdot)
-        object.__setattr__(self, "ydot", ydot)
+        _set_fields(self, modes=n, xdot=xdot, ydot=ydot)
 
     @staticmethod
     def damping(kappa: float, modes: int = 1) -> "GaussianGenerator":

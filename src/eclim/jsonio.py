@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -87,7 +88,9 @@ def parse_matrix(data, what: str = "operator") -> np.ndarray:
         if not isinstance(pair, list) or len(pair) != 2:
             raise InputError(f"{what} entry {idx} must be a [re, im] pair")
         re, im = pair
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in (re, im)):
+        # Also false for an integer too large for a float.
+        if not all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+                   for v in (re, im)):
             raise InputError(f"{what} entry {idx} must be finite numbers")
         out[idx // dim, idx % dim] = complex(re, im)
     return out
@@ -111,6 +114,8 @@ def parse_channel(data) -> KrausChannel:
     if not isinstance(data, dict) or "kraus" not in data:
         raise InputError("channel JSON needs 'dim_in', 'dim_out', and 'kraus'")
     dim_in, dim_out = data.get("dim_in"), data.get("dim_out")
+    if not isinstance(data["kraus"], list):
+        raise InputError("channel 'kraus' must be a list of operators")
     ops = [parse_matrix(op, "kraus operator") for op in data["kraus"]]
     if not ops:
         raise InputError("channel needs at least one Kraus operator")
@@ -133,6 +138,8 @@ def parse_generator(data) -> LindbladGenerator:
     kop = data.get("k")
     if (ham is None) == (kop is None):
         raise InputError("exactly one of 'hamiltonian' or 'k' must be present")
+    if not isinstance(data.get("lindblad", []), list):
+        raise InputError("generator 'lindblad' must be a list of operators")
     lindblad = tuple(parse_matrix(op, "lindblad operator")
                      for op in data.get("lindblad", []))
     dim = data["dim"]
@@ -153,35 +160,51 @@ def parse_generator(data) -> LindbladGenerator:
         raise InputError(f"generator: {exc}") from exc
 
 
-def _real_matrix(data, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+def _converted(convert, value, what: str):
+    """convert(value); a value it cannot convert is bad input, named by ``what``."""
+    try:
+        return convert(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise InputError(f"{what}: {exc}") from exc
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _real_matrix(data, what: str, owner: str) -> np.ndarray:
+    arr = _converted(_floats, data, f"{owner} {what}")
     if arr.ndim != 2 or not np.all(np.isfinite(arr)):
         raise InputError(f"{what} must be a finite real matrix")
     return arr
 
 
 def parse_gaussian_generator(data) -> GaussianGenerator:
-    if not isinstance(data, dict) or "modes" not in data:
+    if not isinstance(data, dict) or not {"modes", "xdot", "ydot"} <= data.keys():
         raise InputError("gaussian generator JSON needs 'modes', 'xdot', 'ydot'")
     for forbidden in ("alpha", "drift", "displacement"):
         if forbidden in data:
             raise InputError("generators with linear drift are not supported")
+    owner = "gaussian generator"
+    modes = _converted(int, data["modes"], f"{owner} modes")
+    xdot = _real_matrix(data["xdot"], "xdot", owner)
+    ydot = _real_matrix(data["ydot"], "ydot", owner)
     try:
-        return GaussianGenerator(int(data["modes"]),
-                                 _real_matrix(data["xdot"], "xdot"),
-                                 _real_matrix(data["ydot"], "ydot"))
+        return GaussianGenerator(modes, xdot, ydot)
     except ValueError as exc:
-        raise InputError(f"gaussian generator: {exc}") from exc
+        raise InputError(f"{owner}: {exc}") from exc
 
 
 def parse_gaussian_state(data) -> GaussianState:
-    if not isinstance(data, dict) or "modes" not in data:
+    if not isinstance(data, dict) or not {"modes", "gamma"} <= data.keys():
         raise InputError("gaussian state JSON needs 'modes', 'gamma', 'beta'")
-    beta = np.asarray(data.get("beta"), dtype=float).reshape(-1)
+    owner = "gaussian state"
+    beta = _converted(_floats, data.get("beta"), f"{owner} beta")
     if not np.all(np.isfinite(beta)):
         raise InputError("beta must be finite")
+    modes = _converted(int, data["modes"], f"{owner} modes")
+    gamma = _real_matrix(data["gamma"], "gamma", owner)
     try:
-        return GaussianState(int(data["modes"]),
-                             _real_matrix(data["gamma"], "gamma"), beta)
+        return GaussianState(modes, gamma, beta.reshape(-1))
     except ValueError as exc:
-        raise InputError(f"gaussian state: {exc}") from exc
+        raise InputError(f"{owner}: {exc}") from exc

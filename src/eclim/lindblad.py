@@ -26,7 +26,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from .opcore import CERT_RESIDUAL_RTOL, DensityState, HermitianMatrix, ReferenceHamiltonian, \
-    energy, require_psd
+    _set_fields, energy, require_psd
 
 DISSIPATIVITY_RTOL = 1e-9
 # Up to this dimension a dense expm of the d^2 x d^2 superoperator is cheaper
@@ -67,16 +67,8 @@ class LindbladGenerator:
                 f"dissipativity violated: sum L*L + K + K* has eigenvalue {evals[-1]:.3e} > 0"
             )
         conservative = bool(np.max(np.abs(evals)) <= DISSIPATIVITY_RTOL * scale)
-        k = k.copy()
-        k.flags.writeable = False
-        ops = tuple(l.copy() for l in ops)
-        for l in ops:
-            l.flags.writeable = False
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lindblad", ops)
-        object.__setattr__(self, "dim", k.shape[0])
-        object.__setattr__(self, "formally_conservative", conservative)
-        object.__setattr__(self, "_cache", {})
+        _set_fields(self, k=k, lindblad=ops, dim=k.shape[0],
+                    formally_conservative=conservative, _cache={})
 
     @staticmethod
     def from_hamiltonian(h, lindblad=()) -> "LindbladGenerator":
@@ -87,27 +79,25 @@ class LindbladGenerator:
         return LindbladGenerator(k, ops)
 
     def superoperator(self) -> np.ndarray:
-        cache = object.__getattribute__(self, "_cache")
-        if "superop" not in cache:
+        if "superop" not in self._cache:
             eye = np.eye(self.dim)
             s = np.kron(self.k, eye) + np.kron(eye, self.k.conj())
             for l in self.lindblad:
                 s = s + np.kron(l, l.conj())
-            cache["superop"] = s
-        return cache["superop"]
+            self._cache["superop"] = s
+        return self._cache["superop"]
 
     def superoperator_sparse(self) -> "scipy.sparse.csr_matrix":
         """Sparse assembly; avoids the dense dim^2 x dim^2 intermediate."""
-        cache = object.__getattribute__(self, "_cache")
-        if "superop_sparse" not in cache:
+        if "superop_sparse" not in self._cache:
             eye = scipy.sparse.identity(self.dim, dtype=complex, format="csr")
             k = scipy.sparse.csr_matrix(self.k)
             s = scipy.sparse.kron(k, eye) + scipy.sparse.kron(eye, k.conj())
             for l in self.lindblad:
                 ls = scipy.sparse.csr_matrix(l)
                 s = s + scipy.sparse.kron(ls, ls.conj())
-            cache["superop_sparse"] = scipy.sparse.csr_matrix(s)
-        return cache["superop_sparse"]
+            self._cache["superop_sparse"] = scipy.sparse.csr_matrix(s)
+        return self._cache["superop_sparse"]
 
     def grid_propagators(self, times) -> dict:
         """exp(t * superoperator) for each time, keyed by time.
@@ -115,12 +105,11 @@ class LindbladGenerator:
         Only the last grid's propagators are kept, so a grid reused across
         states costs one expm per time and memory stays bounded by one grid.
         """
-        cache = object.__getattribute__(self, "_cache")
-        last = cache.get("grid", {})
+        last = self._cache.get("grid", {})
         if not all(t in last for t in times):
             s = self.superoperator()
             last = {t: last[t] if t in last else expm(t * s) for t in times}
-            cache["grid"] = last
+            self._cache["grid"] = last
         return last
 
 

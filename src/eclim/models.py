@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lindblad import LindbladGenerator, StabilityCertificate, min_omega
-from .opcore import HermitianMatrix, ReferenceHamiltonian, ground_shift
+from .opcore import HermitianMatrix, ReferenceHamiltonian, _set_fields, ground_shift
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -42,7 +42,7 @@ class BirthRates:
             rates = tuple(float(r) for r in self.explicit)
             if not rates or any(r <= 0 for r in rates):
                 raise ValueError("explicit rates must be positive and nonempty")
-            object.__setattr__(self, "explicit", rates)
+            _set_fields(self, explicit=rates)
         elif self.kind == "power":
             if self.parameter < 0:
                 raise ValueError("power rule needs p >= 0")
@@ -286,10 +286,6 @@ class RabiModel:
     hamiltonian: HermitianMatrix
     number: ReferenceHamiltonian
     interior: np.ndarray
-    omega: float
-    coupling: float
-    detuning: float
-    cutoff: int
 
     def compress(self, m: HermitianMatrix) -> HermitianMatrix:
         keep = np.flatnonzero(self.interior)
@@ -321,10 +317,6 @@ def rabi_hamiltonian(omega: float, g: float, nu: float, cutoff: int) -> RabiMode
         hamiltonian=HermitianMatrix(h),
         number=ReferenceHamiltonian(HermitianMatrix(np.kron(eye2, num))),
         interior=interior,
-        omega=float(omega),
-        coupling=float(g),
-        detuning=float(nu),
-        cutoff=cutoff,
     )
 
 

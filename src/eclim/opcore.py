@@ -69,6 +69,32 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + adj) / 2.0
 
 
+def _set_fields(record, **fields):
+    """Set a frozen record's fields after its checks have passed.
+
+    Every array, alone or inside a tuple, is stored read-only, and copied
+    first if it may share memory with what the caller passed for its field,
+    so a record never shares memory with its caller.  Arrays the record made
+    itself are not copied: at d = 128 those copies made glibc trim and regrow
+    its heap under the eigensolver's temporaries, about 6% of a speedlimit op.
+    """
+    def frozen(value, passed):
+        if isinstance(value, tuple):
+            return tuple(frozen(v, passed) for v in value)
+        if isinstance(value, np.ndarray):
+            if any(isinstance(p, np.ndarray) and np.may_share_memory(value, p)
+                   for p in passed):
+                value = value.copy()
+            value.flags.writeable = False
+        return value
+
+    for name, value in fields.items():
+        passed = getattr(record, name, None)
+        if not isinstance(passed, (tuple, list)):
+            passed = (passed,)
+        object.__setattr__(record, name, frozen(value, passed))
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
     """Dense complex square matrix with enforced Hermiticity.
@@ -82,32 +108,27 @@ class HermitianMatrix:
 
     def __post_init__(self):
         sym = _hermitian_part(_as_complex_matrix(self.entries))
-        sym.flags.writeable = False
-        object.__setattr__(self, "entries", sym)
-        object.__setattr__(self, "dim", sym.shape[0])
-        object.__setattr__(self, "_cache", {})
+        _set_fields(self, entries=sym, dim=sym.shape[0], _cache={})
 
     def eigh(self):
         """Ascending eigenvalues and eigenvectors (deterministic LAPACK order).
 
         Computed once per matrix; the arrays are read-only.
         """
-        cache = object.__getattribute__(self, "_cache")
-        if "eigh" not in cache:
+        if "eigh" not in self._cache:
             evals, evecs = np.linalg.eigh(self.entries)
             evals.flags.writeable = False
             evecs.flags.writeable = False
-            cache["eigh"] = (evals, evecs)
-        return cache["eigh"]
+            self._cache["eigh"] = (evals, evecs)
+        return self._cache["eigh"]
 
     def eigvals(self) -> np.ndarray:
         """Ascending eigenvalues, computed once per matrix; read-only."""
-        cache = object.__getattribute__(self, "_cache")
-        if "eigvals" not in cache:
+        if "eigvals" not in self._cache:
             evals = np.linalg.eigvalsh(self.entries)
             evals.flags.writeable = False
-            cache["eigvals"] = evals
-        return cache["eigvals"]
+            self._cache["eigvals"] = evals
+        return self._cache["eigvals"]
 
     def operator_norm(self) -> float:
         if self.dim == 0:
@@ -142,10 +163,8 @@ class ReferenceHamiltonian:
                                         "reference Hamiltonian is not PSD"))
         if lo != 0.0:
             shifted = HermitianMatrix(self.matrix.entries - lo * np.eye(self.matrix.dim))
-            object.__setattr__(self, "matrix", shifted)
-            object.__setattr__(
-                self, "ground_energy_removed", self.ground_energy_removed + lo
-            )
+            _set_fields(self, matrix=shifted,
+                        ground_energy_removed=self.ground_energy_removed + lo)
 
     @property
     def dim(self) -> int:
@@ -633,9 +652,7 @@ class EnergyCurve:
                 raise ValueError("curve values must be nondecreasing in E")
             if v2 > (e2 / e1) * v1 + 1e-9 * scale:
                 raise ValueError("curve violates the concavity ratio bound")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "certificates", tuple(self.certificates))
+        _set_fields(self, grid=grid, values=values, certificates=tuple(self.certificates))
 
 
 # ---------------------------------------------------------------------------

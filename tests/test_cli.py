@@ -307,6 +307,16 @@ class TestTrotterCommand:
         assert code == 1
         assert [r["status"] for r in json.loads(out)["rows"]] == ["failed", "failed"]
 
+    @pytest.mark.parametrize("steps", ["4", "4,4"])
+    def test_one_step_count_has_no_decay_exponent(self, files, capfd, steps):
+        code, out, err = run_main(["trotter", "--gen1", files["genx"], "--gen2",
+                                   files["genz"], "--ref", files["g"], "--energy",
+                                   "1", "--time", "1", "--n", steps, "--restarts",
+                                   "8", "--states", "4"], capfd)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["decay_exponent"] is None
+
 
 class TestBadNumbersExitTwo:
     """Non-finite numbers and out-of-range counts are input errors: exit 2 with
@@ -334,6 +344,53 @@ class TestBadNumbersExitTwo:
     def test_input_error(self, files, capfd, argv):
         # capfd also sees what LAPACK writes to the file descriptors directly.
         code, out, err = run_main([a.format(**files) for a in argv], capfd)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == "input_error"
+
+
+class TestMalformedJsonExitTwo:
+    """A JSON field that is missing, of the wrong type or outside the float
+    range is an input error: exit 2 with one JSON line on stderr, nothing on
+    stdout, no traceback."""
+
+    BIG = "1" + "0" * 400  # an integer too large for a float
+    GGEN = '{"modes": 1, "xdot": [[-0.5, 0], [0, -0.5]], "ydot": [[1, 0], [0, 1]]}'
+    GSTATE = '{"modes": 1, "gamma": [[1, 0], [0, 1]], "beta": [0, 0]}'
+    SX = '{"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}'
+    RUNS = {
+        "operator": ["eco-norm", "--op", "{bad}", "--ref", "{g}", "--energy", "1"],
+        "gaussian generator": ["gaussian", "--gen", "{bad}", "--state", "{gstate}",
+                               "--times", "1"],
+        "gaussian state": ["gaussian", "--gen", "{ggen}", "--state", "{bad}",
+                           "--times", "1"],
+        "generator": ["certify", "--gen", "{bad}", "--ref", "{g}"],
+        "channel": ["ecd-norm", "--channel", "{bad}", "--ref", "{g}", "--energy", "1"],
+    }
+
+    @pytest.mark.parametrize("kind, text", [
+        pytest.param("operator", '{"dim": 2, "entries": [[%s, 0], [0, 0], [0, 0], [1, 0]]}'
+                     % BIG, id="entry-too-large"),
+        pytest.param("gaussian state", GSTATE.replace('"beta": [0,', '"beta": [%s,' % BIG),
+                     id="beta-too-large"),
+        pytest.param("gaussian generator", GGEN.replace('"modes": 1', '"modes": 1e400'),
+                     id="generator-modes-1e400"),
+        pytest.param("gaussian state", GSTATE.replace('"modes": 1', '"modes": 1e400'),
+                     id="state-modes-1e400"),
+        pytest.param("gaussian generator", '{"modes": 1, "ydot": [[1, 0], [0, 1]]}',
+                     id="no-xdot"),
+        pytest.param("gaussian state", '{"modes": 1, "beta": [0, 0]}', id="no-gamma"),
+        pytest.param("generator", '{"dim": 2, "hamiltonian": %s, "lindblad": 5}' % SX,
+                     id="lindblad-not-a-list"),
+        pytest.param("channel", '{"dim_in": 2, "dim_out": 2, "kraus": 5}',
+                     id="kraus-not-a-list"),
+    ])
+    def test_input_error(self, files, capfd, kind, text):
+        bad = files["tmp"] / "bad.json"
+        bad.write_text(text)
+        argv = [a.format(bad=bad, **files) for a in self.RUNS[kind]]
+        code, out, err = run_main(argv, capfd)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1

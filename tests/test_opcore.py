@@ -584,3 +584,54 @@ class TestNonFiniteInput:
         gen = LindbladGenerator.from_hamiltonian(SX)
         with pytest.raises(ValueError, match="time must be"):
             trotter_run(gen, gen, ref(0.0, 1.0), 1.0, bad, [4])
+
+
+def _records_with_arrays():
+    """(caller arrays, build, fields) of each record that takes arrays,
+    with its inputs in the dtype it stores, so no conversion copies them."""
+    from eclim.channels import KrausChannel
+    from eclim.gaussian import GaussianChannel, GaussianGenerator, GaussianState
+    from eclim.lindblad import LindbladGenerator
+    p = 0.4
+    kraus = [np.diag([1.0, np.sqrt(1 - p)]).astype(complex),
+             np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)]
+    cases = [
+        ("HermitianMatrix", [np.diag([0.0, 1.0]).astype(complex)],
+         lambda a: HermitianMatrix(a[0]), ("entries",)),
+        ("KrausChannel", kraus, lambda a: KrausChannel(tuple(a)), ("kraus",)),
+        ("LindbladGenerator", [-0.5 * np.diag([0.0, 1.0]).astype(complex),
+                               np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)],
+         lambda a: LindbladGenerator(a[0], (a[1],)), ("k", "lindblad")),
+        ("GaussianState", [np.eye(2), np.zeros(2)],
+         lambda a: GaussianState(1, a[0], a[1]), ("gamma", "beta")),
+        ("GaussianChannel", [np.sqrt(0.5) * np.eye(2), 0.5 * np.eye(2), np.zeros(2)],
+         lambda a: GaussianChannel(*a), ("x", "y", "alpha")),
+        ("GaussianGenerator", [-0.5 * np.eye(2), np.eye(2)],
+         lambda a: GaussianGenerator(1, *a), ("xdot", "ydot")),
+    ]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+class TestOneStorePath:
+    """Every frozen record stores its fields through ``opcore._set_fields``."""
+
+    @pytest.mark.parametrize("arrays, build, fields", _records_with_arrays())
+    def test_record_owns_its_arrays(self, arrays, build, fields):
+        record = build(arrays)
+        assert all(a.flags.writeable for a in arrays)
+        before = [np.array(getattr(record, f)) for f in fields]
+        for a in arrays:
+            a += 3.0
+        for f, was in zip(fields, before):
+            now = getattr(record, f)
+            assert np.array_equal(np.asarray(now), was), f
+            for arr in (now if isinstance(now, tuple) else (now,)):
+                assert not arr.flags.writeable, f
+
+    def test_object_setattr_only_in_the_helper(self):
+        import inspect
+        from pathlib import Path
+        counts = {p.name: p.read_text().count("object.__setattr__")
+                  for p in sorted(Path(opcore.__file__).parent.glob("*.py"))}
+        assert inspect.getsource(opcore._set_fields).count("object.__setattr__") == 1
+        assert {name: n for name, n in counts.items() if n} == {"opcore.py": 1}
