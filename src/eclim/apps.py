@@ -246,6 +246,8 @@ def open_speedlimit(gen1: LindbladGenerator, gen2: LindbladGenerator,
     only understate the true bound; rows where it falls short but the exact
     cp upper bound still covers the left-hand side are inconclusive.
     """
+    if n_states < 1:
+        raise ValueError("need at least one state to check the bound on")
     e0_grid = default_e0_grid(g)
     certs = stability_curve(gen1, g, e0_grid) + stability_curve(gen2, g, e0_grid)
     diff = generator_difference(gen1, gen2)
@@ -296,6 +298,8 @@ def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
     n_grid = [int(n) for n in n_grid]
     if not n_grid or min(n_grid) < 1:
         raise ValueError("need at least one Trotter step count, each at least 1")
+    if n_states < 1:
+        raise ValueError("need at least one state to check the bound on")
     e0_grid = default_e0_grid(g)
     joint = joint_constants([stability_curve(gen1, g, e0_grid),
                              stability_curve(gen2, g, e0_grid)])

@@ -222,6 +222,8 @@ def _cmd_rabi(args) -> int:
 
 
 def _cmd_speedlimit(args) -> int:
+    if not np.isfinite(args.tmax):
+        raise InputError(f"--tmax must be finite, got {args.tmax}")
     grid = np.linspace(0.0, args.tmax, args.steps)
     cfg = SpeedLimitConfig(
         n_qubits=args.qubits,

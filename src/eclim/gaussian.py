@@ -29,8 +29,15 @@ def symplectic_form(modes: int) -> np.ndarray:
     return np.block([[z, -eye], [eye, z]])
 
 
+def _floats(a, name: str) -> np.ndarray:
+    try:
+        return np.asarray(a, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 def _check_real_matrix(a, shape, name: str) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
+    m = _floats(a, name)
     if m.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -50,7 +57,7 @@ class GaussianState:
         n = int(self.modes)
         gamma = _check_real_matrix(self.gamma, (2 * n, 2 * n), "gamma")
         gamma = (gamma + gamma.T) / 2.0
-        beta = np.asarray(self.beta, dtype=float).reshape(-1)
+        beta = _floats(self.beta, "beta").reshape(-1)
         if beta.shape != (2 * n,):
             raise ValueError(f"beta must have length {2 * n}")
         if not np.all(np.isfinite(beta)):

@@ -5,8 +5,12 @@ row-major.  Channel JSON: {"dim_in": d, "dim_out": e, "kraus": [<op>, ...]}.
 Generator JSON: {"dim": d, "hamiltonian": <op|null>, "k": <op|null>,
 "lindblad": [<op>, ...]} with exactly one of hamiltonian/k present.
 Gaussian JSON: {"modes": n, "xdot": [[..]], "ydot": [[..]]} and states
-{"modes": n, "gamma": [[..]], "beta": [..]}.  Readers reject NaN/Inf and
-wrong lengths; all emitted numbers carry 17 significant digits.
+{"modes": n, "gamma": [[..]], "beta": [..]}, beta required.  The count
+fields dim, dim_in, dim_out and modes are positive JSON integers, and the
+declared dimensions must match the operators.  Each reader checks the JSON
+structure and the counts; the record it builds checks every value, and its
+error becomes an InputError named after the object.  Readers reject NaN/Inf
+and wrong lengths; all emitted numbers carry 17 significant digits.
 """
 
 from __future__ import annotations
@@ -63,12 +67,26 @@ def load_file(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _count(value, name: str) -> int:
+    """A count field (dim, dim_in, dim_out, modes): a positive JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{name} must be a positive integer")
+    return value
+
+
+def _record(what: str, record, *args):
+    """Build record(*args); its ValueError, TypeError or OverflowError becomes an
+    InputError prefixed by ``what``.  The arguments' own InputErrors come first."""
+    try:
+        return record(*args)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise InputError(f"{what}: {exc}") from exc
+
+
 def parse_matrix(data, what: str = "operator") -> np.ndarray:
     if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
         raise InputError(f"{what} JSON needs 'dim' and 'entries'")
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError(f"{what} dimension must be a positive integer")
+    dim = _count(data["dim"], f"{what} dimension")
     entries = data["entries"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise InputError(f"{what} needs exactly dim^2 = {dim * dim} entries")
@@ -97,86 +115,50 @@ def parse_matrix(data, what: str = "operator") -> np.ndarray:
 
 
 def parse_hermitian(data, what: str = "operator") -> HermitianMatrix:
-    try:
-        return HermitianMatrix(parse_matrix(data, what))
-    except ValueError as exc:
-        raise InputError(f"{what}: {exc}") from exc
+    return _record(what, HermitianMatrix, parse_matrix(data, what))
 
 
 def parse_density(data) -> DensityState:
-    try:
-        return DensityState(parse_hermitian(data, "state"))
-    except ValueError as exc:
-        raise InputError(f"state: {exc}") from exc
+    return _record("state", DensityState, parse_hermitian(data, "state"))
 
 
 def parse_channel(data) -> KrausChannel:
-    if not isinstance(data, dict) or "kraus" not in data:
+    if not isinstance(data, dict) or not {"dim_in", "dim_out", "kraus"} <= data.keys():
         raise InputError("channel JSON needs 'dim_in', 'dim_out', and 'kraus'")
-    dim_in, dim_out = data.get("dim_in"), data.get("dim_out")
+    shape = (_count(data["dim_out"], "channel dim_out"),
+             _count(data["dim_in"], "channel dim_in"))
     if not isinstance(data["kraus"], list):
         raise InputError("channel 'kraus' must be a list of operators")
-    ops = [parse_matrix(op, "kraus operator") for op in data["kraus"]]
-    if not ops:
-        raise InputError("channel needs at least one Kraus operator")
-    for op in ops:
-        if op.shape != (dim_out, dim_in):
-            raise InputError(
-                f"kraus operator shape {op.shape} does not match "
-                f"(dim_out, dim_in) = ({dim_out}, {dim_in})"
-            )
-    try:
-        return KrausChannel(tuple(ops))
-    except ValueError as exc:
-        raise InputError(f"channel: {exc}") from exc
+    chan = _record("channel", KrausChannel,
+                   tuple(parse_matrix(op, "kraus operator") for op in data["kraus"]))
+    if (chan.dim_out, chan.dim_in) != shape:
+        raise InputError(f"kraus operator shape {(chan.dim_out, chan.dim_in)} does not "
+                         f"match (dim_out, dim_in) = {shape}")
+    return chan
 
 
 def parse_generator(data) -> LindbladGenerator:
     if not isinstance(data, dict) or "dim" not in data:
         raise InputError("generator JSON needs 'dim'")
-    ham = data.get("hamiltonian")
-    kop = data.get("k")
+    dim = _count(data["dim"], "generator dimension")
+    ham, kop, ops = data.get("hamiltonian"), data.get("k"), data.get("lindblad", [])
     if (ham is None) == (kop is None):
         raise InputError("exactly one of 'hamiltonian' or 'k' must be present")
-    if not isinstance(data.get("lindblad", []), list):
+    if not isinstance(ops, list):
         raise InputError("generator 'lindblad' must be a list of operators")
-    lindblad = tuple(parse_matrix(op, "lindblad operator")
-                     for op in data.get("lindblad", []))
-    dim = data["dim"]
-    for op in lindblad:
-        if op.shape != (dim, dim):
-            raise InputError("lindblad operators must be dim x dim")
-    try:
-        if ham is not None:
-            h = parse_hermitian(ham, "hamiltonian")
-            if h.dim != dim:
-                raise InputError("hamiltonian dimension mismatch")
-            return LindbladGenerator.from_hamiltonian(h, lindblad)
-        k = parse_matrix(kop, "k")
-        if k.shape != (dim, dim):
-            raise InputError("k dimension mismatch")
-        return LindbladGenerator(k, lindblad)
-    except ValueError as exc:
-        raise InputError(f"generator: {exc}") from exc
-
-
-def _converted(convert, value, what: str):
-    """convert(value); a value it cannot convert is bad input, named by ``what``."""
-    try:
-        return convert(value)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise InputError(f"{what}: {exc}") from exc
-
-
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _real_matrix(data, what: str, owner: str) -> np.ndarray:
-    arr = _converted(_floats, data, f"{owner} {what}")
-    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-        raise InputError(f"{what} must be a finite real matrix")
-    return arr
+    lindblad = tuple(parse_matrix(op, "lindblad operator") for op in ops)
+    if any(op.shape != (dim, dim) for op in lindblad):
+        raise InputError("lindblad operators must be dim x dim")
+    # Dimensions are compared before the record checks dissipativity.
+    if ham is not None:
+        h = parse_hermitian(ham, "hamiltonian")
+        if h.dim != dim:
+            raise InputError("generator: hamiltonian dimension mismatch")
+        return _record("generator", LindbladGenerator.from_hamiltonian, h, lindblad)
+    k = parse_matrix(kop, "k")
+    if k.shape != (dim, dim):
+        raise InputError("generator: k dimension mismatch")
+    return _record("generator", LindbladGenerator, k, lindblad)
 
 
 def parse_gaussian_generator(data) -> GaussianGenerator:
@@ -185,26 +167,14 @@ def parse_gaussian_generator(data) -> GaussianGenerator:
     for forbidden in ("alpha", "drift", "displacement"):
         if forbidden in data:
             raise InputError("generators with linear drift are not supported")
-    owner = "gaussian generator"
-    modes = _converted(int, data["modes"], f"{owner} modes")
-    xdot = _real_matrix(data["xdot"], "xdot", owner)
-    ydot = _real_matrix(data["ydot"], "ydot", owner)
-    try:
-        return GaussianGenerator(modes, xdot, ydot)
-    except ValueError as exc:
-        raise InputError(f"{owner}: {exc}") from exc
+    return _record("gaussian generator", GaussianGenerator,
+                   _count(data["modes"], "gaussian generator modes"),
+                   data["xdot"], data["ydot"])
 
 
 def parse_gaussian_state(data) -> GaussianState:
-    if not isinstance(data, dict) or not {"modes", "gamma"} <= data.keys():
+    if not isinstance(data, dict) or not {"modes", "gamma", "beta"} <= data.keys():
         raise InputError("gaussian state JSON needs 'modes', 'gamma', 'beta'")
-    owner = "gaussian state"
-    beta = _converted(_floats, data.get("beta"), f"{owner} beta")
-    if not np.all(np.isfinite(beta)):
-        raise InputError("beta must be finite")
-    modes = _converted(int, data["modes"], f"{owner} modes")
-    gamma = _real_matrix(data["gamma"], "gamma", owner)
-    try:
-        return GaussianState(modes, gamma, beta.reshape(-1))
-    except ValueError as exc:
-        raise InputError(f"{owner}: {exc}") from exc
+    return _record("gaussian state", GaussianState,
+                   _count(data["modes"], "gaussian state modes"),
+                   data["gamma"], data["beta"])

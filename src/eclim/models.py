@@ -44,9 +44,13 @@ class BirthRates:
                 raise ValueError("explicit rates must be positive and nonempty")
             _set_fields(self, explicit=rates)
         elif self.kind == "power":
+            if not math.isfinite(self.parameter):
+                raise ValueError(f"power rule needs a finite p, got {self.parameter}")
             if self.parameter < 0:
                 raise ValueError("power rule needs p >= 0")
         elif self.kind == "geometric":
+            if not math.isfinite(self.parameter):
+                raise ValueError(f"geometric rule needs a finite r, got {self.parameter}")
             if self.parameter <= 0:
                 raise ValueError("geometric rule needs r > 0")
         else:

@@ -135,6 +135,12 @@ class TestOpenSpeedLimit:
         assert report.rows[0].lhs_max == pytest.approx(0.0, abs=1e-12)
         assert report.all_ok
 
+    @pytest.mark.parametrize("n_states", [0, -3])
+    def test_no_states_is_bad_input(self, n_states):
+        gen = LindbladGenerator.from_hamiltonian(SX)
+        with pytest.raises(ValueError, match="at least one state"):
+            open_speedlimit(gen, gen, ref01(), 0.5, (0.3,), n_states=n_states)
+
     def test_dephasing_vs_identity(self):
         lz = np.sqrt(0.3) * SZ
         deph = LindbladGenerator.from_hamiltonian(np.zeros((2, 2)), (lz,))

@@ -1,14 +1,17 @@
 """CLI dispatch, wire formats, exit codes, and determinism."""
 
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eclim.cli import main
-from eclim.jsonio import InputError, format_float, parse_matrix, to_json
+from eclim.jsonio import (InputError, format_float, parse_generator, parse_matrix,
+                          to_json)
 
 
 def op_json(m):
@@ -340,6 +343,10 @@ class TestBadNumbersExitTwo:
         ["birth", "--rule", "geometric:0.5", "--cutoff", "2000"],
         ["birth", "--rule", "power:400", "--cutoff", "10"],
         ["birth", "--rule", "explicit:1,2", "--cutoff", "10"],
+        TROTTER + ["4", "--states", "0"],
+        TROTTER + ["4", "--states", "-3"],
+        ["speedlimit", "--scenario", "left", "--qubits", "2", "--tmax", "inf",
+         "--steps", "3"],
     ])
     def test_input_error(self, files, capfd, argv):
         # capfd also sees what LAPACK writes to the file descriptors directly.
@@ -348,6 +355,17 @@ class TestBadNumbersExitTwo:
         assert out == ""
         assert err.count("\n") == 1
         assert json.loads(err)["code"] == "input_error"
+
+    @pytest.mark.parametrize("rule, message", [
+        ("power:nan", "power rule needs a finite p, got nan"),
+        ("geometric:inf", "geometric rule needs a finite r, got inf"),
+    ])
+    def test_non_finite_birth_parameter_is_named(self, capfd, rule, message):
+        code, out, err = run_main(["birth", "--rule", rule, "--cutoff", "10"], capfd)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"code": "input_error", "message": message}
 
 
 class TestMalformedJsonExitTwo:
@@ -367,6 +385,8 @@ class TestMalformedJsonExitTwo:
                            "--times", "1"],
         "generator": ["certify", "--gen", "{bad}", "--ref", "{g}"],
         "channel": ["ecd-norm", "--channel", "{bad}", "--ref", "{g}", "--energy", "1"],
+        "state": ["simulate", "--gen", "{genx}", "--state", "{bad}", "--times", "0.5",
+                  "--ref", "{g}"],
     }
 
     @pytest.mark.parametrize("kind, text", [
@@ -385,6 +405,11 @@ class TestMalformedJsonExitTwo:
                      id="lindblad-not-a-list"),
         pytest.param("channel", '{"dim_in": 2, "dim_out": 2, "kraus": 5}',
                      id="kraus-not-a-list"),
+        pytest.param("operator", '{"dim": true, "entries": [[1, 0]]}', id="dim-true"),
+        pytest.param("gaussian generator", GGEN.replace('"modes": 1', '"modes": 1.5'),
+                     id="generator-modes-1.5"),
+        pytest.param("gaussian state", GSTATE.replace('"modes": 1', '"modes": 1.9'),
+                     id="state-modes-1.9"),
     ])
     def test_input_error(self, files, capfd, kind, text):
         bad = files["tmp"] / "bad.json"
@@ -395,6 +420,26 @@ class TestMalformedJsonExitTwo:
         assert out == ""
         assert err.count("\n") == 1
         assert json.loads(err)["code"] == "input_error"
+
+    @pytest.mark.parametrize("kind, text, names", [
+        pytest.param("state", '{"dim": 2, "entries": [[0, 0], [1, 0], [0, 0], [0, 0]]}',
+                     ["state: matrix is not Hermitian"], id="state-not-hermitian"),
+        pytest.param("gaussian state", '{"modes": 1, "gamma": [[3, 0], [0, 3]]}',
+                     ["'beta'"], id="no-beta"),
+        pytest.param("channel", '{"kraus": [%s]}' % SX, ["'dim_in'", "'dim_out'"],
+                     id="no-dim-in-dim-out"),
+    ])
+    def test_message_names_the_field(self, files, capfd, kind, text, names):
+        bad = files["tmp"] / "bad.json"
+        bad.write_text(text)
+        argv = [a.format(bad=bad, **files) for a in self.RUNS[kind]]
+        code, out, err = run_main(argv, capfd)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        message = json.loads(err)["message"]
+        assert message.count("state:") <= 1, message
+        assert all(name in message for name in names), message
 
 
 class TestGroupQslCommand:
@@ -456,6 +501,17 @@ class TestRepeatedCalls:
         assert out1 == ""
         assert set(json.loads(out2)) == {"value", "lambda", "e0"}
         assert set(json.loads(out_path.read_text())) == {"grid", "values", "certificates"}
+
+
+class TestReadme:
+    def test_library_example_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library example", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        # the example's own comment: value == sqrt(4.5)
+        assert namespace["value"] == math.sqrt(4.5)
 
 
 class TestUsageAndVersion:
@@ -527,6 +583,11 @@ class TestWireFormat:
         with pytest.raises(InputError) as exc:
             parse_matrix({"dim": 2, "entries": [good] * 5})
         assert str(exc.value) == "operator needs exactly dim^2 = 4 entries"
+
+    @pytest.mark.parametrize("dim, ham", [(2.0, np.eye(2)), (True, np.eye(1))])
+    def test_generator_dim_is_a_json_integer(self, dim, ham):
+        with pytest.raises(InputError, match="generator dimension must be a positive"):
+            parse_generator({"dim": dim, "hamiltonian": op_json(ham)})
 
     def test_seventeen_digit_round_trip(self):
         for value in (1.0 / 3.0, np.pi, 2.0 ** -52, 1e300):
