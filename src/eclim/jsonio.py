@@ -1,7 +1,8 @@
 """JSON wire formats shared by every CLI subcommand.
 
 Operator JSON: {"dim": d, "entries": [[re, im], ...]} with d*d entries
-row-major.  Channel JSON: {"dim_in": d, "dim_out": e, "kraus": [<op>, ...]}.
+row-major; a non-Hermitian one may give "rows" and "cols" for "dim".
+Channel JSON: {"dim_in": d, "dim_out": e, "kraus": [<op>, ...]}.
 Generator JSON: {"dim": d, "hamiltonian": <op|null>, "k": <op|null>,
 "lindblad": [<op>, ...]} with exactly one of hamiltonian/k present.
 Gaussian JSON: {"modes": n, "xdot": [[..]], "ydot": [[..]]} and states
@@ -84,23 +85,29 @@ def _record(what: str, record, *args):
 
 
 def parse_matrix(data, what: str = "operator") -> np.ndarray:
-    if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
-        raise InputError(f"{what} JSON needs 'dim' and 'entries'")
-    dim = _count(data["dim"], f"{what} dimension")
+    keys = data.keys() if isinstance(data, dict) else set()
+    if "entries" not in keys or ("dim" in keys) == ({"rows", "cols"} <= keys):
+        raise InputError(f"{what} JSON needs 'entries' and either 'dim' or 'rows' and 'cols'")
+    if "dim" in keys:
+        rows = cols = _count(data["dim"], f"{what} dimension")
+        size = "dim^2"
+    else:
+        rows, cols = _count(data["rows"], f"{what} rows"), _count(data["cols"], f"{what} cols")
+        size = "rows*cols"
     entries = data["entries"]
-    if not isinstance(entries, list) or len(entries) != dim * dim:
-        raise InputError(f"{what} needs exactly dim^2 = {dim * dim} entries")
-    out = np.empty((dim, dim), dtype=complex)
+    if not isinstance(entries, list) or len(entries) != rows * cols:
+        raise InputError(f"{what} needs exactly {size} = {rows * cols} entries")
+    out = np.empty((rows, cols), dtype=complex)
     # Decoded JSON with only finite numbers converts in one step; anything
     # else goes through the entry loop, which names the offending entry.
     try:
         arr = np.array(entries)
     except (ValueError, TypeError, OverflowError):
         arr = None
-    if (arr is not None and arr.dtype.kind in "biuf" and arr.shape == (dim * dim, 2)
+    if (arr is not None and arr.dtype.kind in "biuf" and arr.shape == (rows * cols, 2)
             and np.all(np.isfinite(arr))):
-        out.real = arr[:, 0].reshape(dim, dim)
-        out.imag = arr[:, 1].reshape(dim, dim)
+        out.real = arr[:, 0].reshape(rows, cols)
+        out.imag = arr[:, 1].reshape(rows, cols)
         return out
     for idx, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -110,11 +117,13 @@ def parse_matrix(data, what: str = "operator") -> np.ndarray:
         if not all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
                    for v in (re, im)):
             raise InputError(f"{what} entry {idx} must be finite numbers")
-        out[idx // dim, idx % dim] = complex(re, im)
+        out[idx // cols, idx % cols] = complex(re, im)
     return out
 
 
 def parse_hermitian(data, what: str = "operator") -> HermitianMatrix:
+    if not isinstance(data, dict) or "dim" not in data:  # Hermitian operators are square
+        raise InputError(f"{what} JSON needs 'dim' and 'entries'")
     return _record(what, HermitianMatrix, parse_matrix(data, what))
 
 

@@ -40,6 +40,9 @@ class BirthRates:
     def __post_init__(self):
         if self.kind == "explicit":
             rates = tuple(float(r) for r in self.explicit)
+            for n, r in enumerate(rates):
+                if not math.isfinite(r):
+                    raise ValueError(f"explicit rate mu_{n} must be finite, got {r}")
             if not rates or any(r <= 0 for r in rates):
                 raise ValueError("explicit rates must be positive and nonempty")
             _set_fields(self, explicit=rates)

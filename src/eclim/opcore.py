@@ -465,8 +465,9 @@ def dual_scan_witness(m, g: ReferenceHamiltonian, energy_budget: float):
 
     At the optimal slope the witness lives in the top eigenspace of
     M - lam*G; mixing the two eigenvectors of the compressed G that
-    straddle the budget pins the energy to exactly E.  The returned vector
-    is always feasible, so tr[M psi psi*] is a certified lower bound.
+    straddle the budget pins the energy to exactly E, and a one-dimensional
+    eigenspace gives its eigenvector with no compression.  The returned
+    vector is always feasible, so tr[M psi psi*] is a certified lower bound.
 
     Returns ``(value, cert, psi)``.  ``m`` may also be an array (R, n, n)
     of Hermitian matrices, checked and symmetrized as ``HermitianMatrix``
@@ -475,8 +476,10 @@ def dual_scan_witness(m, g: ReferenceHamiltonian, energy_budget: float):
     eigensolve makes every cut at lam = 0.  Where that cut's subgradient is
     nonnegative the budget is slack and lam = 0 is optimal: those
     certificates are re-verified together, and up to ``FULL_EIGH_MAX_DIM``
-    the cut's eigensolve is the witness's too, since M - 0*G is the same
-    matrix.  The other matrices go on to ``EnergyProfile.solve`` from that cut.
+    the cut's eigensolve, of the same matrix M - 0*G, also gives the norms
+    that scale the verification slack and the witness's eigenspace.  The
+    other matrices go on to ``EnergyProfile.solve`` from that cut.  G's
+    clipped spectrum and eigenvectors are loaded once for all the witnesses.
     """
     if isinstance(m, HermitianMatrix):
         values, certs, psis = _dual_scan_witnesses(m.entries[None], g, energy_budget)
@@ -502,7 +505,8 @@ def _dual_scan_witnesses(ms: np.ndarray, g: ReferenceHamiltonian, energy_budget:
     values, certs = [None] * count, [None] * count
     if slack:
         e0 = np.array([max(0.0, cuts[r][0]) for r in slack])
-        norms = np.max(np.abs(np.linalg.eigvalsh(ms[slack])), axis=-1)
+        spectra = np.linalg.eigvalsh(ms[slack]) if full is None else full[0][slack]
+        norms = np.max(np.abs(spectra), axis=-1)
         residuals = require_psd(e0[:, None, None] * np.eye(g.dim) - ms[slack],
                                 CERT_RESIDUAL_RTOL * (1.0 + norms),
                                 "certificate fails verification")
@@ -524,16 +528,25 @@ def _dual_scan_witnesses(ms: np.ndarray, g: ReferenceHamiltonian, energy_budget:
         evals, evecs = np.linalg.eigh(ms[redo] - lam[:, None, None] * g.entries)
         for r, ev, vecs in zip(redo, evals, evecs):
             eigs[r] = ev, vecs
-    psis = np.array([_pinned_witness(ev, vecs, g, e) for ev, vecs in eigs])
+    # The retraction guards the float edge cases of the witness's branches.
+    onto_shell = _shell_projector(g, e)
+    psis = np.array([onto_shell(_pinned_witness(ev, vecs, g, e)) for ev, vecs in eigs])
     return values, certs, psis
 
 
 def _pinned_witness(evals: np.ndarray, evecs: np.ndarray, g: ReferenceHamiltonian,
                     energy_budget: float) -> np.ndarray:
-    """The witness in the top eigenspace of M - lam*G, given that matrix's ``eigh``."""
-    scale = 1.0 + float(np.max(np.abs(evals)))
-    pick = evals >= evals[-1] - WITNESS_GAP_RTOL * scale
-    basis = evecs[:, pick]
+    """The unit witness in the top eigenspace of M - lam*G, given that matrix's ``eigh``.
+
+    The caller retracts it onto the energy shell.  Where the top eigenspace is
+    one-dimensional every branch below picks its eigenvector (times the 1x1
+    compression's eigenvector, exactly 1), so that eigenvector is returned at once.
+    """
+    scale = 1.0 + max(-evals[0], evals[-1])  # the spectral radius of an ascending spectrum
+    top = evals[-1] - WITNESS_GAP_RTOL * scale
+    if evals.size == 1 or evals[-2] < top:
+        return evecs[:, -1] / np.linalg.norm(evecs[:, -1])
+    basis = evecs[:, evals >= top]
 
     # Compress G to the top eigenspace and aim for energy exactly E.
     g_small = basis.conj().T @ g.entries @ basis
@@ -552,9 +565,7 @@ def _pinned_witness(evals: np.ndarray, evecs: np.ndarray, g: ReferenceHamiltonia
         # Numerically empty intersection with the budget: cool the lowest
         # eigenspace member toward the ground space instead.
         psi = vecs[:, 0]
-    # The retraction is the identity on feasible vectors and guards the
-    # float edge cases of the branch above.
-    return project_to_energy_shell(psi / np.linalg.norm(psi), g, energy_budget)
+    return psi / np.linalg.norm(psi)
 
 
 def project_to_energy_shell(psi: np.ndarray, g: ReferenceHamiltonian,
@@ -563,15 +574,22 @@ def project_to_energy_shell(psi: np.ndarray, g: ReferenceHamiltonian,
 
     Returns the normalized input itself when it already has energy <= E.
     """
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    v = v / np.linalg.norm(v)
+    return _shell_projector(g, energy_budget)(np.asarray(psi, dtype=complex).reshape(-1))
+
+
+def _shell_projector(g: ReferenceHamiltonian, energy_budget: float):
+    """``project_to_energy_shell`` as a function of the vector, with G's data loaded once."""
     ge, gv = g.eigh()
-    ge = np.clip(ge, 0.0, None)
-    c = gv.conj().T @ v
-    if float(ge @ np.abs(c) ** 2) <= energy_budget:
-        return v
-    out = gv @ retract_columns(c[:, None], ge, energy_budget)[:, 0]
-    return out / np.linalg.norm(out)
+    ge, gvh = np.clip(ge, 0.0, None), gv.conj().T
+
+    def project(v):
+        v = v / np.linalg.norm(v)
+        c = gvh @ v
+        if float(ge @ np.abs(c) ** 2) <= energy_budget:
+            return v
+        out = gv @ retract_columns(c[:, None], ge, energy_budget)[:, 0]
+        return out / np.linalg.norm(out)
+    return project
 
 
 def retract_columns(c: np.ndarray, ge: np.ndarray, energy_budget: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared test settings."""
 
 import tempfile
+import warnings
 
 try:
     from hypothesis import settings
@@ -15,6 +16,16 @@ else:
     settings.load_profile("eclim")
     HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="eclim-hypothesis-")
     set_hypothesis_home_dir(HYPOTHESIS_HOME.name)
+    # A failing property test makes hypothesis's pytest plugin import its
+    # patch writer, whose libcst import warns; under ``filterwarnings =
+    # error`` that warning would end the pytest run with INTERNALERROR instead
+    # of a failure report.  Import it once here, with its warnings ignored.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            import hypothesis.extra._patching  # noqa: F401
+        except ImportError:  # no libcst: the plugin skips the patch too
+            pass
 
 
 def pytest_unconfigure(config):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from eclim.cli import main
-from eclim.jsonio import (InputError, format_float, parse_generator, parse_matrix,
-                          to_json)
+from eclim.jsonio import (InputError, format_float, parse_generator, parse_hermitian,
+                          parse_matrix, to_json)
 
 
 def op_json(m):
@@ -144,6 +144,18 @@ class TestOutputEnergyCommand:
         data = json.loads(out)
         assert data["values"] == [pytest.approx(0.6 * e, abs=1e-8)
                                   for e in (0.25, 0.5, 1.0)]
+
+    def test_non_square_kraus_operator(self, files, capsys):
+        # The isometry |0> -> |0>, |1> -> |2> into a qutrit, G_out = diag(0, 1, 2):
+        # the output energy is twice the input energy.
+        iso = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        chan = files["write"]("iso.json", {"dim_in": 2, "dim_out": 3, "kraus": [
+            {"rows": 3, "cols": 2, "entries": [[v, 0.0] for v in iso.reshape(-1)]}]})
+        g_out = files["write"]("g3.json", op_json(np.diag([0.0, 1.0, 2.0])))
+        code, out, err = run_main(["output-energy", "--channel", chan, "--ref-in", files["g"],
+                                   "--ref-out", g_out, "--energy", "0.5"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-8)
 
 
 class TestCertifyAndSimulate:
@@ -583,6 +595,24 @@ class TestWireFormat:
         with pytest.raises(InputError) as exc:
             parse_matrix({"dim": 2, "entries": [good] * 5})
         assert str(exc.value) == "operator needs exactly dim^2 = 4 entries"
+
+    def test_rows_and_cols_give_a_non_square_operator(self):
+        entries = [[float(k), -float(k)] for k in range(6)]
+        got = parse_matrix({"rows": 3, "cols": 2, "entries": entries})
+        assert np.array_equal(got, np.arange(6).reshape(3, 2) * (1 - 1j))
+        with pytest.raises(InputError) as exc:
+            parse_matrix({"rows": 3, "cols": 2, "entries": entries[:4]})
+        assert str(exc.value) == "operator needs exactly rows*cols = 6 entries"
+        with pytest.raises(InputError, match="operator rows must be a positive integer"):
+            parse_matrix({"rows": 3.0, "cols": 2, "entries": entries})
+        with pytest.raises(InputError, match="either 'dim' or 'rows' and 'cols'"):
+            parse_matrix({"dim": 2, "rows": 2, "cols": 2, "entries": entries[:4]})
+        with pytest.raises(InputError, match="either 'dim' or 'rows' and 'cols'"):
+            parse_matrix({"rows": 2, "entries": entries[:4]})
+
+    def test_hermitian_operators_give_dim(self):
+        with pytest.raises(InputError, match="reference JSON needs 'dim' and 'entries'"):
+            parse_hermitian({"rows": 1, "cols": 1, "entries": [[0.0, 0.0]]}, "reference")
 
     @pytest.mark.parametrize("dim, ham", [(2.0, np.eye(2)), (True, np.eye(1))])
     def test_generator_dim_is_a_json_integer(self, dim, ham):

@@ -1,5 +1,10 @@
 """Property tests for the dynamics layer: time-grid evolution and semigroups."""
 
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -65,3 +70,27 @@ def test_semigroup_channels_are_cp(modes, seed, scale, margin, t):
     y = scale * rng.standard_normal((n2, n2))
     ydot = y @ y.T + (np.linalg.norm(xdot.T @ sigma + sigma @ xdot, 2) + margin) * np.eye(n2)
     semigroup_channel(GaussianGenerator(modes, xdot, ydot), t)  # the constructor checks CP
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+"""
+
+
+def test_a_failing_property_test_is_reported_as_a_failure(tmp_path):
+    # Run under this suite's settings: its pyproject.toml (warnings are
+    # errors) and its conftest.py.  Exit code 3 would be an INTERNALERROR.
+    here = Path(__file__).parent
+    (tmp_path / "tests").mkdir()
+    shutil.copy(here.parent / "pyproject.toml", tmp_path)
+    shutil.copy(here / "conftest.py", tmp_path / "tests")
+    (tmp_path / "tests" / "test_fails.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "tests/test_fails.py"], cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "FAILED tests/test_fails.py::test_fails" in run.stdout

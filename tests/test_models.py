@@ -55,6 +55,11 @@ class TestBirthTau:
         with pytest.raises(ValueError):
             BirthRates.from_list([1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rates_by_name(self, bad):
+        with pytest.raises(ValueError, match=f"explicit rate mu_1 must be finite, got {bad}"):
+            BirthRates.from_list([1.0, bad, 2.0])
+
 
 class TestBirthGenerator:
     def test_conservative_except_top(self):

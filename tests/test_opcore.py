@@ -366,6 +366,62 @@ class TestEnergyProfile:
         assert warm.evaluations == before
 
 
+def compressed_witness(evals, evecs, g, e):
+    """The witness tail with G always compressed to the top eigenspace of M - lam*G,
+    also when that space is one-dimensional, then retracted onto the energy shell."""
+    scale = 1.0 + float(np.max(np.abs(evals)))
+    basis = evecs[:, evals >= evals[-1] - opcore.WITNESS_GAP_RTOL * scale]
+    g_small = basis.conj().T @ g.entries @ basis
+    ge, gv = np.linalg.eigh((g_small + g_small.conj().T) / 2.0)
+    vecs = basis @ gv
+    if e >= ge[-1]:
+        psi = vecs[:, -1]
+    elif e >= ge[0]:
+        j = int(np.searchsorted(ge, e))
+        s = (e - ge[j - 1]) / (ge[j] - ge[j - 1])
+        psi = np.sqrt(1.0 - s) * vecs[:, j - 1] + np.sqrt(s) * vecs[:, j]
+    else:
+        psi = vecs[:, 0]
+    return project_to_energy_shell(psi / np.linalg.norm(psi), g, e)
+
+
+class TestWitnessTail:
+    @pytest.mark.parametrize("n", [4, 6, 9, 16])
+    def test_one_dimensional_top_space_matches_the_compression(self, n):
+        rng = rng_from_seed(70 + n)
+        g = random_reference(n, rng)
+        retracted = 0
+        for lam in (0.0, 0.3, 2.0):
+            evals, evecs = np.linalg.eigh(random_hermitian(n, rng).entries - lam * g.entries)
+            scale = 1.0 + float(np.max(np.abs(evals)))
+            assert evals[-2] < evals[-1] - opcore.WITNESS_GAP_RTOL * scale  # one top vector
+            for e in (0.02 * g.max_energy(), 0.3 * g.max_energy(), 2.0 * g.max_energy()):
+                psi = opcore._pinned_witness(evals, evecs, g, e)
+                retracted += vector_energy(g, psi) > e
+                got = opcore._shell_projector(g, e)(psi)
+                assert got.tobytes() == compressed_witness(evals, evecs, g, e).tobytes()
+        assert retracted > 0  # infeasible top vectors went through retract_columns
+
+    @pytest.mark.parametrize("d", [4, FULL_EIGH_MAX_DIM])
+    def test_slack_stack_takes_one_eigh_and_one_eigvalsh(self, d, monkeypatch):
+        rng = rng_from_seed(80 + d)
+        g = random_reference(d, rng)
+        g.eigh()  # cached on G, so the count below sees only the stack's solves
+        e = 2.0 * g.max_energy()
+        stack = np.array([random_hermitian(d, rng).entries for _ in range(6)])
+        calls = []
+
+        def counted(name):
+            solve = getattr(np.linalg, name)
+            return lambda a: calls.append((name, a.shape)) or solve(a)
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        _, certs, _ = dual_scan_witness(stack, g, e)
+        assert all(cert.lam == 0.0 for cert in certs)  # every restart is slack
+        assert calls == [("eigh", stack.shape), ("eigvalsh", stack.shape)]
+
+
 class TestRetraction:
     def test_exact_energy(self):
         rng = rng_from_seed(3)
