@@ -32,7 +32,7 @@ from .lindblad import (
     stability_curve,
 )
 from .models import SpinSystem, ad_norm_su2, spin_system
-from .norms import CpDifference, ecd_norm_seesaw, eco_profile, trace_norm
+from .norms import DEFAULT_RESTARTS, CpDifference, ecd_norm_seesaw, eco_profile, trace_norm
 from .opcore import (
     DensityState,
     HermitianMatrix,
@@ -172,12 +172,14 @@ def qsl_integral_bound(h1: HermitianMatrix, h2: HermitianMatrix,
 
 
 # ---------------------------------------------------------------------------
-# Open-system speed limit.
+# See-saw bound checks: the open-system speed limit and the Trotter formula.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OpenSpeedLimitRow:
-    time: float
+class BoundCheckRow:
+    """One bound check point: the time t (open speed limit) or step count n (Trotter)."""
+
+    at: float | int
     lhs_max: float
     rhs: float
     status: str  # ok | inconclusive | failed
@@ -199,27 +201,36 @@ class BoundCheckReport:
         return any(r.status == "failed" for r in self.rows)
 
 
-def _status(lhs: float, rhs: float, exact_upper) -> str:
-    """ok when the see-saw bound ``rhs`` covers ``lhs``; inconclusive when only
-    ``exact_upper()`` does, the bound with the exact cp upper estimate of the
-    norm in place of the see-saw value; failed otherwise.
-    """
+def _row(at, lhs: float, factor: float, estimate, cp_map: CpDifference,
+         g: ReferenceHamiltonian, budget: float) -> BoundCheckRow:
+    """The row of lhs <= factor * ||cp_map||_{<>, budget}: ok when the see-saw
+    ``estimate`` covers lhs, inconclusive when only the exact cp upper bound does."""
+    rhs = factor * estimate.value
     if lhs <= rhs + OPEN_TOL:
-        return "ok"
-    if lhs <= exact_upper() + OPEN_TOL:
-        return "inconclusive"
-    return "failed"
+        return BoundCheckRow(at, lhs, rhs, "ok")
+    if lhs <= factor * cp_map.exact_cp_upper_bound(g, budget) + OPEN_TOL:
+        return BoundCheckRow(at, lhs, rhs, "inconclusive")
+    return BoundCheckRow(at, lhs, rhs, "failed")
 
 
-def _feasible_density(rng, g: ReferenceHamiltonian, energy_budget: float) -> DensityState:
-    rho = random_density(g.dim, rng)
-    e = energy(g, rho)
-    if e <= energy_budget:
-        return rho
-    theta = 1.0 - energy_budget / e
-    ground = g.ground_vector()
-    mixed = (1.0 - theta) * rho.entries + theta * np.outer(ground, ground.conj())
-    return DensityState(HermitianMatrix(mixed))
+def _sampled_states(g: ReferenceHamiltonian, energy_budget: float, n_states: int,
+                    seed: int) -> list:
+    """Seeded random densities, each mixed toward the ground state of G just
+    enough that tr[G rho] <= energy_budget."""
+    if n_states < 1:
+        raise ValueError("need at least one state to check the bound on")
+    rng = rng_from_seed(seed)
+    states = []
+    for _ in range(n_states):
+        rho = random_density(g.dim, rng)
+        e = energy(g, rho)
+        if not e <= energy_budget:  # a NaN budget goes to the mix, which rejects it
+            theta = 1.0 - energy_budget / e
+            ground = g.ground_vector()
+            mixed = (1.0 - theta) * rho.entries + theta * np.outer(ground, ground.conj())
+            rho = DensityState(HermitianMatrix(mixed))
+        states.append(rho)
+    return states
 
 
 def generator_difference(gen1: LindbladGenerator, gen2: LindbladGenerator) -> CpDifference:
@@ -239,20 +250,17 @@ def generator_commutator(gen1: LindbladGenerator, gen2: LindbladGenerator) -> Cp
 def open_speedlimit(gen1: LindbladGenerator, gen2: LindbladGenerator,
                     g: ReferenceHamiltonian, energy_budget: float, t_grid,
                     n_states: int = 20, seed: int = 0,
-                    restarts: int = 64) -> BoundCheckReport:
+                    restarts: int = DEFAULT_RESTARTS) -> BoundCheckReport:
     """Check ||T1(t)rho - T2(t)rho||_1 <= t ||L1 - L2||_{<>, f_t(E)}.
 
     The right-hand side is a see-saw lower bound of the ECD norm, so it can
     only understate the true bound; rows where it falls short but the exact
     cp upper bound still covers the left-hand side are inconclusive.
     """
-    if n_states < 1:
-        raise ValueError("need at least one state to check the bound on")
+    states = _sampled_states(g, energy_budget, n_states, seed)
     e0_grid = default_e0_grid(g)
     certs = stability_curve(gen1, g, e0_grid) + stability_curve(gen2, g, e0_grid)
     diff = generator_difference(gen1, gen2)
-    rng = rng_from_seed(seed)
-    states = [_feasible_density(rng, g, energy_budget) for _ in range(n_states)]
 
     rows = []
     for t in t_grid:
@@ -261,32 +269,18 @@ def open_speedlimit(gen1: LindbladGenerator, gen2: LindbladGenerator,
             raise ValueError("time grid entries must be positive")
         budget = best_certificate(certs, energy_budget, t).budget(energy_budget, t)
         estimate = ecd_norm_seesaw(diff, g, budget, restarts=restarts, seed=seed)
-        rhs = t * estimate.value
         lhs = 0.0
         for rho in states:
             delta = evolve(gen1, rho, t).entries - evolve(gen2, rho, t).entries
             lhs = max(lhs, trace_norm(delta))
-        status = _status(lhs, rhs, lambda: t * diff.exact_cp_upper_bound(g, budget))
-        rows.append(OpenSpeedLimitRow(t, lhs, rhs, status))
+        rows.append(_row(t, lhs, t, estimate, diff, g, budget))
     return BoundCheckReport(tuple(rows), None)
-
-
-# ---------------------------------------------------------------------------
-# Trotter product formula.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrotterRow:
-    steps: int
-    lhs_max: float
-    rhs: float
-    status: str
 
 
 def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
                 g: ReferenceHamiltonian, energy_budget: float, t: float,
                 n_grid, n_states: int = 10, seed: int = 0,
-                restarts: int = 64) -> BoundCheckReport:
+                restarts: int = DEFAULT_RESTARTS) -> BoundCheckReport:
     """Check ||(T1(t/n) T2(t/n))^n rho - e^(tL) rho||_1 <= (t^2/2n) ||[L1, L2]||_{<>, f_2t(E)}.
 
     Joint stability constants are the pairwise max over the e0 grid; the
@@ -298,8 +292,6 @@ def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
     n_grid = [int(n) for n in n_grid]
     if not n_grid or min(n_grid) < 1:
         raise ValueError("need at least one Trotter step count, each at least 1")
-    if n_states < 1:
-        raise ValueError("need at least one state to check the bound on")
     e0_grid = default_e0_grid(g)
     joint = joint_constants([stability_curve(gen1, g, e0_grid),
                              stability_curve(gen2, g, e0_grid)])
@@ -310,11 +302,10 @@ def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
 
     s1, s2 = gen1.superoperator(), gen2.superoperator()
     full = expm(t * (s1 + s2))
-    rng = rng_from_seed(seed)
-    states = [_feasible_density(rng, g, energy_budget) for _ in range(n_states)]
+    # Drawn after the see-saw, whose check of the budget f_2t(E) comes first.
+    states = _sampled_states(g, energy_budget, n_states, seed)
 
     rows = []
-    lhs_series = []
     for n in n_grid:
         step = expm((t / n) * s1) @ expm((t / n) * s2)
         trotterized = np.linalg.matrix_power(step, n)
@@ -323,18 +314,12 @@ def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
             vec = rho.entries.reshape(-1)
             delta = (trotterized @ vec - full @ vec).reshape(g.dim, g.dim)
             lhs = max(lhs, trace_norm(delta))
-        factor = t * t / (2.0 * n)
-        rhs = factor * estimate.value
-        status = _status(lhs, rhs, lambda: factor * comm.exact_cp_upper_bound(g, budget))
-        rows.append(TrotterRow(n, lhs, rhs, status))
-        lhs_series.append(lhs)
+        rows.append(_row(n, lhs, t * t / (2.0 * n), estimate, comm, g, budget))
 
     exponent = None
-    ns = np.array([r.steps for r in rows], dtype=float)
-    ls = np.array(lhs_series)
+    ls = np.array([r.lhs_max for r in rows])
     if len(set(n_grid)) > 1 and np.all(ls > 1e-12):
-        slope = np.polyfit(np.log(ns), np.log(ls), 1)[0]
-        exponent = float(-slope)
+        exponent = float(-np.polyfit(np.log(n_grid), np.log(ls), 1)[0])
     return BoundCheckReport(tuple(rows), exponent)
 
 
@@ -352,8 +337,10 @@ def group_qsl(spin: SpinSystem, c_x, c_y, psi: np.ndarray):
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("psi must be a unit vector")
-    c_x = np.asarray(c_x, dtype=float).reshape(3)
-    c_y = np.asarray(c_y, dtype=float).reshape(3)
+    c_x, c_y = (np.asarray(c, dtype=float).reshape(-1) for c in (c_x, c_y))
+    for name, c in (("c_x", c_x), ("c_y", c_y)):
+        if c.size != 3:
+            raise ValueError(f"{name} needs three coefficients, got {c.size}")
 
     def apply_exp(coeffs):
         gen = spin.generator(coeffs)

@@ -40,7 +40,7 @@ from .lindblad import BoundViolation, default_e0_grid, dissipation_matrix, \
     evolve_grid, min_omega
 from .models import BirthRates, birth_epsilons, birth_tau, birth_trace, \
     rabi_certificate, rabi_hamiltonian, spin_system
-from .norms import CpDifference, ecd_norm_cp, ecd_norm_seesaw, eco_norm
+from .norms import DEFAULT_RESTARTS, CpDifference, ecd_norm_cp, ecd_norm_seesaw, eco_norm
 from .opcore import energy, ground_shift, haar_state, rng_from_seed
 
 
@@ -249,7 +249,7 @@ def _cmd_trotter(args) -> int:
                          _int_list(args.n), n_states=args.states,
                          seed=args.seed, restarts=args.restarts)
     _emit(to_json({
-        "rows": [{"n": r.steps, "lhs": r.lhs_max, "rhs": r.rhs, "status": r.status}
+        "rows": [{"n": r.at, "lhs": r.lhs_max, "rhs": r.rhs, "status": r.status}
                  for r in report.rows],
         "decay_exponent": report.decay_exponent,
     }), args.out)
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seesaw", action="store_true")
     sp.add_argument("--minus", default=None, help="cp part subtracted from --channel")
     sp.add_argument("--ancilla", type=int, default=None)
-    sp.add_argument("--restarts", type=int, default=64)
+    sp.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = add("output-energy", _cmd_output_energy, "maximal output energy f_T(E)")
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", required=True)
     sp.add_argument("--states", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--restarts", type=int, default=64)
+    sp.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
 
     sp = add("group-qsl", _cmd_group_qsl, "Lie-group speed limit on spins")
     sp.add_argument("--qubits", type=int, default=7)

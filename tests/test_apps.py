@@ -145,13 +145,14 @@ class TestOpenSpeedLimit:
         lz = np.sqrt(0.3) * SZ
         deph = LindbladGenerator.from_hamiltonian(np.zeros((2, 2)), (lz,))
         ident = LindbladGenerator.from_hamiltonian(np.zeros((2, 2)))
-        report = open_speedlimit(deph, ident, ref01(), 0.7,
-                                 (0.05, 0.2, 0.5, 1.0), n_states=20, seed=1,
+        grid = (0.05, 0.2, 0.5, 1.0)
+        report = open_speedlimit(deph, ident, ref01(), 0.7, grid, n_states=20, seed=1,
                                  restarts=16)
         assert not report.any_failed
+        assert [r.at for r in report.rows] == list(grid)
         # small-time slope of the actual distance stays below the rhs slope
         r0 = report.rows[0]
-        assert r0.lhs_max / r0.time <= r0.rhs / r0.time + 1e-6
+        assert r0.lhs_max / r0.at <= r0.rhs / r0.at + 1e-6
 
     def test_hamiltonian_only_cross_check(self):
         # pure-state trace distance <= 2 * vector-norm speed limit
@@ -164,9 +165,9 @@ class TestOpenSpeedLimit:
         certs = unitary_certificates(HermitianMatrix(SX), g, default_e0_grid(g)) + \
             unitary_certificates(HermitianMatrix(SZ), g, default_e0_grid(g))
         for row in report.rows:
-            cert = best_certificate(certs, 0.6, row.time)
-            v, _ = eco_norm(SX - SZ, g, cert.budget(0.6, row.time))
-            assert row.lhs_max <= 2.0 * row.time * v + 1e-6
+            cert = best_certificate(certs, 0.6, row.at)
+            v, _ = eco_norm(SX - SZ, g, cert.budget(0.6, row.at))
+            assert row.lhs_max <= 2.0 * row.at * v + 1e-6
 
 
 class TestTrotter:

@@ -309,6 +309,8 @@ class TestTrotterCommand:
         assert code == 0
         data = json.loads(out)
         assert all(r["status"] == "ok" for r in data["rows"])
+        assert [r["n"] for r in data["rows"]] == [4, 8]
+        assert all(type(r["n"]) is int for r in data["rows"])
 
     def test_failed_row_exits_one(self, files, capsys, monkeypatch):
         from eclim import apps
@@ -359,6 +361,9 @@ class TestBadNumbersExitTwo:
         TROTTER + ["4", "--states", "-3"],
         ["speedlimit", "--scenario", "left", "--qubits", "2", "--tmax", "inf",
          "--steps", "3"],
+        ["group-qsl", "--qubits", "2", "--cx", "1,0", "--cy", "0,1,0"],
+        ["group-qsl", "--qubits", "2", "--cx", "1,2,3,4", "--cy", "0,1,0"],
+        ["group-qsl", "--qubits", "2", "--cx", ",", "--cy", "0,1,0"],
     ])
     def test_input_error(self, files, capfd, argv):
         # capfd also sees what LAPACK writes to the file descriptors directly.
@@ -377,6 +382,19 @@ class TestBadNumbersExitTwo:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
+        assert json.loads(err) == {"code": "input_error", "message": message}
+
+    @pytest.mark.parametrize("cx, cy, message", [
+        ("1,0", "0,1,0", "c_x needs three coefficients, got 2"),
+        ("1,2,3,4", "0,1,0", "c_x needs three coefficients, got 4"),
+        (",", "0,1,0", "c_x needs three coefficients, got 0"),
+        ("1,0,0", "1", "c_y needs three coefficients, got 1"),
+    ])
+    def test_group_qsl_coefficient_count_is_named(self, capfd, cx, cy, message):
+        code, out, err = run_main(["group-qsl", "--qubits", "2", "--cx", cx, "--cy", cy],
+                                  capfd)
+        assert code == 2
+        assert out == ""
         assert json.loads(err) == {"code": "input_error", "message": message}
 
 
