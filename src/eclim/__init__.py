@@ -54,6 +54,7 @@ from .lindblad import (
     evolve_grid,
     min_omega,
     stability_curve,
+    unitary_dissipation,
     verify_energy_bound,
 )
 from .gaussian import (

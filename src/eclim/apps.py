@@ -26,10 +26,11 @@ from .lindblad import (
     StabilityCertificate,
     best_certificate,
     default_e0_grid,
+    dissipation_matrix,
     evolve,
     joint_constants,
-    min_omega,
     stability_curve,
+    unitary_dissipation,
 )
 from .models import SpinSystem, ad_norm_su2, spin_system
 from .norms import DEFAULT_RESTARTS, CpDifference, ecd_norm_seesaw, eco_profile, trace_norm
@@ -97,12 +98,6 @@ class SpeedLimitRow:
             )
 
 
-def unitary_certificates(h: HermitianMatrix, g: ReferenceHamiltonian, e0_grid) -> list:
-    """Symmetric pencil certificates for +-i[H, G] <= omega (G + e0)."""
-    comm = HermitianMatrix(1j * (h.entries @ g.entries - g.entries @ h.entries))
-    return [min_omega(comm, g, float(e0), symmetric=True) for e0 in e0_grid]
-
-
 def _scenario_hamiltonians(cfg: SpeedLimitConfig, spin: SpinSystem, rng):
     if cfg.scenario == "left":
         r1 = random_hermitian(spin.dim, rng, operator_norm=LEFT_PERTURBATION_NORM)
@@ -128,7 +123,8 @@ def speedlimit_run(cfg: SpeedLimitConfig) -> list:
     diff = h1 - h2
     uniform_rate = diff.operator_norm()
     e0_grid = default_e0_grid(g)
-    certs = unitary_certificates(h1, g, e0_grid) + unitary_certificates(h2, g, e0_grid)
+    certs = [c for h in (h1, h2) for c in
+             stability_curve(unitary_dissipation(h, g), g, e0_grid, symmetric=True)]
 
     ev1, vec1 = h1.eigh()
     ev2, vec2 = h2.eigh()
@@ -217,6 +213,8 @@ def _sampled_states(g: ReferenceHamiltonian, energy_budget: float, n_states: int
                     seed: int) -> list:
     """Seeded random densities, each mixed toward the ground state of G just
     enough that tr[G rho] <= energy_budget."""
+    if not 0 <= energy_budget < np.inf:
+        raise ValueError(f"energy budget must be nonnegative and finite, got {energy_budget}")
     if n_states < 1:
         raise ValueError("need at least one state to check the bound on")
     rng = rng_from_seed(seed)
@@ -224,7 +222,7 @@ def _sampled_states(g: ReferenceHamiltonian, energy_budget: float, n_states: int
     for _ in range(n_states):
         rho = random_density(g.dim, rng)
         e = energy(g, rho)
-        if not e <= energy_budget:  # a NaN budget goes to the mix, which rejects it
+        if e > energy_budget:
             theta = 1.0 - energy_budget / e
             ground = g.ground_vector()
             mixed = (1.0 - theta) * rho.entries + theta * np.outer(ground, ground.conj())
@@ -259,7 +257,8 @@ def open_speedlimit(gen1: LindbladGenerator, gen2: LindbladGenerator,
     """
     states = _sampled_states(g, energy_budget, n_states, seed)
     e0_grid = default_e0_grid(g)
-    certs = stability_curve(gen1, g, e0_grid) + stability_curve(gen2, g, e0_grid)
+    certs = [c for gen in (gen1, gen2)
+             for c in stability_curve(dissipation_matrix(gen, g), g, e0_grid)]
     diff = generator_difference(gen1, gen2)
 
     rows = []
@@ -292,9 +291,10 @@ def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
     n_grid = [int(n) for n in n_grid]
     if not n_grid or min(n_grid) < 1:
         raise ValueError("need at least one Trotter step count, each at least 1")
+    states = _sampled_states(g, energy_budget, n_states, seed)
     e0_grid = default_e0_grid(g)
-    joint = joint_constants([stability_curve(gen1, g, e0_grid),
-                             stability_curve(gen2, g, e0_grid)])
+    joint = joint_constants([stability_curve(dissipation_matrix(gen, g), g, e0_grid)
+                             for gen in (gen1, gen2)])
     budget = best_certificate(joint, energy_budget, 2.0 * t).budget(energy_budget, 2.0 * t)
 
     comm = generator_commutator(gen1, gen2)
@@ -302,8 +302,6 @@ def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
 
     s1, s2 = gen1.superoperator(), gen2.superoperator()
     full = expm(t * (s1 + s2))
-    # Drawn after the see-saw, whose check of the budget f_2t(E) comes first.
-    states = _sampled_states(g, energy_budget, n_states, seed)
 
     rows = []
     for n in n_grid:

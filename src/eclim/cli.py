@@ -37,14 +37,14 @@ from .jsonio import (
     to_json,
 )
 from .lindblad import BoundViolation, default_e0_grid, dissipation_matrix, \
-    evolve_grid, min_omega
+    evolve_grid, stability_curve
 from .models import BirthRates, birth_epsilons, birth_tau, birth_trace, \
     rabi_certificate, rabi_hamiltonian, spin_system
 from .norms import DEFAULT_RESTARTS, CpDifference, ecd_norm_cp, ecd_norm_seesaw, eco_norm
 from .opcore import energy, ground_shift, haar_state, rng_from_seed
 
 
-def _emit(text: str, out_path: str | None = None):
+def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -89,19 +89,22 @@ def _parse_rule(text: str) -> BirthRates:
                      "constant, or explicit:a,b,c")
 
 
+def _certified(value: float, cert) -> str:
+    """The document of a value and its affine certificate (lambda, e0)."""
+    return to_json({"value": value, "lambda": cert.lam, "e0": cert.e0})
+
+
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Subcommand handlers: each returns its document and exit code for main.
 # ---------------------------------------------------------------------------
 
-def _cmd_eco_norm(args) -> int:
+def _cmd_eco_norm(args) -> tuple[str, int]:
     op = parse_matrix(load_file(args.op), "operator")
     ref = _reference(args.ref)
-    value, cert = eco_norm(op, ref, args.energy)
-    _emit(to_json({"value": value, "lambda": cert.lam, "e0": cert.e0}), args.out)
-    return 0
+    return _certified(*eco_norm(op, ref, args.energy)), 0
 
 
-def _cmd_ecd_norm(args) -> int:
+def _cmd_ecd_norm(args) -> tuple[str, int]:
     chan = parse_channel(load_file(args.channel))
     ref = _reference(args.ref)
     if args.seesaw:
@@ -111,60 +114,51 @@ def _cmd_ecd_norm(args) -> int:
             diff = CpDifference.from_channel(chan)
         est = ecd_norm_seesaw(diff, ref, args.energy, ancilla_dim=args.ancilla,
                               restarts=args.restarts, seed=args.seed)
-        _emit(to_json({"value": est.value, "kind": est.kind,
-                       "restarts_used": est.restarts_used}), args.out)
-    else:
-        if args.minus:
-            raise InputError("--minus requires --seesaw")
-        value, cert = ecd_norm_cp(chan, ref, args.energy)
-        _emit(to_json({"value": value, "lambda": cert.lam, "e0": cert.e0}), args.out)
-    return 0
+        return to_json({"value": est.value, "kind": est.kind,
+                        "restarts_used": est.restarts_used}), 0
+    if args.minus:
+        raise InputError("--minus requires --seesaw")
+    return _certified(*ecd_norm_cp(chan, ref, args.energy)), 0
 
 
-def _cmd_output_energy(args) -> int:
+def _cmd_output_energy(args) -> tuple[str, int]:
     chan = parse_channel(load_file(args.channel))
     g_in = _reference(args.ref_in)
     g_out = _reference(args.ref_out)
     if args.grid:
         grid = _float_list(args.grid)
         curve = energy_curve(chan, g_in, g_out, grid)
-        _emit(to_json({
+        return to_json({
             "grid": list(curve.grid),
             "values": list(curve.values),
             "certificates": [{"lambda": c.lam, "e0": c.e0} for c in curve.certificates],
-        }), args.out)
-    else:
-        if args.energy is None:
-            raise InputError("provide --energy E or --grid e1,e2,...")
-        value, cert = max_output_energy(chan, g_in, g_out, args.energy)
-        _emit(to_json({"value": value, "lambda": cert.lam, "e0": cert.e0}), args.out)
-    return 0
+        }), 0
+    if args.energy is None:
+        raise InputError("provide --energy E or --grid e1,e2,...")
+    return _certified(*max_output_energy(chan, g_in, g_out, args.energy)), 0
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple[str, int]:
     gen = parse_generator(load_file(args.gen))
     ref = _reference(args.ref)
-    m = dissipation_matrix(gen, ref)
-    grid = _float_list(args.e0_grid) if args.e0_grid else list(default_e0_grid(ref))
-    certs = [min_omega(m, ref, e0, symmetric=args.symmetric) for e0 in grid]
-    _emit(to_json({"certificates": [
+    grid = _float_list(args.e0_grid) if args.e0_grid else default_e0_grid(ref)
+    certs = stability_curve(dissipation_matrix(gen, ref), ref, grid, symmetric=args.symmetric)
+    return to_json({"certificates": [
         {"omega": c.omega, "e0": c.e0, "residual": c.residual} for c in certs
-    ]}), args.out)
-    return 0
+    ]}), 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[str, int]:
     gen = parse_generator(load_file(args.gen))
     rho = parse_density(load_file(args.state))
     ref = _reference(args.ref)
     times = _float_list(args.times)
     rows = [{"time": t, "energy": energy(ref, out), "trace": out.trace()}
             for t, out in zip(times, evolve_grid(gen, rho, times))]
-    _emit(to_json({"rows": rows}), args.out)
-    return 0
+    return to_json({"rows": rows}), 0
 
 
-def _cmd_gaussian(args) -> int:
+def _cmd_gaussian(args) -> tuple[str, int]:
     gen = parse_gaussian_generator(load_file(args.gen))
     state = parse_gaussian_state(load_file(args.state))
     times = _float_list(args.times)
@@ -178,11 +172,10 @@ def _cmd_gaussian(args) -> int:
         lines.append(",".join(format_float(v) for v in (t, e_t, bound)))
         if e_t > bound + 1e-7 * (1.0 + abs(bound)):
             code = 1
-    _emit("\n".join(lines) + "\n", args.out)
-    return code
+    return "\n".join(lines) + "\n", code
 
 
-def _cmd_birth(args) -> int:
+def _cmd_birth(args) -> tuple[str, int]:
     rates = _parse_rule(args.rule)
     tau, verdict = birth_tau(rates, args.cutoff)
     cert = birth_epsilons(rates, args.cutoff)
@@ -202,26 +195,24 @@ def _cmd_birth(args) -> int:
         for t in _float_list(args.times):
             rows.append({"time": t, "trace": birth_trace(rates, args.cutoff, t)})
         report["traces"] = rows
-    _emit(to_json(report), args.out)
-    return 0
+    return to_json(report), 0
 
 
-def _cmd_rabi(args) -> int:
+def _cmd_rabi(args) -> tuple[str, int]:
     model = rabi_hamiltonian(args.omega, args.g, args.nu, args.cutoff)
     cert = rabi_certificate(model, args.e0)
     analytic = abs(args.g)
     ok = cert.omega <= analytic * (1.0 + 1e-3) + 1e-12
-    _emit(to_json({
+    return to_json({
         "omega_certified": cert.omega,
         "analytic_bound": analytic,
         "e0": cert.e0,
         "residual": cert.residual,
         "within_analytic": ok,
-    }), args.out)
-    return 0 if ok else 1
+    }), 0 if ok else 1
 
 
-def _cmd_speedlimit(args) -> int:
+def _cmd_speedlimit(args) -> tuple[str, int]:
     if not np.isfinite(args.tmax):
         raise InputError(f"--tmax must be finite, got {args.tmax}")
     grid = np.linspace(0.0, args.tmax, args.steps)
@@ -237,35 +228,32 @@ def _cmd_speedlimit(args) -> int:
     for r in rows:
         lines.append(",".join(format_float(v) for v in
                               (r.time, r.actual_error, r.energy_bound, r.uniform_bound)))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_trotter(args) -> int:
+def _cmd_trotter(args) -> tuple[str, int]:
     gen1 = parse_generator(load_file(args.gen1))
     gen2 = parse_generator(load_file(args.gen2))
     ref = _reference(args.ref)
     report = trotter_run(gen1, gen2, ref, args.energy, args.time,
                          _int_list(args.n), n_states=args.states,
                          seed=args.seed, restarts=args.restarts)
-    _emit(to_json({
+    return to_json({
         "rows": [{"n": r.at, "lhs": r.lhs_max, "rhs": r.rhs, "status": r.status}
                  for r in report.rows],
         "decay_exponent": report.decay_exponent,
-    }), args.out)
-    return 1 if report.any_failed else 0
+    }), 1 if report.any_failed else 0
 
 
-def _cmd_group_qsl(args) -> int:
+def _cmd_group_qsl(args) -> tuple[str, int]:
     spin = spin_system(args.qubits)
     rng = rng_from_seed(args.seed)
     psi = haar_state(spin.dim, rng)
     lhs, rhs = group_qsl(spin, _float_list(args.cx), _float_list(args.cy), psi)
-    _emit(to_json({"lhs": lhs, "rhs": rhs, "ok": True}), args.out)
-    return 0
+    return to_json({"lhs": lhs, "rhs": rhs, "ok": True}), 0
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> tuple[str, int]:
     from .selftest import run_selftest
     return run_selftest()
 
@@ -377,7 +365,9 @@ def main(argv=None) -> int:
         # argparse exits with 2 on bad usage and 0 on --help/--version.
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        text, code = args.handler(args)
+        _emit(text, args.out)
+        return code
     except BoundViolation as exc:
         sys.stderr.write(to_json({"code": "bound_violation", "message": str(exc)}) + "\n")
         return 1

@@ -36,13 +36,17 @@ def _floats(a, name: str) -> np.ndarray:
         raise ValueError(f"{name}: {exc}") from exc
 
 
+def _check_finite(m: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite")
+    return m
+
+
 def _check_real_matrix(a, shape, name: str) -> np.ndarray:
     m = _floats(a, name)
     if m.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} must be finite")
-    return m
+    return _check_finite(m, name)
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,7 @@ class GaussianState:
         beta = _floats(self.beta, "beta").reshape(-1)
         if beta.shape != (2 * n,):
             raise ValueError(f"beta must have length {2 * n}")
-        if not np.all(np.isfinite(beta)):
-            raise ValueError("beta must be finite")
+        _check_finite(beta, "beta")
         require_psd(gamma + 1j * symplectic_form(n),
                     GAUSS_PSD_RTOL * (1.0 + float(np.max(np.abs(gamma)))),
                     "gamma + i*sigma is not PSD")
@@ -98,15 +101,17 @@ class GaussianChannel:
     alpha: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = _floats(self.x, "X")
         if x.ndim != 2 or x.shape[0] % 2 or x.shape[1] % 2:
             raise ValueError("X must be a real matrix with even dimensions")
+        _check_finite(x, "X")
         n_in, n_out = x.shape[0] // 2, x.shape[1] // 2
         y = _check_real_matrix(self.y, (2 * n_out, 2 * n_out), "Y")
         y = (y + y.T) / 2.0
-        alpha = np.asarray(self.alpha, dtype=float).reshape(-1)
+        alpha = _floats(self.alpha, "alpha").reshape(-1)
         if alpha.shape != (2 * n_out,):
             raise ValueError(f"alpha must have length {2 * n_out}")
+        _check_finite(alpha, "alpha")
         cp = y + 1j * symplectic_form(n_out) - 1j * (x.T @ symplectic_form(n_in) @ x)
         # X^T sigma X is antisymmetric only up to rounding.
         require_psd((cp + cp.conj().T) / 2.0,
@@ -182,9 +187,8 @@ class GaussianGenerator:
         _set_fields(self, modes=n, xdot=xdot, ydot=ydot)
 
     @staticmethod
-    def damping(kappa: float, modes: int = 1) -> "GaussianGenerator":
-        d = 2 * modes
-        return GaussianGenerator(modes, -(kappa / 2.0) * np.eye(d), kappa * np.eye(d))
+    def damping(kappa: float) -> "GaussianGenerator":
+        return GaussianGenerator(1, -(kappa / 2.0) * np.eye(2), kappa * np.eye(2))
 
     @staticmethod
     def rotation(omega: float, modes: int = 1) -> "GaussianGenerator":

@@ -124,6 +124,11 @@ def dissipation_matrix(gen: LindbladGenerator, g: ReferenceHamiltonian) -> Hermi
     return HermitianMatrix(m)
 
 
+def unitary_dissipation(h: HermitianMatrix, g: ReferenceHamiltonian) -> HermitianMatrix:
+    """i[H, G]; the dissipation matrix of the unitary group exp(-itH)."""
+    return HermitianMatrix(1j * (h.entries @ g.entries - g.entries @ h.entries))
+
+
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Constants (omega, e0) in the energy growth bound exp(omega t)(E+e0)-e0."""
@@ -137,8 +142,9 @@ class StabilityCertificate:
             raise ValueError("stability constants must be nonnegative")
 
     def budget(self, energy_in: float, t: float) -> float:
-        """f_t(E) = exp(omega |t|) (E + e0) - e0."""
-        return float(np.exp(self.omega * abs(t)) * (energy_in + self.e0) - self.e0)
+        """f_t(E) = exp(omega |t|) (E + e0) - e0, or inf (no warning) past the float range."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.omega * abs(t)) * (energy_in + self.e0) - self.e0)
 
 
 def _pencil(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float):
@@ -192,10 +198,10 @@ def default_e0_grid(g: ReferenceHamiltonian) -> np.ndarray:
     return scale * np.logspace(-6, 6, E0_GRID_POINTS, base=2.0)
 
 
-def stability_curve(gen: LindbladGenerator, g: ReferenceHamiltonian, e0_grid) -> list:
-    """min_omega along an e0 grid; omega is nonincreasing in e0."""
-    m = dissipation_matrix(gen, g)
-    return [min_omega(m, g, float(e0)) for e0 in e0_grid]
+def stability_curve(m: HermitianMatrix, g: ReferenceHamiltonian, e0_grid,
+                    symmetric: bool = False) -> list:
+    """min_omega of a dissipation matrix M along an e0 grid; omega is nonincreasing in e0."""
+    return [min_omega(m, g, float(e0), symmetric) for e0 in e0_grid]
 
 
 def best_certificate(certs, energy_in: float, t: float) -> StabilityCertificate:

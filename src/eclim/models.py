@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lindblad import LindbladGenerator, StabilityCertificate, min_omega
+from .lindblad import LindbladGenerator, StabilityCertificate, min_omega, unitary_dissipation
 from .opcore import HermitianMatrix, ReferenceHamiltonian, _set_fields, ground_shift
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -294,6 +294,9 @@ class RabiModel:
     number: ReferenceHamiltonian
     interior: np.ndarray
 
+    def __post_init__(self):
+        _set_fields(self, interior=np.asarray(self.interior, dtype=bool))
+
     def compress(self, m: HermitianMatrix) -> HermitianMatrix:
         keep = np.flatnonzero(self.interior)
         return HermitianMatrix(m.entries[np.ix_(keep, keep)])
@@ -327,20 +330,14 @@ def rabi_hamiltonian(omega: float, g: float, nu: float, cutoff: int) -> RabiMode
     )
 
 
-def rabi_commutator(model: RabiModel) -> HermitianMatrix:
-    """i [H, N] on the full truncated space; equals i g sigma_x (a - a')
-    away from the truncation edge."""
-    h = model.hamiltonian.entries
-    nop = model.number.entries
-    return HermitianMatrix(1j * (h @ nop - nop @ h))
-
-
 def rabi_certificate(model: RabiModel, e0: float = 2.0) -> StabilityCertificate:
     """Certified omega for +-i[H, N] <= omega (N + e0) on the interior.
 
-    The analytic two-level bound gives omega <= g at e0 = 2 (from
-    2 sqrt(x+1) <= x + 2), and the compressed pencil reproduces it.
+    i[H, N] equals i g sigma_x (a - a') away from the truncation edge, which
+    the compression excises.  The analytic two-level bound gives omega <= g
+    at e0 = 2 (from 2 sqrt(x+1) <= x + 2), and the compressed pencil
+    reproduces it.
     """
-    comm = model.compress(rabi_commutator(model))
+    comm = model.compress(unitary_dissipation(model.hamiltonian, model.number))
     ref = model.compress_reference()
     return min_omega(comm, ref, e0, symmetric=True)

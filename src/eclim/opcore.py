@@ -148,7 +148,7 @@ def identity(dim: int) -> HermitianMatrix:
 
 @dataclass(frozen=True)
 class ReferenceHamiltonian:
-    """PSD Hermitian matrix with minimum eigenvalue exactly 0.
+    """PSD Hermitian matrix with minimum eigenvalue 0 up to rounding.
 
     Fixes the system's energy scale; it need not generate any dynamics.
     ``ground_energy_removed`` records the shift applied at construction.
@@ -181,13 +181,13 @@ class ReferenceHamiltonian:
         return self.matrix.operator_norm()
 
     def ground_vector(self) -> np.ndarray:
-        """First ascending-order eigenvector; energy exactly 0 by construction."""
+        """First ascending-order eigenvector; energy 0 up to rounding by construction."""
         _, vecs = self.eigh()
         return vecs[:, 0]
 
 
 def ground_shift(h: HermitianMatrix) -> ReferenceHamiltonian:
-    """Shift a Hermitian matrix so its ground energy is exactly 0."""
+    """Shift a Hermitian matrix so its ground energy is 0 up to rounding."""
     lo = float(h.eigvals()[0])
     shifted = HermitianMatrix(h.entries - lo * np.eye(h.dim))
     return ReferenceHamiltonian(shifted, ground_energy_removed=lo)

@@ -1,12 +1,10 @@
 """Built-in example suite behind `eclim selftest`.
 
-Checks the closed-form cases that need no randomness: each line prints
-ok/FAIL with the checked claim.  Returns a process exit code.
+Checks the closed-form cases that need no randomness: each report line
+reads ok/FAIL with the checked claim.  Returns the report and an exit code.
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 
@@ -146,15 +144,15 @@ def _checks():
     yield "birth process: tau and doubling epsilons", birth_trivials
 
 
-def run_selftest() -> int:
-    failures = 0
+def run_selftest() -> tuple[str, int]:
+    lines, failures = [], 0
     for name, check in _checks():
         try:
             ok = bool(check())
         except Exception as exc:  # a trivial check must never raise
             ok = False
             name = f"{name} (raised {exc!r})"
-        sys.stdout.write(("ok   - " if ok else "FAIL - ") + name + "\n")
+        lines.append(("ok   - " if ok else "FAIL - ") + name)
         failures += 0 if ok else 1
-    sys.stdout.write(f"selftest: {'pass' if failures == 0 else f'{failures} failures'}\n")
-    return 0 if failures == 0 else 1
+    lines.append(f"selftest: {'pass' if failures == 0 else f'{failures} failures'}")
+    return "\n".join(lines) + "\n", 0 if failures == 0 else 1

@@ -15,10 +15,9 @@ from eclim.apps import (
     qsl_integral_bound,
     speedlimit_run,
     trotter_run,
-    unitary_certificates,
 )
 from eclim.lindblad import BoundViolation, LindbladGenerator, best_certificate, \
-    default_e0_grid
+    default_e0_grid, stability_curve, unitary_dissipation
 from eclim.models import spin_system
 from eclim.norms import CpDifference, EcdEstimate, eco_norm
 from eclim.opcore import (
@@ -113,8 +112,8 @@ class TestIntegralForm:
         psi = g.ground_vector() + 0.5 * phi
         psi = psi / np.linalg.norm(psi)
         e_psi = vector_energy(g, psi)
-        certs = unitary_certificates(h1, g, default_e0_grid(g)) + \
-            unitary_certificates(h2, g, default_e0_grid(g))
+        certs = [c for h in (h1, h2) for c in stability_curve(
+            unitary_dissipation(h, g), g, default_e0_grid(g), symmetric=True)]
         ev1, vec1 = h1.eigh()
         ev2, vec2 = h2.eigh()
         for t in np.linspace(0.12, 0.6, 5):
@@ -162,8 +161,8 @@ class TestOpenSpeedLimit:
         report = open_speedlimit(gen1, gen2, g, 0.6, (0.2, 0.5), n_states=10,
                                  seed=2, restarts=16)
         assert not report.any_failed
-        certs = unitary_certificates(HermitianMatrix(SX), g, default_e0_grid(g)) + \
-            unitary_certificates(HermitianMatrix(SZ), g, default_e0_grid(g))
+        certs = [c for h in (SX, SZ) for c in stability_curve(
+            unitary_dissipation(HermitianMatrix(h), g), g, default_e0_grid(g), symmetric=True)]
         for row in report.rows:
             cert = best_certificate(certs, 0.6, row.at)
             v, _ = eco_norm(SX - SZ, g, cert.budget(0.6, row.at))
@@ -241,6 +240,45 @@ class TestStatusRule:
         report = getattr(self, run)(monkeypatch)
         self._assert_statuses(report, "failed")
         assert report.any_failed
+
+
+def _no_seesaw(*args, **kwargs):
+    raise AssertionError("the see-saw ran")
+
+
+class TestSampledStates:
+    """Both bound checks check the energy budget and the state count before
+    the see-saw."""
+
+    @staticmethod
+    def _open(energy_budget, n_states=4):
+        gen1 = LindbladGenerator.from_hamiltonian(SX)
+        gen2 = LindbladGenerator.from_hamiltonian(SZ)
+        return open_speedlimit(gen1, gen2, ref01(), energy_budget, (0.2,),
+                               n_states=n_states, restarts=2)
+
+    @staticmethod
+    def _trotter(energy_budget, n_states=4):
+        gen1 = LindbladGenerator.from_hamiltonian(SX)
+        gen2 = LindbladGenerator.from_hamiltonian(SZ)
+        return trotter_run(gen1, gen2, ref01(), energy_budget, 1.0, (4, 8),
+                           n_states=n_states, restarts=2)
+
+    @pytest.mark.parametrize("run", ["_open", "_trotter"])
+    @pytest.mark.parametrize("energy_budget", [-1.0, -1e-3, np.nan, np.inf])
+    def test_bad_budget_is_named(self, monkeypatch, run, energy_budget):
+        monkeypatch.setattr(apps, "ecd_norm_seesaw", _no_seesaw)
+        with pytest.raises(ValueError, match="^energy budget must be nonnegative and finite"):
+            getattr(self, run)(energy_budget)
+
+    @pytest.mark.parametrize("run", ["_open", "_trotter"])
+    def test_no_states_before_the_seesaw(self, monkeypatch, run):
+        monkeypatch.setattr(apps, "ecd_norm_seesaw", _no_seesaw)
+        with pytest.raises(ValueError, match="at least one state"):
+            getattr(self, run)(1.0, n_states=0)
+
+    def test_zero_budget_is_checked(self):
+        assert not self._trotter(0.0).any_failed
 
 
 class TestCpDecompositions:

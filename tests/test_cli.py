@@ -1,5 +1,6 @@
 """CLI dispatch, wire formats, exit codes, and determinism."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eclim.cli import main
+from eclim.cli import build_parser, main
 from eclim.jsonio import (InputError, format_float, parse_generator, parse_hermitian,
                           parse_matrix, to_json)
 
@@ -274,13 +275,14 @@ class TestBirthAndRabi:
 
 
     def test_rabi_residual_is_the_gap_floor(self, capsys):
-        from eclim.models import rabi_commutator, rabi_hamiltonian
+        from eclim.lindblad import unitary_dissipation
+        from eclim.models import rabi_hamiltonian
         code, out, _ = run_main(["rabi", "--omega", "1", "--g", "0.3", "--nu", "0.5",
                                  "--cutoff", "12", "--e0", "2"], capsys)
         assert code == 0
         data = json.loads(out)
         model = rabi_hamiltonian(1.0, 0.3, 0.5, 12)
-        m = model.compress(rabi_commutator(model)).entries
+        m = model.compress(unitary_dissipation(model.hamiltonian, model.number)).entries
         g = model.compress_reference().entries
         shifted = data["omega_certified"] * (g + data["e0"] * np.eye(len(g)))
         assert data["residual"] == min(float(np.linalg.eigvalsh(shifted - m)[0]),
@@ -323,6 +325,16 @@ class TestTrotterCommand:
                                  "1", "--time", "1", "--n", "4,8", "--states", "4"], capsys)
         assert code == 1
         assert [r["status"] for r in json.loads(out)["rows"]] == ["failed", "failed"]
+
+    def test_overflowing_budget_raises_no_warning(self, files, capfd):
+        # pytest turns warnings into errors, so an overflow warning fails here
+        code, out, err = run_main(["trotter", "--gen1", files["genx"], "--gen2",
+                                   files["genz"], "--ref", files["g"], "--energy",
+                                   "1e308", "--time", "1", "--n", "4,8", "--restarts",
+                                   "8", "--states", "4"], capfd)
+        assert code == 0
+        assert err == ""
+        assert all(r["status"] == "ok" for r in json.loads(out)["rows"])
 
     @pytest.mark.parametrize("steps", ["4", "4,4"])
     def test_one_step_count_has_no_decay_exponent(self, files, capfd, steps):
@@ -372,6 +384,16 @@ class TestBadNumbersExitTwo:
         assert out == ""
         assert err.count("\n") == 1
         assert json.loads(err)["code"] == "input_error"
+
+    @pytest.mark.parametrize("energy", ["-1", "-1e-3", "nan"])
+    def test_trotter_budget_is_named(self, files, capfd, energy):
+        argv = [a.format(**files) for a in self.TROTTER if a not in ("--energy", "1")]
+        code, out, err = run_main(argv + ["4", f"--energy={energy}"], capfd)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "code": "input_error",
+            "message": f"energy budget must be nonnegative and finite, got {float(energy)}"}
 
     @pytest.mark.parametrize("rule, message", [
         ("power:nan", "power rule needs a finite p, got nan"),
@@ -501,6 +523,46 @@ class TestSelftest:
         code, out, _ = run_main(["selftest"], capsys)
         assert code == 0
         assert "selftest: pass" in out
+
+
+MINIMAL_ARGS = {
+    "eco-norm": ["--op", "{sx}", "--ref", "{g}", "--energy", "0.5"],
+    "ecd-norm": ["--channel", "{ad}", "--ref", "{g}", "--energy", "0.5"],
+    "output-energy": ["--channel", "{ad}", "--ref-in", "{g}", "--ref-out", "{g}",
+                      "--energy", "0.5"],
+    "certify": ["--gen", "{genx}", "--ref", "{g}"],
+    "simulate": ["--gen", "{genx}", "--state", "{rho}", "--times", "0.5", "--ref", "{g}"],
+    "gaussian": ["--gen", "{ggen}", "--state", "{gstate}", "--times", "0.5"],
+    "birth": ["--rule", "geometric:2", "--cutoff", "10"],
+    "rabi": ["--omega", "1", "--g", "0.3", "--nu", "0.5", "--cutoff", "6"],
+    "speedlimit": ["--scenario", "left", "--qubits", "2", "--steps", "3"],
+    "trotter": ["--gen1", "{genx}", "--gen2", "{genz}", "--ref", "{g}", "--energy", "1",
+                "--time", "1", "--n", "4", "--restarts", "2", "--states", "2"],
+    "group-qsl": ["--qubits", "2", "--cx", "1,0,0", "--cy", "0,1,0"],
+    "selftest": [],
+}
+
+
+class TestOutFile:
+    """``--out`` works the same way for every subcommand: main writes every result."""
+
+    def test_every_subcommand_is_covered(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(MINIMAL_ARGS)
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGS))
+    def test_out_holds_what_stdout_carries(self, files, capsys, command):
+        argv = [command] + [a.format(**files) for a in MINIMAL_ARGS[command]]
+        path = files["tmp"] / "result.out"
+        code_file, out_file, _ = run_main(argv + ["--out", str(path)], capsys)
+        written = path.read_text()
+        code, out, _ = run_main(argv, capsys)
+        assert code == code_file == 0
+        assert out_file == ""
+        assert written.strip()
+        # stdout ends the document with a newline where it has none
+        assert out == (written if written.endswith("\n") else written + "\n")
 
 
 class TestRepeatedCalls:

@@ -100,6 +100,15 @@ class TestChannels:
         assert np.allclose(out.beta, alpha)
         assert np.allclose(out.gamma, np.eye(2))
 
+    @pytest.mark.parametrize("x, alpha, name", [
+        (np.diag([1.0, np.nan]), np.zeros(2), "X"),
+        (np.eye(2), np.array([np.nan, 0.0]), "alpha"),
+        (np.eye(2), np.array([0.0, np.inf]), "alpha"),
+    ])
+    def test_rejects_non_finite_fields(self, x, alpha, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            GaussianChannel(x, np.eye(2), alpha)
+
     def test_rejects_noiseless_contraction(self):
         with pytest.raises(ValueError):
             GaussianChannel(0.5 * np.eye(2), np.zeros((2, 2)), np.zeros(2))

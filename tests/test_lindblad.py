@@ -21,6 +21,7 @@ from eclim.lindblad import (
     min_omega,
     pencil_vector,
     stability_curve,
+    unitary_dissipation,
     verify_energy_bound,
 )
 from eclim.opcore import (
@@ -93,6 +94,13 @@ class TestDissipationMatrix:
         gen = LindbladGenerator(-0.5 * np.diag([0.0, 1.0]).astype(complex), (LOWER,))
         m = dissipation_matrix(gen, ref(0.0, 1.0))
         assert np.allclose(m.entries, -np.diag([0.0, 1.0]), atol=1e-12)
+
+    def test_unitary_dissipation_is_the_hamiltonian_generators(self):
+        rng = rng_from_seed(4)
+        g = random_reference(4, rng)
+        h = random_hermitian(4, rng)
+        m = dissipation_matrix(LindbladGenerator.from_hamiltonian(h), g)
+        assert np.allclose(unitary_dissipation(h, g).entries, m.entries, atol=1e-12)
 
 
 class TestMinOmega:
@@ -171,16 +179,28 @@ class TestMinOmega:
 class TestStabilityCurve:
     def test_commuting_all_zero(self):
         gen = LindbladGenerator.from_hamiltonian(np.diag([1.0, 3.0]).astype(complex))
-        certs = stability_curve(gen, ref(0.0, 1.0), (0.5, 1.0, 2.0))
+        g = ref(0.0, 1.0)
+        certs = stability_curve(dissipation_matrix(gen, g), g, (0.5, 1.0, 2.0))
         assert all(c.omega == 0.0 for c in certs)
 
     def test_omega_nonincreasing(self):
         rng = rng_from_seed(2)
         gen = random_generator(4, rng)
         g = random_reference(4, rng)
-        certs = stability_curve(gen, g, default_e0_grid(g))
+        certs = stability_curve(dissipation_matrix(gen, g), g, default_e0_grid(g))
         omegas = [c.omega for c in certs]
         assert all(b <= a + 1e-12 for a, b in zip(omegas, omegas[1:]))
+
+
+class TestBudget:
+    def test_finite_budget_is_the_closed_form(self):
+        cert = StabilityCertificate(0.7, 0.3)
+        assert cert.budget(1.5, -2.0) == float(np.exp(0.7 * 2.0) * (1.5 + 0.3) - 0.3)
+
+    @pytest.mark.parametrize("energy_in, t", [(1e308, 1.0), (1.0, 1e3)])
+    def test_overflow_is_inf_without_a_warning(self, energy_in, t):
+        # pytest turns warnings into errors, so an overflow warning fails here
+        assert StabilityCertificate(1.0, 0.5).budget(energy_in, t) == np.inf
 
 
 class TestEvolve:
@@ -397,7 +417,7 @@ class TestJointConstants:
         g = random_reference(3, rng)
         gens = [random_generator(3, rng) for _ in range(3)]
         grid = default_e0_grid(g)
-        curves = [stability_curve(gen, g, grid) for gen in gens]
+        curves = [stability_curve(dissipation_matrix(gen, g), g, grid) for gen in gens]
         joint = joint_constants(curves)
         cert = best_certificate(joint, 1.0, 1.0)
         for gen in gens:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from eclim.lindblad import evolve
+from eclim.lindblad import evolve, unitary_dissipation
 from eclim.models import (
     BirthRates,
+    RabiModel,
     birth_epsilons,
     birth_generator,
     birth_survival_exact,
@@ -13,7 +14,6 @@ from eclim.models import (
     birth_trace,
     ad_norm_su2,
     rabi_certificate,
-    rabi_commutator,
     rabi_hamiltonian,
     spin_system,
 )
@@ -219,9 +219,18 @@ class TestRabi:
         a = np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
         ideal = 1j * 0.3 * np.kron(PAULI_X, a - a.conj().T)
         keep = np.flatnonzero(model.interior)
-        comm = rabi_commutator(model).entries
+        comm = unitary_dissipation(model.hamiltonian, model.number).entries
         assert np.allclose(comm[np.ix_(keep, keep)], ideal[np.ix_(keep, keep)],
                            atol=1e-12)
+
+    def test_interior_is_a_read_only_copy(self):
+        model = rabi_hamiltonian(1.0, 0.3, 0.5, 6)
+        assert model.interior.flags.writeable is False
+        passed = np.array(model.interior)
+        copy = RabiModel(model.hamiltonian, model.number, passed)
+        passed[:] = False
+        assert np.array_equal(copy.interior, model.interior)
+        assert copy.interior.flags.writeable is False
 
     def test_certificate_below_analytic(self):
         model = rabi_hamiltonian(1.0, 0.3, 0.5, 40)
