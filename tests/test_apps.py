@@ -16,10 +16,10 @@ from eclim.apps import (
     speedlimit_run,
     trotter_run,
 )
-from eclim.lindblad import BoundViolation, LindbladGenerator, best_certificate, \
-    default_e0_grid, stability_curve, unitary_dissipation
+from eclim.lindblad import DENSE_EXPM_MAX_DIM, BoundViolation, LindbladGenerator, \
+    best_certificate, default_e0_grid, evolve, stability_curve, unitary_dissipation
 from eclim.models import spin_system
-from eclim.norms import CpDifference, EcdEstimate, eco_norm
+from eclim.norms import CpDifference, EcdEstimate, eco_norm, trace_norm
 from eclim.opcore import (
     HermitianMatrix,
     ReferenceHamiltonian,
@@ -140,6 +140,36 @@ class TestOpenSpeedLimit:
         with pytest.raises(ValueError, match="at least one state"):
             open_speedlimit(gen, gen, ref01(), 0.5, (0.3,), n_states=n_states)
 
+    @pytest.mark.parametrize("d", [3, DENSE_EXPM_MAX_DIM + 2])
+    def test_rows_are_per_time_maxima_over_states(self, monkeypatch, d):
+        # One sweep per state gives each time the largest distance of states
+        # evolved from zero to that time: bitwise with dense propagators,
+        # within rounding with the Taylor action.  The see-saw, which only
+        # sets rhs, is stubbed: at d = 10 it would take about a minute.
+        monkeypatch.setattr(apps, "ecd_norm_seesaw", _unbounded_seesaw)
+        rng = rng_from_seed(70 + d)
+        gens = [LindbladGenerator.from_hamiltonian(
+            random_hermitian(d, rng), (0.5 * rng.standard_normal((d, d)),)) for _ in (1, 2)]
+        g = ReferenceHamiltonian(HermitianMatrix(np.diag(np.arange(d) + 0j)))
+        report = open_speedlimit(gens[0], gens[1], g, 1.0, (0.4, 0.1, 0.4), n_states=3,
+                                 seed=5, restarts=2)
+        states = apps._sampled_states(g, 1.0, 3, 5)
+        for row in report.rows:
+            expect = max(trace_norm(evolve(gens[0], rho, row.at).entries
+                                    - evolve(gens[1], rho, row.at).entries) for rho in states)
+            if d <= DENSE_EXPM_MAX_DIM:
+                assert row.lhs_max == expect
+            else:
+                assert row.lhs_max == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [(0.2, 0.0), (0.2, -1.0)])
+    def test_nonpositive_time_before_any_work(self, monkeypatch, grid):
+        gen = LindbladGenerator.from_hamiltonian(SX)
+        monkeypatch.setattr(apps, "ecd_norm_seesaw", _no_seesaw)
+        monkeypatch.setattr(apps, "evolve_grid", _no_seesaw)
+        with pytest.raises(ValueError, match="time grid entries must be positive"):
+            open_speedlimit(gen, gen, ref01(), 0.5, grid, n_states=2)
+
     def test_dephasing_vs_identity(self):
         lz = np.sqrt(0.3) * SZ
         deph = LindbladGenerator.from_hamiltonian(np.zeros((2, 2)), (lz,))
@@ -199,6 +229,10 @@ class TestTrotter:
 
 def _zero_seesaw(*args, **kwargs):
     return EcdEstimate(value=0.0, kind="seesaw_lower")
+
+
+def _unbounded_seesaw(*args, **kwargs):
+    return EcdEstimate(value=np.inf, kind="seesaw_lower")
 
 
 class TestStatusRule:

@@ -4,6 +4,9 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 import eclim.lindblad as lindblad
 from eclim.lindblad import (
@@ -248,7 +251,7 @@ class TestEvolve:
                 evolve_grid(gen, rho, grid)
 
     def test_large_dimension_sparse_path(self):
-        # dim 30 exercises the expm_multiply branch against the dense one
+        # dim 30 exercises the Taylor-action branch against the closed form
         n = 30
         a = np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
         gen = LindbladGenerator.from_hamiltonian(np.zeros((n, n)), (a,))
@@ -268,6 +271,27 @@ REGIMES = (max(2, DENSE_EXPM_MAX_DIM // 2), DENSE_EXPM_MAX_DIM + 4)
 def fock_damping(d, kappa=1.0):
     a = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
     return LindbladGenerator.from_hamiltonian(np.zeros((d, d)), (np.sqrt(kappa) * a,))
+
+
+def expm_action_reference(gen, t, rho):
+    """scipy.linalg.expm(t S) @ vec(rho), one dense expm per connected block of S.
+
+    S is assembled here from K and the L_a, and permuted to block-diagonal
+    form through its sparsity graph, so the d = 61 Fock generator (121 blocks
+    of at most 61 states) needs no dense 3721 x 3721 expm.
+    """
+    eye = scipy.sparse.identity(gen.dim, format="csr")
+    s = scipy.sparse.kron(gen.k, eye) + scipy.sparse.kron(eye, gen.k.conj())
+    for l in gen.lindblad:
+        s = s + scipy.sparse.kron(l, l.conj())
+    s = scipy.sparse.csr_matrix(s)
+    vec = rho.entries.reshape(-1)
+    out = np.zeros_like(vec)
+    _, labels = connected_components(abs(s), directed=False)
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
+        out[idx] = expm(t * s[idx][:, idx].toarray()) @ vec[idx]
+    return out
 
 
 class TestEvolveGrid:
@@ -314,13 +338,13 @@ class TestEvolveGrid:
 
             monkeypatch.setattr(lindblad, "expm", inflated)
         else:
-            real = lindblad.expm_multiply
+            real = lindblad._taylor_action
 
-            def inflated(a, v):
-                calls.append(a)
-                return real(a, v) * (1.5 if len(calls) == 3 else 1.0)
+            def inflated(op, h, v):
+                calls.append(h)
+                return real(op, h, v) * (1.5 if len(calls) == 3 else 1.0)
 
-            monkeypatch.setattr(lindblad, "expm_multiply", inflated)
+            monkeypatch.setattr(lindblad, "_taylor_action", inflated)
         with pytest.raises(BoundViolation):
             evolve_grid(gen, rho, (0.4, 0.1, 0.2, 0.8))
         # The dense regime builds the grid's propagators before applying them;
@@ -341,6 +365,45 @@ class TestEvolveGrid:
             assert set(cache["grid"]) == set(grid[1:])
         else:
             assert "grid" not in cache
+
+    @pytest.mark.parametrize("kind, param", [("random", 9), ("random", 12), ("random", 16),
+                                             ("fock", 0.5), ("fock", 1.5)])
+    def test_taylor_action_matches_dense_expm(self, kind, param):
+        if kind == "random":
+            d = param
+            rng = rng_from_seed(60 + d)
+            jump = 0.7 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            gen = LindbladGenerator.from_hamiltonian(random_hermitian(d, rng), (jump,))
+            grid = (0.3, 1.1)
+        else:
+            d = 61
+            gen = fock_damping(d, param)
+            grid = (0.5, 1.0)
+        rho = random_density(d, rng_from_seed(61))
+        a, _, norm = gen.shifted_superoperator()
+        # Random generators with a dense jump operator fill S and store A
+        # dense; the Fock generator stays CSR.
+        assert isinstance(a, np.ndarray) == (kind == "random")
+        if (kind, param) == ("fock", 1.5):
+            # A step past scipy's estimator threshold h ||A||_1 > 63.4.
+            assert 0.5 * norm > 63.4
+        for t, out in zip(grid, evolve_grid(gen, rho, grid)):
+            expect = expm_action_reference(gen, t, rho)
+            got = out.entries.reshape(-1)
+            assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+    def test_sweep_leaves_the_global_rng_alone(self):
+        gen = fock_damping(61, 1.5)
+        thermal = DensityState(HermitianMatrix(np.diag(0.5 ** np.arange(1, 62)).astype(complex)))
+        saved = np.random.get_state()
+        try:
+            np.random.seed(0)
+            evolve_grid(gen, thermal, (0.5, 1.0))
+            after = np.random.random()
+            np.random.seed(0)
+            assert after == np.random.random()
+        finally:
+            np.random.set_state(saved)
 
     def test_evolve_reuses_the_last_grid(self, monkeypatch):
         gen = fock_damping(3)
