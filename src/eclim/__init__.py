@@ -49,6 +49,7 @@ from .lindblad import (
     BoundViolation,
     LindbladGenerator,
     StabilityCertificate,
+    StabilityCurve,
     dissipation_matrix,
     evolve,
     evolve_grid,

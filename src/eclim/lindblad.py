@@ -8,6 +8,11 @@ M <= omega*(G + e0) is read off a Hermitian-definite pencil.  Together
 
     energy(t) <= exp(omega*t) * (E + e0) - e0.
 
+A stability curve holds the pencil's omega at every e0 of a grid.  Those
+values only rank the candidates: every certificate a result reads is
+re-verified, by the floors of ``min_omega``, when it is first read; a
+candidate that loses the ranking is not a certificate.
+
 Simulation vectorizes rho row-major, vec(A rho B) = (A (x) B^T) vec(rho),
 so the superoperator is K (x) 1 + 1 (x) conj(K) + sum L (x) conj(L).
 The amplitude-damping closed form pins this convention in the tests.
@@ -21,6 +26,7 @@ superoperator, so no norm estimator runs and no random number is drawn.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,8 +181,12 @@ class StabilityCertificate:
 
     def budget(self, energy_in: float, t: float) -> float:
         """f_t(E) = exp(omega |t|) (E + e0) - e0, or inf (no warning) past the float range."""
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.omega * abs(t)) * (energy_in + self.e0) - self.e0)
+        return _budget(self.omega, self.e0, energy_in, t)
+
+
+def _budget(omega: float, e0: float, energy_in: float, t: float) -> float:
+    with np.errstate(over="ignore"):
+        return float(np.exp(omega * abs(t)) * (energy_in + e0) - e0)
 
 
 def _pencil(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float):
@@ -192,6 +202,26 @@ def _pencil(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float):
     return w, (a + a.conj().T) / 2.0
 
 
+def _pencil_omega(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
+                  symmetric: bool) -> float:
+    """The pencil's least omega >= 0 with M <= omega (G + e0) (and -M with ``symmetric``)."""
+    evals = np.linalg.eigvalsh(_pencil(m, g, e0)[1])
+    omega = max(0.0, float(evals[-1]))
+    return max(omega, float(-evals[0])) if symmetric else omega
+
+
+def _floors(m: HermitianMatrix, g: ReferenceHamiltonian, omega: float, e0: float,
+            symmetric: bool) -> float:
+    """The residual of (omega, e0): the floor of omega (G + e0) - M (and of + M)."""
+    shifted = omega * (g.entries + e0 * np.eye(g.dim))
+    slack = CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm())
+    what = "stability certificate fails verification"
+    residual = float(require_psd(shifted - m.entries, slack, what))
+    if symmetric:
+        residual = min(residual, float(require_psd(shifted + m.entries, slack, what)))
+    return residual
+
+
 def min_omega(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
               symmetric: bool = False) -> StabilityCertificate:
     """Least omega >= 0 with M <= omega (G + e0), via the definite pencil.
@@ -202,19 +232,7 @@ def min_omega(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
     omega (G + e0) + M), must be at least -1e-8 * (1 + ||M||), or
     ValueError is raised.
     """
-    _, a = _pencil(m, g, e0)
-    evals = np.linalg.eigvalsh(a)
-    omega = max(0.0, float(evals[-1]))
-    if symmetric:
-        omega = max(omega, float(-evals[0]))
-
-    shifted = omega * (g.entries + e0 * np.eye(g.dim))
-    slack = CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm())
-    what = "stability certificate fails verification"
-    residual = float(require_psd(shifted - m.entries, slack, what))
-    if symmetric:
-        residual = min(residual, float(require_psd(shifted + m.entries, slack, what)))
-    return StabilityCertificate(omega, e0, residual=residual)
+    return stability_curve(m, g, (e0,), symmetric)[0]
 
 
 def pencil_vector(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float) -> np.ndarray:
@@ -230,29 +248,70 @@ def default_e0_grid(g: ReferenceHamiltonian) -> np.ndarray:
     return scale * np.logspace(-6, 6, E0_GRID_POINTS, base=2.0)
 
 
+class StabilityCurve(Sequence):
+    """Candidates (omegas[i], e0s[i]) along an e0 grid, each verified when read.
+
+    ``omegas`` come from pencils and only rank candidates.  Item i is the
+    StabilityCertificate at e0s[i]; ``verify(i)`` returns its residual or
+    raises, and the certificate is cached on first read.
+    """
+
+    def __init__(self, e0s: tuple, omegas: tuple, verify):
+        self.e0s = e0s
+        self.omegas = omegas
+        self._verify = verify
+        self._certs = {}
+
+    def __len__(self) -> int:
+        return len(self.e0s)
+
+    def __getitem__(self, i: int) -> StabilityCertificate:
+        i = range(len(self.e0s))[i]
+        cert = self._certs.get(i)
+        if cert is None:
+            cert = self._certs[i] = StabilityCertificate(self.omegas[i], self.e0s[i],
+                                                         residual=self._verify(i))
+        return cert
+
+
 def stability_curve(m: HermitianMatrix, g: ReferenceHamiltonian, e0_grid,
-                    symmetric: bool = False) -> list:
-    """min_omega of a dissipation matrix M along an e0 grid; omega is nonincreasing in e0."""
-    return [min_omega(m, g, float(e0), symmetric) for e0 in e0_grid]
+                    symmetric: bool = False) -> StabilityCurve:
+    """The pencil's omega of a dissipation matrix M along an e0 grid; omega is
+    nonincreasing in e0.  Each item passes ``min_omega``'s floors when read."""
+    e0s = tuple(float(e0) for e0 in e0_grid)
+    omegas = tuple(_pencil_omega(m, g, e0, symmetric) for e0 in e0s)
+    return StabilityCurve(e0s, omegas, lambda i: _floors(m, g, omegas[i], e0s[i], symmetric))
 
 
-def best_certificate(certs, energy_in: float, t: float) -> StabilityCertificate:
-    """The certificate minimizing the bound exp(omega t)(E + e0) - e0."""
-    if not certs:
+def best_certificate(curves, energy_in: float, t: float) -> StabilityCertificate:
+    """The verified certificate minimizing exp(omega t)(E + e0) - e0 over the
+    candidates of ``curves``; ties go to the first in curve, then grid order.
+    Only the winner is verified."""
+    def bound(candidate):
+        curve, i = candidate
+        return _budget(curve.omegas[i], curve.e0s[i], energy_in, t)
+
+    candidates = [(curve, i) for curve in curves for i in range(len(curve))]
+    if not candidates:
         raise ValueError("no certificates supplied")
-    return min(certs, key=lambda c: c.budget(energy_in, t))
+    curve, i = min(candidates, key=bound)
+    return curve[i]
 
 
-def joint_constants(cert_lists) -> list:
-    """Pairwise-max joint certificates across several dynamics, per e0."""
-    joined = []
-    for group in zip(*cert_lists):
-        e0s = {round(c.e0, 12) for c in group}
-        if len(e0s) != 1:
+def joint_constants(curves) -> StabilityCurve:
+    """Pairwise-max joint constants across several dynamics, per e0.
+
+    Candidate i verifies every member curve at its own omega there; its
+    residual is the least of theirs.
+    """
+    curves = tuple(curves)
+    groups = list(zip(*(c.e0s for c in curves)))
+    for group in groups:
+        if len({round(e0, 12) for e0 in group}) != 1:
             raise ValueError("joint constants need aligned e0 grids")
-        joined.append(StabilityCertificate(max(c.omega for c in group), group[0].e0,
-                                           residual=min(c.residual for c in group)))
-    return joined
+    omegas = tuple(max(c.omegas[i] for c in curves) for i in range(len(groups)))
+    return StabilityCurve(tuple(group[0] for group in groups), omegas,
+                          lambda i: min(c[i].residual for c in curves))
 
 
 def evolve_grid(gen: LindbladGenerator, rho: DensityState, times) -> list:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eclim import apps
+from eclim import apps, lindblad
 from eclim.apps import (
     OPEN_TOL,
     SpeedLimitConfig,
@@ -21,6 +21,7 @@ from eclim.lindblad import DENSE_EXPM_MAX_DIM, BoundViolation, LindbladGenerator
 from eclim.models import spin_system
 from eclim.norms import CpDifference, EcdEstimate, eco_norm, trace_norm
 from eclim.opcore import (
+    CERT_RESIDUAL_RTOL,
     HermitianMatrix,
     ReferenceHamiltonian,
     haar_state,
@@ -84,6 +85,15 @@ class TestSpeedLimitRows:
         with pytest.raises(ValueError):
             SpeedLimitConfig(scenario="custom")
 
+    def test_first_order_builds_no_certificate_curve(self, monkeypatch):
+        cfg = SpeedLimitConfig(n_qubits=2, time_grid=tuple(np.linspace(0.0, 0.4, 6)), seed=1,
+                               first_order=True)
+        expect = speedlimit_run(cfg)
+        calls, pencil = [], lindblad._pencil
+        monkeypatch.setattr(lindblad, "_pencil", lambda *args: calls.append(args) or pencil(*args))
+        assert speedlimit_run(cfg) == expect
+        assert calls == []
+
     def test_first_order_close_for_small_times(self):
         spin = spin_system(3)
         rng = rng_from_seed(3)
@@ -112,12 +122,12 @@ class TestIntegralForm:
         psi = g.ground_vector() + 0.5 * phi
         psi = psi / np.linalg.norm(psi)
         e_psi = vector_energy(g, psi)
-        certs = [c for h in (h1, h2) for c in stability_curve(
-            unitary_dissipation(h, g), g, default_e0_grid(g), symmetric=True)]
+        curves = [stability_curve(unitary_dissipation(h, g), g, default_e0_grid(g),
+                                  symmetric=True) for h in (h1, h2)]
         ev1, vec1 = h1.eigh()
         ev2, vec2 = h2.eigh()
         for t in np.linspace(0.12, 0.6, 5):
-            cert = best_certificate(certs, e_psi, t)
+            cert = best_certificate(curves, e_psi, t)
             integral, t_form = qsl_integral_bound(h1, h2, g, e_psi, cert, float(t))
             u1psi = vec1 @ (np.exp(-1j * ev1 * t) * (vec1.conj().T @ psi))
             u2psi = vec2 @ (np.exp(-1j * ev2 * t) * (vec2.conj().T @ psi))
@@ -162,6 +172,25 @@ class TestOpenSpeedLimit:
             else:
                 assert row.lhs_max == pytest.approx(expect, rel=1e-12)
 
+    def test_one_seesaw_per_distinct_time(self, monkeypatch):
+        budgets = []
+
+        def seesaw(cp_map, g, budget, **kwargs):
+            budgets.append(budget)
+            return EcdEstimate(value=budget, kind="seesaw_lower")
+
+        monkeypatch.setattr(apps, "ecd_norm_seesaw", seesaw)
+        gen1 = LindbladGenerator.from_hamiltonian(SX, (0.5 * SX,))
+        gen2 = LindbladGenerator.from_hamiltonian(SZ)
+        report = open_speedlimit(gen1, gen2, ref01(), 0.5, (0.4, 0.1, 0.4), n_states=3,
+                                 seed=5, restarts=2)
+        assert len(budgets) == 2
+        assert report.rows[0] == report.rows[2]
+        for row in report.rows:
+            alone = open_speedlimit(gen1, gen2, ref01(), 0.5, (row.at,), n_states=3, seed=5,
+                                    restarts=2)
+            assert alone.rows == (row,)
+
     @pytest.mark.parametrize("grid", [(0.2, 0.0), (0.2, -1.0)])
     def test_nonpositive_time_before_any_work(self, monkeypatch, grid):
         gen = LindbladGenerator.from_hamiltonian(SX)
@@ -191,10 +220,10 @@ class TestOpenSpeedLimit:
         report = open_speedlimit(gen1, gen2, g, 0.6, (0.2, 0.5), n_states=10,
                                  seed=2, restarts=16)
         assert not report.any_failed
-        certs = [c for h in (SX, SZ) for c in stability_curve(
-            unitary_dissipation(HermitianMatrix(h), g), g, default_e0_grid(g), symmetric=True)]
+        curves = [stability_curve(unitary_dissipation(HermitianMatrix(h), g), g,
+                                  default_e0_grid(g), symmetric=True) for h in (SX, SZ)]
         for row in report.rows:
-            cert = best_certificate(certs, 0.6, row.at)
+            cert = best_certificate(curves, 0.6, row.at)
             v, _ = eco_norm(SX - SZ, g, cert.budget(0.6, row.at))
             assert row.lhs_max <= 2.0 * row.at * v + 1e-6
 
@@ -313,6 +342,141 @@ class TestSampledStates:
 
     def test_zero_budget_is_checked(self):
         assert not self._trotter(0.0).any_failed
+
+    def test_zero_certified_budget_is_named(self, monkeypatch):
+        # G = diag(0, 1) commutes with SZ, whose certificate omega = 0 then
+        # gives f_t(0) = 0: the budget E = 0 is valid, the see-saw cannot run.
+        monkeypatch.setattr(apps, "ecd_norm_seesaw", _no_seesaw)
+        gens = [LindbladGenerator.from_hamiltonian(h) for h in (SX, SZ)]
+        with pytest.raises(ValueError, match=r"^the certified energy budget f_t\(E\) is 0.0 at "
+                                             r"t=0.5: the see-saw"):
+            open_speedlimit(*gens, ref01(), 0.0, (0.5,), n_states=2)
+        gens = [LindbladGenerator.from_hamiltonian(np.diag(v).astype(complex))
+                for v in ([0.3, -0.1], [1.0, 2.0])]
+        with pytest.raises(ValueError, match=r"^the certified energy budget f_t\(E\) is 0.0 at "
+                                             r"t=2.0: the see-saw"):
+            trotter_run(*gens, ref01(), 0.0, 1.0, (4,), n_states=2)
+
+
+def _spy_certification(monkeypatch) -> dict:
+    """Record every pencilled dissipation matrix, the shape of every pencil
+    eigvalsh, every floor lindblad checks and every certificate whose budget
+    apps reads."""
+    seen = {"pencils": {}, "solved": [], "floors": [], "winners": []}
+    outputs = {}  # pencil matrices, kept alive so that no other array takes their id
+    pencil, require_psd, best = lindblad._pencil, lindblad.require_psd, apps.best_certificate
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy_pencil(m, g, e0):
+        seen["pencils"][id(m)] = m, g
+        w, a = pencil(m, g, e0)
+        outputs[id(a)] = a
+        return w, a
+
+    def spy_eigvalsh(a, *args, **kwargs):
+        if id(a) in outputs:
+            seen["solved"].append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def spy_psd(gap, slack, what):
+        seen["floors"].append((np.array(gap), slack))
+        return require_psd(gap, slack, what)
+
+    def spy_best(*args):
+        seen["winners"].append(best(*args))
+        return seen["winners"][-1]
+
+    monkeypatch.setattr(lindblad, "_pencil", spy_pencil)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
+    monkeypatch.setattr(lindblad, "require_psd", spy_psd)
+    monkeypatch.setattr(apps, "best_certificate", spy_best)
+    return seen
+
+
+def _verified_omegas(seen, cert, symmetric: bool) -> list:
+    """The own pencil omega at cert.e0 of each dissipation matrix whose floors
+    there were checked against its own slack."""
+    out = []
+    for m, g in seen["pencils"].values():
+        omega = lindblad._pencil_omega(m, g, cert.e0, symmetric)
+        shifted = omega * (g.entries + cert.e0 * np.eye(g.dim))
+        slack = CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm())
+        gaps = [shifted - m.entries] + ([shifted + m.entries] if symmetric else [])
+        if all(any(s == slack and np.array_equal(f, gap) for f, s in seen["floors"])
+               for gap in gaps):
+            out.append(omega)
+    return out
+
+
+class TestLazyVerification:
+    """A candidate's pencil omega only ranks; every certificate whose budget a
+    result reads has passed the floors of min_omega."""
+
+    def test_qsl_spin7_pencils_every_candidate_and_verifies_winners(self, monkeypatch):
+        for scenario in ("left", "right"):
+            seen = _spy_certification(monkeypatch)
+            speedlimit_run(SpeedLimitConfig(scenario=scenario, seed=1,
+                                            time_grid=tuple(np.linspace(0.0, 0.6, 5))))
+            monkeypatch.undo()
+            distinct = {(c.omega, c.e0) for c in seen["winners"]}
+            assert seen["solved"] == [(128, 128)] * 26
+            assert len(seen["winners"]) == 4
+            assert 2 <= len(seen["floors"]) <= 2 * len(distinct)
+
+    @pytest.mark.parametrize("run", ["speedlimit", "open", "trotter"])
+    def test_every_read_certificate_passed_its_own_floors(self, monkeypatch, run):
+        monkeypatch.setattr(apps, "ecd_norm_seesaw", _unbounded_seesaw)
+        seen = _spy_certification(monkeypatch)
+        damped = LindbladGenerator.from_hamiltonian(SX, (0.7 * np.array([[0, 1], [0, 0]]),))
+        hz = LindbladGenerator.from_hamiltonian(SZ + 0.4 * SX)
+        if run == "speedlimit":
+            speedlimit_run(SpeedLimitConfig(n_qubits=2, seed=1,
+                                            time_grid=tuple(np.linspace(0.0, 0.6, 7))))
+        elif run == "open":
+            open_speedlimit(damped, hz, ref01(), 0.6, (0.2, 0.5, 2.0), n_states=2, restarts=1)
+        else:
+            trotter_run(damped, hz, ref01(), 0.6, 0.8, (4,), n_states=2, restarts=1)
+        monkeypatch.undo()
+        assert seen["winners"]
+        for cert in seen["winners"]:
+            omegas = _verified_omegas(seen, cert, symmetric=run == "speedlimit")
+            if run == "trotter":  # the joint omega: each member at its own omega
+                assert len(omegas) == 2 and cert.omega == max(omegas)
+            else:
+                assert cert.omega in omegas
+
+    @pytest.mark.parametrize("lower_winners", [True, False])
+    def test_lowered_pencil_fails_only_when_read(self, monkeypatch, lower_winners):
+        cfg = SpeedLimitConfig(n_qubits=2, seed=1, time_grid=tuple(np.linspace(0.0, 0.6, 5)))
+        seen = _spy_certification(monkeypatch)
+        expect = speedlimit_run(cfg)
+        monkeypatch.undo()
+        won = {c.e0 for c in seen["winners"]}
+        pencil, curves = lindblad._pencil, []
+
+        def lowered_pencil(m, g, e0):
+            w, a = pencil(m, g, e0)
+            if (e0 in won) != lower_winners:
+                return w, a
+            return w, (1.0 - 1e-4) * a
+
+        curve = apps.stability_curve
+        monkeypatch.setattr(lindblad, "_pencil", lowered_pencil)
+        monkeypatch.setattr(apps, "stability_curve",
+                            lambda *args, **kwargs: curves.append(curve(*args, **kwargs))
+                            or curves[-1])
+        if lower_winners:
+            with pytest.raises(ValueError, match="stability certificate fails verification"):
+                speedlimit_run(cfg)
+            return
+        assert speedlimit_run(cfg) == expect
+        # every lowered loser (omega > 0, so lowering moved it) fails once read
+        losers = [(c, i) for c in curves for i, e0 in enumerate(c.e0s)
+                  if e0 not in won and c.omegas[i] > 0]
+        assert len(losers) > len(curves)
+        for c, i in losers:
+            with pytest.raises(ValueError, match="stability certificate fails verification"):
+                c[i]
 
 
 class TestCpDecompositions:

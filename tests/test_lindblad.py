@@ -106,6 +106,18 @@ class TestDissipationMatrix:
         assert np.allclose(unitary_dissipation(h, g).entries, m.entries, atol=1e-12)
 
 
+def _spy_floors(monkeypatch) -> list:
+    """Record the gap of every floor lindblad checks (require_psd still decides)."""
+    floors, require_psd = [], lindblad.require_psd
+
+    def spy(gap, slack, what):
+        floors.append(np.array(gap))
+        return require_psd(gap, slack, what)
+
+    monkeypatch.setattr(lindblad, "require_psd", spy)
+    return floors
+
+
 class TestMinOmega:
     def test_zero_matrix(self):
         cert = min_omega(HermitianMatrix(np.zeros((2, 2))), ref(0.0, 1.0), 1.0)
@@ -193,6 +205,39 @@ class TestStabilityCurve:
         certs = stability_curve(dissipation_matrix(gen, g), g, default_e0_grid(g))
         omegas = [c.omega for c in certs]
         assert all(b <= a + 1e-12 for a, b in zip(omegas, omegas[1:]))
+
+    def test_items_are_verified_on_first_read_only(self, monkeypatch):
+        rng = rng_from_seed(11)
+        g = random_reference(4, rng)
+        m = random_hermitian(4, rng)
+        grid = default_e0_grid(g)
+        for symmetric in (False, True):
+            floors = _spy_floors(monkeypatch)
+            curve = stability_curve(m, g, grid, symmetric)
+            assert len(curve) == len(grid)
+            assert floors == []
+            first = curve[3]
+            assert curve[3] is first
+            assert len(floors) == (2 if symmetric else 1)
+            monkeypatch.undo()
+            assert list(curve) == [min_omega(m, g, float(e0), symmetric) for e0 in grid]
+
+    def test_best_certificate_verifies_only_the_first_winner(self, monkeypatch):
+        rng = rng_from_seed(12)
+        g = random_reference(4, rng)
+        m = dissipation_matrix(random_generator(4, rng), g)
+        grid = default_e0_grid(g)
+        curves = [stability_curve(m, g, grid) for _ in range(2)]  # every candidate tied
+        floors = _spy_floors(monkeypatch)
+        best = best_certificate(curves, 1.0, 0.7)
+        assert len(floors) == 1
+        eager = [c for curve in curves for c in curve]
+        assert best == min(eager, key=lambda c: c.budget(1.0, 0.7))
+        assert any(best is c for c in curves[0])
+
+    def test_no_candidates(self):
+        with pytest.raises(ValueError, match="no certificates supplied"):
+            best_certificate([], 1.0, 1.0)
 
 
 class TestBudget:
@@ -475,6 +520,28 @@ class TestVerifyEnergyBound:
 
 
 class TestJointConstants:
+    def test_candidate_verifies_each_member_at_its_own_omega(self, monkeypatch):
+        rng = rng_from_seed(8)
+        g = random_reference(3, rng)
+        ms = [dissipation_matrix(random_generator(3, rng), g) for _ in range(3)]
+        grid = default_e0_grid(g)
+        curves = [stability_curve(m, g, grid) for m in ms]
+        joint = joint_constants(curves)
+        floors = _spy_floors(monkeypatch)
+        cert = joint[5]
+        assert len(floors) == len(ms)
+        monkeypatch.undo()
+        members = [min_omega(m, g, float(grid[5])) for m in ms]
+        assert [c[5] for c in curves] == members
+        assert cert == StabilityCertificate(max(c.omega for c in members), float(grid[5]),
+                                            residual=min(c.residual for c in members))
+
+    def test_misaligned_grids(self):
+        g = ref(0.0, 1.0)
+        m = HermitianMatrix(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="aligned e0 grids"):
+            joint_constants([stability_curve(m, g, (1.0, 2.0)), stability_curve(m, g, (1.0, 3.0))])
+
     def test_pairwise_max_verifies_for_each(self):
         rng = rng_from_seed(7)
         g = random_reference(3, rng)
@@ -482,7 +549,7 @@ class TestJointConstants:
         grid = default_e0_grid(g)
         curves = [stability_curve(dissipation_matrix(gen, g), g, grid) for gen in gens]
         joint = joint_constants(curves)
-        cert = best_certificate(joint, 1.0, 1.0)
+        cert = best_certificate([joint], 1.0, 1.0)
         for gen in gens:
             rho = random_density(3, rng)
             report = verify_energy_bound(gen, g, cert, rho, (0.25, 1.0))
