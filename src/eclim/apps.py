@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lindblad import (
     BoundViolation,
@@ -40,6 +39,7 @@ from .opcore import (
     ReferenceHamiltonian,
     _set_fields,
     energy,
+    expm,
     haar_state,
     random_density,
     random_hermitian,
@@ -108,6 +108,17 @@ def _scenario_hamiltonians(cfg: SpeedLimitConfig, spin: SpinSystem, rng):
     return cfg.h1, cfg.h2
 
 
+def _certified_budget(curves, energy_budget: float, t: float) -> float:
+    """f_t(E) of the best certificate of ``curves``; the see-saw and the
+    energy-constrained operator norm need it positive and finite."""
+    budget = best_certificate(curves, energy_budget, t).budget(energy_budget, t)
+    if not 0 < budget < np.inf:
+        raise ValueError(f"the certified energy budget f_t(E) is {budget} at t={t}: "
+                         "the see-saw and the energy-constrained operator norm "
+                         "need a positive, finite budget")
+    return budget
+
+
 def speedlimit_run(cfg: SpeedLimitConfig) -> list:
     """Rows (time, actualError, energyBound, uniformBound) for one seed."""
     spin = spin_system(cfg.n_qubits)
@@ -140,8 +151,7 @@ def speedlimit_run(cfg: SpeedLimitConfig) -> list:
         u1psi = vec1 @ (np.exp(-1j * ev1 * t) * c1)
         u2psi = vec2 @ (np.exp(-1j * ev2 * t) * c2)
         actual = float(np.linalg.norm(u1psi - u2psi))
-        budget = e_psi if cfg.first_order \
-            else best_certificate(curves, e_psi, t).budget(e_psi, t)
+        budget = e_psi if cfg.first_order else _certified_budget(curves, e_psi, t)
         value = np.sqrt(max(0.0, profile.solve(budget)[0]))
         rows.append(SpeedLimitRow(float(t), actual, float(t) * value,
                                   float(t) * uniform_rate))
@@ -207,15 +217,6 @@ def _row(at, lhs: float, factor: float, estimate, cp_map: CpDifference,
     if lhs <= factor * cp_map.exact_cp_upper_bound(g, budget) + OPEN_TOL:
         return BoundCheckRow(at, lhs, rhs, "inconclusive")
     return BoundCheckRow(at, lhs, rhs, "failed")
-
-
-def _certified_budget(curves, energy_budget: float, t: float) -> float:
-    """f_t(E) of the best certificate of ``curves``; the see-saw needs it positive."""
-    budget = best_certificate(curves, energy_budget, t).budget(energy_budget, t)
-    if not budget > 0:
-        raise ValueError(f"the certified energy budget f_t(E) is {budget} at t={t}: "
-                         "the see-saw bound check needs a positive budget")
-    return budget
 
 
 def _sampled_states(g: ReferenceHamiltonian, energy_budget: float, n_states: int,

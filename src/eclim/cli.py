@@ -45,13 +45,14 @@ from .opcore import energy, ground_shift, haar_state, rng_from_seed
 
 
 def _emit(text: str, out_path: str | None):
+    """Write a result, ending in a newline, to ``out_path`` or else to stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _reference(path: str):

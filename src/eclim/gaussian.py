@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .opcore import _set_fields, require_psd
+from .lindblad import LindbladGenerator, _budget, evolve_grid
+from .opcore import DensityState, HermitianMatrix, ReferenceHamiltonian, _set_fields, energy, \
+    expm, require_psd
 
 GAUSS_PSD_RTOL = 1e-9
 
@@ -282,7 +283,7 @@ class GaussianStabilityCertificate:
 
     def budget(self, energy_in: float, t: float) -> float:
         if self.kind == "exponential":
-            return float(np.exp(self.omega * abs(t)) * (energy_in + self.e0) - self.e0)
+            return _budget(self.omega, self.e0, energy_in, t)
         return float(energy_in + self.slope * abs(t))
 
 
@@ -306,9 +307,6 @@ def fock_damping_crosscheck(kappa: float, nbar: float, times, cutoff: int = 60):
     the Lindbladian with L = sqrt(kappa) a on cutoff+1 levels, started from
     the thermal state with mean occupation nbar.
     """
-    from .lindblad import LindbladGenerator, evolve_grid
-    from .opcore import DensityState, HermitianMatrix, ReferenceHamiltonian, energy
-
     n = cutoff + 1
     a = np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
     gen = LindbladGenerator.from_hamiltonian(np.zeros((n, n)), (np.sqrt(kappa) * a,))

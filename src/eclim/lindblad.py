@@ -30,11 +30,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-from scipy.linalg import expm
 
 from .opcore import CERT_RESIDUAL_RTOL, DensityState, HermitianMatrix, ReferenceHamiltonian, \
-    _set_fields, energy, require_psd
+    _set_fields, energy, expm, require_psd
 
 DISSIPATIVITY_RTOL = 1e-9
 # Up to this dimension a dense expm of the d^2 x d^2 superoperator is cheaper
@@ -121,6 +119,7 @@ class LindbladGenerator:
         is kept as CSR unless more than DENSE_ACTION_MIN_FILL of S is nonzero.
         """
         if "superop_sparse" not in self._cache:
+            import scipy.sparse
             n = self.dim * self.dim
             eye = scipy.sparse.identity(self.dim, dtype=complex, format="csr")
             k = scipy.sparse.csr_matrix(self.k)

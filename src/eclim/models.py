@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lindblad import LindbladGenerator, StabilityCertificate, min_omega, unitary_dissipation
-from .opcore import HermitianMatrix, ReferenceHamiltonian, _set_fields, ground_shift
+from .opcore import HermitianMatrix, ReferenceHamiltonian, _set_fields, expm, ground_shift
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -131,8 +131,6 @@ def birth_trace(rates: BirthRates, cutoff: int, t: float) -> float:
     A[n+1][n] = mu_n (n < N); this stays well-conditioned even for the
     violently growing geometric rates.
     """
-    from scipy.linalg import expm
-
     if not 0 <= t < np.inf:
         raise ValueError("time must be nonnegative and finite")
     mu = rates.rates_array(cutoff + 1)

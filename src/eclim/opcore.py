@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 HERMITICITY_RTOL = 1e-10
 PSD_RTOL = 1e-9
@@ -303,20 +302,32 @@ def vector_energy(g: ReferenceHamiltonian, psi: np.ndarray) -> float:
     return max(0.0, float(np.real(v.conj() @ (g.entries @ v))))
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix by scipy's dense kernel.
+
+    The one owner of that kernel; scipy is imported on the first call, so
+    importing eclim loads no scipy module.
+    """
+    import scipy.linalg
+    return scipy.linalg.expm(a)
+
+
 def _top_cuts(a: np.ndarray, g: ReferenceHamiltonian):
     """The cut (lambda_max, <v|G|v>) of each Hermitian matrix in the stack ``a``.
 
     v is a unit top eigenvector.  Returns ``(cuts, full)``: ``full`` is the
     stack's whole ``eigh`` up to ``FULL_EIGH_MAX_DIM`` and None above, where
-    each top eigenpair comes from a one-eigenvalue subset solve.  Stacked
-    ``eigh`` loops LAPACK over the matrices, so every cut is bitwise the one
-    a single matrix gets.
+    each top eigenpair comes from scipy's one-eigenvalue subset solve (scipy
+    is imported there, on the first such solve).  Stacked ``eigh`` loops
+    LAPACK over the matrices, so every cut is bitwise the one a single
+    matrix gets.
     """
     d = a.shape[-1]
     if d <= FULL_EIGH_MAX_DIM:
         full = np.linalg.eigh(a)
         tops, vecs = full[0][:, -1], full[1][:, :, -1]
     else:
+        import scipy.linalg
         full = None
         pairs = [scipy.linalg.eigh(x, subset_by_index=[d - 1, d - 1]) for x in a]
         tops = [evals[-1] for evals, _ in pairs]
@@ -398,7 +409,11 @@ class EnergyProfile:
             else:
                 # g(lam) >= lam*E > g(0) beyond g(0)/E, so the subgradient at
                 # twice that slope is at least E/2.
-                hi = self._point(2.0 * self._cuts[0.0][0] / e, e)
+                slope = 2.0 * self._cuts[0.0][0] / e
+                if not slope < np.inf:
+                    raise RuntimeError(f"the dual solver's upper bracket 2*g(0)/E overflows "
+                                       f"at the energy budget E={e}")
+                hi = self._point(slope, e)
                 if hi[2] < 0.0 or hi[0] <= lo[0]:
                     raise RuntimeError("dual solver found no upper bracket")
             best, gap = self._bracket_search(lo, hi, e)

@@ -86,6 +86,19 @@ class TestEcoNormCommand:
         assert out == ""
         assert json.loads(err)["code"] == "numerical_error"
 
+    @pytest.mark.parametrize("energy, code, out, err", [
+        # 2*g(0)/E, the dual solver's upper-bracket slope, overflows: exit 3, no warning
+        ("1e-320", 3, "", to_json({"code": "numerical_error", "message":
+                                   "the dual solver's upper bracket 2*g(0)/E overflows "
+                                   "at the energy budget E=1e-320"}) + "\n"),
+        ("1e-300", 0, '{"value": 2.1213203435596425e-150, "lambda": 4.5, "e0": 0}\n', ""),
+    ], ids=["subnormal", "tiny"])
+    def test_tiny_budget(self, files, capfd, energy, code, out, err):
+        op = files["write"]("a.json", op_json(np.diag([0.0, 0.0, 3.0])))
+        g3 = files["write"]("g3.json", op_json(np.diag([0.0, 1.0, 2.0])))
+        assert run_main(["eco-norm", "--op", op, "--ref", g3, "--energy", energy],
+                        capfd) == (code, out, err)
+
     def test_dimension_mismatch_names_both(self, files, capsys):
         g3 = files["write"]("g3.json", op_json(np.diag([0.0, 1.0, 2.0])))
         code, _, err = run_main(["eco-norm", "--op", files["sx"], "--ref", g3,
@@ -226,6 +239,15 @@ class TestGaussianCommand:
         assert e == pytest.approx(np.exp(-0.5), abs=1e-9)
         assert e <= b
 
+    def test_overflowing_bound_is_one_error_line(self, files, capfd):
+        # pytest turns warnings into errors, so an overflow warning fails here
+        code, out, err = run_main(["gaussian", "--gen", files["ggen"], "--state",
+                                   files["gstate"], "--times", "0.5,1e3"], capfd)
+        assert code == 3
+        assert out == ""
+        assert err == to_json({"code": "numerical_error",
+                               "message": "cannot emit a non-finite number"}) + "\n"
+
     def test_rejects_drift(self, files, capsys):
         bad = files["write"]("bad.json", {"modes": 1, "xdot": [[0, 0], [0, 0]],
                                           "ydot": [[0, 0], [0, 0]],
@@ -300,6 +322,17 @@ class TestSpeedlimitCommand:
         lines = out1.strip().splitlines()
         assert lines[0] == "time,actualError,energyBound,uniformBound"
         assert len(lines) == 9
+
+    def test_overflowing_certified_budget_is_named(self, capfd):
+        code, out, err = run_main(["speedlimit", "--scenario", "left", "--qubits", "3",
+                                   "--tmax", "1e308", "--steps", "3"], capfd)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        data = json.loads(err)
+        assert data["code"] == "input_error"
+        assert data["message"].startswith("the certified energy budget f_t(E) is inf at "
+                                          "t=5e+307: ")
 
 
 class TestTrotterCommand:
@@ -561,8 +594,7 @@ class TestOutFile:
         assert code == code_file == 0
         assert out_file == ""
         assert written.strip()
-        # stdout ends the document with a newline where it has none
-        assert out == (written if written.endswith("\n") else written + "\n")
+        assert out == written
 
 
 class TestRepeatedCalls:
