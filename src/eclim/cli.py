@@ -1,9 +1,10 @@
 """Single executable dispatching every subcommand with uniform JSON I/O.
 
 Exit codes: 0 on success, 1 when an asserted bound is violated, 2 on input
-errors.  Errors go to stderr as one-line JSON with a stable ``code`` field.
-No subcommand reads state beyond its declared flags and files, so reruns
-with identical arguments are byte-identical.
+errors, 3 on numerical errors (``numerical_error``: a solver that did not
+converge or a non-finite result).  Errors go to stderr as one-line JSON with
+a stable ``code`` field.  No subcommand reads state beyond its declared flags
+and files, so reruns with identical arguments are byte-identical.
 """
 
 from __future__ import annotations
@@ -170,6 +171,10 @@ def _cmd_gaussian(args) -> tuple[str, int]:
     for t in times:
         e_t = state_energy(evolve_gaussian(gen, state, t))
         bound = cert.budget(e0, t)
+        for column, v in (("energy", e_t), ("bound", bound)):
+            if not np.isfinite(v):
+                raise RuntimeError(f"cannot emit a non-finite number: the {column} at "
+                                   f"time {format_float(t)} is {v}")
         lines.append(",".join(format_float(v) for v in (t, e_t, bound)))
         if e_t > bound + 1e-7 * (1.0 + abs(bound)):
             code = 1

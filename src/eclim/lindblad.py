@@ -188,23 +188,33 @@ def _budget(omega: float, e0: float, energy_in: float, t: float) -> float:
         return float(np.exp(omega * abs(t)) * (energy_in + e0) - e0)
 
 
-def _pencil(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float):
-    """W = (G + e0)^(-1/2) and the Hermitian part of W M W (the pencil's eigenvalues)."""
+def _rotated(m: HermitianMatrix, g: ReferenceHamiltonian) -> tuple:
+    """(lam, V, A): G = V diag(lam) V* with lam clipped at 0, and A = Herm(V* M V).
+
+    The pencil (M, G + e0) is taken in G's eigenbasis (Golub and Van Loan,
+    Matrix Computations, 4th ed., Sec. 8.7): this one rotation, two d x d
+    products, serves every e0 of a curve.
+    """
     if m.dim != g.dim:
         raise ValueError(f"dimension mismatch: {m.dim} vs {g.dim}")
+    ge, gv = g.eigh()
+    a = gv.conj().T @ m.entries @ gv
+    return np.clip(ge, 0.0, None), gv, (a + a.conj().T) / 2.0
+
+
+def _scaled_pencil(rotated: tuple, e0: float) -> tuple:
+    """(s, B): s = (lam + e0)^(-1/2) and B = diag(s) A diag(s), unitarily similar
+    to (G + e0)^(-1/2) M (G + e0)^(-1/2), so B has the pencil's eigenvalues."""
     if not 0 < e0 < np.inf:
         raise ValueError("e0 must be positive and finite so that G + e0 is definite")
-    ge, gv = g.eigh()
-    d = (np.clip(ge, 0.0, None) + e0) ** -0.5
-    w = gv @ (d[:, None] * gv.conj().T)
-    a = w @ m.entries @ w
-    return w, (a + a.conj().T) / 2.0
+    lam, _, a = rotated
+    s = (lam + e0) ** -0.5
+    return s, s[:, None] * a * s
 
 
-def _pencil_omega(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
-                  symmetric: bool) -> float:
+def _pencil_omega(rotated: tuple, e0: float, symmetric: bool) -> float:
     """The pencil's least omega >= 0 with M <= omega (G + e0) (and -M with ``symmetric``)."""
-    evals = np.linalg.eigvalsh(_pencil(m, g, e0)[1])
+    evals = np.linalg.eigvalsh(_scaled_pencil(rotated, e0)[1])
     omega = max(0.0, float(evals[-1]))
     return max(omega, float(-evals[0])) if symmetric else omega
 
@@ -236,8 +246,9 @@ def min_omega(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
 
 def pencil_vector(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float) -> np.ndarray:
     """Unit vector saturating the pencil: the first-order-sharp state."""
-    w, a = _pencil(m, g, e0)
-    v = w @ np.linalg.eigh(a)[1][:, -1]
+    rotated = _rotated(m, g)
+    s, b = _scaled_pencil(rotated, e0)
+    v = rotated[1] @ (s * np.linalg.eigh(b)[1][:, -1])
     return v / np.linalg.norm(v)
 
 
@@ -278,7 +289,8 @@ def stability_curve(m: HermitianMatrix, g: ReferenceHamiltonian, e0_grid,
     """The pencil's omega of a dissipation matrix M along an e0 grid; omega is
     nonincreasing in e0.  Each item passes ``min_omega``'s floors when read."""
     e0s = tuple(float(e0) for e0 in e0_grid)
-    omegas = tuple(_pencil_omega(m, g, e0, symmetric) for e0 in e0s)
+    rotated = _rotated(m, g)
+    omegas = tuple(_pencil_omega(rotated, e0, symmetric) for e0 in e0s)
     return StabilityCurve(e0s, omegas, lambda i: _floors(m, g, omegas[i], e0s[i], symmetric))
 
 

@@ -89,8 +89,10 @@ class TestSpeedLimitRows:
         cfg = SpeedLimitConfig(n_qubits=2, time_grid=tuple(np.linspace(0.0, 0.4, 6)), seed=1,
                                first_order=True)
         expect = speedlimit_run(cfg)
-        calls, pencil = [], lindblad._pencil
-        monkeypatch.setattr(lindblad, "_pencil", lambda *args: calls.append(args) or pencil(*args))
+        calls, rotated, scaled = [], lindblad._rotated, lindblad._scaled_pencil
+        monkeypatch.setattr(lindblad, "_rotated", lambda *args: calls.append(args) or rotated(*args))
+        monkeypatch.setattr(lindblad, "_scaled_pencil",
+                            lambda *args: calls.append(args) or scaled(*args))
         assert speedlimit_run(cfg) == expect
         assert calls == []
 
@@ -359,19 +361,24 @@ class TestSampledStates:
 
 
 def _spy_certification(monkeypatch) -> dict:
-    """Record every pencilled dissipation matrix, the shape of every pencil
-    eigvalsh, every floor lindblad checks and every certificate whose budget
-    apps reads."""
-    seen = {"pencils": {}, "solved": [], "floors": [], "winners": []}
+    """Record every rotated dissipation matrix, the number of rotations, the
+    shape of every pencil eigvalsh, every floor lindblad checks and every
+    certificate whose budget apps reads."""
+    seen = {"pencils": {}, "rotations": 0, "solved": [], "floors": [], "winners": []}
     outputs = {}  # pencil matrices, kept alive so that no other array takes their id
-    pencil, require_psd, best = lindblad._pencil, lindblad.require_psd, apps.best_certificate
+    rotated, scaled = lindblad._rotated, lindblad._scaled_pencil
+    require_psd, best = lindblad.require_psd, apps.best_certificate
     eigvalsh = np.linalg.eigvalsh
 
-    def spy_pencil(m, g, e0):
+    def spy_rotated(m, g):
         seen["pencils"][id(m)] = m, g
-        w, a = pencil(m, g, e0)
-        outputs[id(a)] = a
-        return w, a
+        seen["rotations"] += 1
+        return rotated(m, g)
+
+    def spy_scaled(rot, e0):
+        s, b = scaled(rot, e0)
+        outputs[id(b)] = b
+        return s, b
 
     def spy_eigvalsh(a, *args, **kwargs):
         if id(a) in outputs:
@@ -386,7 +393,8 @@ def _spy_certification(monkeypatch) -> dict:
         seen["winners"].append(best(*args))
         return seen["winners"][-1]
 
-    monkeypatch.setattr(lindblad, "_pencil", spy_pencil)
+    monkeypatch.setattr(lindblad, "_rotated", spy_rotated)
+    monkeypatch.setattr(lindblad, "_scaled_pencil", spy_scaled)
     monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
     monkeypatch.setattr(lindblad, "require_psd", spy_psd)
     monkeypatch.setattr(apps, "best_certificate", spy_best)
@@ -398,7 +406,7 @@ def _verified_omegas(seen, cert, symmetric: bool) -> list:
     there were checked against its own slack."""
     out = []
     for m, g in seen["pencils"].values():
-        omega = lindblad._pencil_omega(m, g, cert.e0, symmetric)
+        omega = lindblad._pencil_omega(lindblad._rotated(m, g), cert.e0, symmetric)
         shifted = omega * (g.entries + cert.e0 * np.eye(g.dim))
         slack = CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm())
         gaps = [shifted - m.entries] + ([shifted + m.entries] if symmetric else [])
@@ -420,6 +428,7 @@ class TestLazyVerification:
             monkeypatch.undo()
             distinct = {(c.omega, c.e0) for c in seen["winners"]}
             assert seen["solved"] == [(128, 128)] * 26
+            assert seen["rotations"] == 2  # one per curve
             assert len(seen["winners"]) == 4
             assert 2 <= len(seen["floors"]) <= 2 * len(distinct)
 
@@ -452,16 +461,16 @@ class TestLazyVerification:
         expect = speedlimit_run(cfg)
         monkeypatch.undo()
         won = {c.e0 for c in seen["winners"]}
-        pencil, curves = lindblad._pencil, []
+        scaled, curves = lindblad._scaled_pencil, []
 
-        def lowered_pencil(m, g, e0):
-            w, a = pencil(m, g, e0)
+        def lowered_pencil(rotated, e0):
+            s, b = scaled(rotated, e0)
             if (e0 in won) != lower_winners:
-                return w, a
-            return w, (1.0 - 1e-4) * a
+                return s, b
+            return s, (1.0 - 1e-4) * b
 
         curve = apps.stability_curve
-        monkeypatch.setattr(lindblad, "_pencil", lowered_pencil)
+        monkeypatch.setattr(lindblad, "_scaled_pencil", lowered_pencil)
         monkeypatch.setattr(apps, "stability_curve",
                             lambda *args, **kwargs: curves.append(curve(*args, **kwargs))
                             or curves[-1])

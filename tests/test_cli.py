@@ -246,7 +246,8 @@ class TestGaussianCommand:
         assert code == 3
         assert out == ""
         assert err == to_json({"code": "numerical_error",
-                               "message": "cannot emit a non-finite number"}) + "\n"
+                               "message": "cannot emit a non-finite number: the bound at "
+                                          "time 1000 is inf"}) + "\n"
 
     def test_rejects_drift(self, files, capsys):
         bad = files["write"]("bad.json", {"modes": 1, "xdot": [[0, 0], [0, 0]],

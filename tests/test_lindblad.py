@@ -27,6 +27,7 @@ from eclim.lindblad import (
     unitary_dissipation,
     verify_energy_bound,
 )
+from eclim.models import spin_system
 from eclim.opcore import (
     CERT_RESIDUAL_RTOL,
     DensityState,
@@ -139,8 +140,13 @@ class TestMinOmega:
             assert cert.omega == pytest.approx(expect, abs=1e-12)
 
     def test_requires_positive_e0(self):
-        with pytest.raises(ValueError):
-            min_omega(HermitianMatrix(np.zeros((2, 2))), ref(0.0, 1.0), 0.0)
+        # checked before any scaling, so no division warning comes first
+        m, g = HermitianMatrix(np.zeros((2, 2))), ref(0.0, 1.0)
+        for e0 in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="e0 must be positive and finite"):
+                min_omega(m, g, e0)
+            with pytest.raises(ValueError, match="e0 must be positive and finite"):
+                lindblad._scaled_pencil(lindblad._rotated(m, g), e0)
 
     def test_residual_nonnegative(self):
         rng = rng_from_seed(1)
@@ -175,13 +181,13 @@ class TestMinOmega:
         # slack 1e-8 * (1 + ||M||).  The symmetric certificate checks
         # omega (G + e0) - M and omega (G + e0) + M; sign picks which one binds.
         delta = factor * CERT_RESIDUAL_RTOL * 3.0 / 2.0
-        pencil = lindblad._pencil
+        scaled = lindblad._scaled_pencil
 
-        def lowered(m, g, e0):
-            w, a = pencil(m, g, e0)
-            return w, (1.0 - delta) * a
+        def lowered(rotated, e0):
+            s, b = scaled(rotated, e0)
+            return s, (1.0 - delta) * b
 
-        monkeypatch.setattr(lindblad, "_pencil", lowered)
+        monkeypatch.setattr(lindblad, "_scaled_pencil", lowered)
         m = HermitianMatrix(np.diag([0.0, 2.0 * sign]).astype(complex))
         if accepted:
             cert = min_omega(m, ref(0.0, 1.0), 1.0, symmetric=True)
@@ -189,6 +195,68 @@ class TestMinOmega:
         else:
             with pytest.raises(ValueError, match="stability certificate fails verification"):
                 min_omega(m, ref(0.0, 1.0), 1.0, symmetric=True)
+
+
+def _direct_pencil(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float) -> np.ndarray:
+    """W M W with W = (G + e0)^(-1/2) from an eigendecomposition of G + e0 itself."""
+    ev, vecs = np.linalg.eigh(g.entries + e0 * np.eye(g.dim))
+    w = vecs @ (ev[:, None] ** -0.5 * vecs.conj().T)
+    a = w @ m.entries @ w
+    return (a + a.conj().T) / 2.0
+
+
+def _pencil_cases() -> list:
+    rng = rng_from_seed(17)
+    cases = [pytest.param(random_hermitian(d, rng), random_reference(d, rng), id=f"random-{d}")
+             for d in (2, 5, 16)]
+    spin = spin_system(3)  # the Casimir reference: eigenvalues 0 and 12, four each
+    return cases + [pytest.param(random_hermitian(spin.dim, rng), spin.reference, id="casimir-8")]
+
+
+def _commuting_cases() -> list:
+    rng = rng_from_seed(18)
+    cases = []
+    for d in (2, 5, 16):
+        g = ref(0.0, *np.sort(rng.uniform(0.5, 4.0, d - 1)))
+        h = HermitianMatrix(np.diag(rng.standard_normal(d)).astype(complex))
+        cases.append(pytest.param(h, g, id=f"diagonal-{d}"))
+    spin = spin_system(3)
+    return cases + [pytest.param(spin.sx, spin.reference, id="casimir-8")]
+
+
+class TestEigenbasisPencil:
+    """The pencil taken in G's eigenbasis against the W M W matrix built directly."""
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("m, g", _pencil_cases())
+    def test_omegas_match_the_direct_pencil(self, m, g, symmetric):
+        curve = stability_curve(m, g, default_e0_grid(g), symmetric)
+        for e0, omega in zip(curve.e0s, curve.omegas):
+            evals = np.linalg.eigvalsh(_direct_pencil(m, g, e0))
+            expect = max(0.0, float(evals[-1]))
+            if symmetric:
+                expect = max(expect, float(-evals[0]))
+            assert abs(omega - expect) <= 1e-12 * (1.0 + abs(expect))
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("h, g", _commuting_cases())
+    def test_commuting_dissipation_has_zero_omega(self, h, g, symmetric):
+        grid = default_e0_grid(g)
+        m = unitary_dissipation(h, g)
+        assert stability_curve(m, g, grid, symmetric).omegas == (0.0,) * len(grid)
+        if not symmetric:  # -G <= 0 commutes with G but is not zero
+            m = HermitianMatrix(-g.entries)
+            assert stability_curve(m, g, grid).omegas == (0.0,) * len(grid)
+
+    @pytest.mark.parametrize("m, g", _pencil_cases())
+    def test_pencil_vector_saturates(self, m, g):
+        for e0 in default_e0_grid(g)[::3]:
+            top = float(np.linalg.eigvalsh(_direct_pencil(m, g, e0))[-1])
+            v = pencil_vector(m, g, e0)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+            lhs = float(np.real(v.conj() @ m.entries @ v))
+            rhs = top * float(np.real(v.conj() @ (g.entries + e0 * np.eye(g.dim)) @ v))
+            assert lhs == pytest.approx(rhs, abs=1e-10 * (1.0 + abs(rhs)))
 
 
 class TestStabilityCurve:
