@@ -33,6 +33,7 @@ from .opcore import (
     ReferenceHamiltonian,
     _set_fields,
     dual_scan,
+    floor_reader,
     psd_order_leq,
     require_psd,
     require_psd_spectrum,
@@ -229,11 +230,14 @@ def sqrt_reference_certificate(t: KrausChannel, g_in: ReferenceHamiltonian,
     cert = cert.verify(dual_apply(t, g_out.matrix), g_in)
     lam_s, e0_s = float(np.sqrt(cert.lam)), float(np.sqrt(cert.e0))
     lhs = dual_apply(t, spectral_function(g_out.matrix, "sqrt"))
-    gap = (lam_s * spectral_function(g_in.matrix, "sqrt").entries
-           + e0_s * np.eye(g_in.dim) - lhs.entries)
-    residual = require_psd(gap, CERT_RESIDUAL_RTOL * (1.0 + lhs.operator_norm()),
-                           "square-root reference certificate fails verification")
-    return AffineCertificate(lam_s, e0_s, residual=float(residual))
+    sqrt_g_in = spectral_function(g_in.matrix, "sqrt")
+
+    def gap():
+        return lam_s * sqrt_g_in.entries + e0_s * np.eye(g_in.dim) - lhs.entries
+
+    floor = require_psd(gap(), CERT_RESIDUAL_RTOL * (1.0 + lhs.operator_norm()),
+                        "square-root reference certificate fails verification")
+    return AffineCertificate(lam_s, e0_s, residual=floor_reader(floor, gap))
 
 
 def amplitude_damping(p: float) -> KrausChannel:

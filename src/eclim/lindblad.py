@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .opcore import CERT_RESIDUAL_RTOL, DensityState, HermitianMatrix, ReferenceHamiltonian, \
-    _set_fields, energy, expm, require_psd
+    _ComputedOnRead, _set_fields, energy, expm, floor_reader, require_psd
 
 DISSIPATIVITY_RTOL = 1e-9
 # Up to this dimension a dense expm of the d^2 x d^2 superoperator is cheaper
@@ -168,11 +168,14 @@ def unitary_dissipation(h: HermitianMatrix, g: ReferenceHamiltonian) -> Hermitia
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Constants (omega, e0) in the energy growth bound exp(omega t)(E+e0)-e0."""
+    """Constants (omega, e0) in the energy growth bound exp(omega t)(E+e0)-e0.
+
+    ``residual`` is computed when it is first read (see ``min_omega``).
+    """
 
     omega: float
     e0: float
-    residual: float = 0.0
+    residual: float = _ComputedOnRead()
 
     def __post_init__(self):
         if self.omega < 0 or self.e0 < 0:
@@ -220,15 +223,19 @@ def _pencil_omega(rotated: tuple, e0: float, symmetric: bool) -> float:
 
 
 def _floors(m: HermitianMatrix, g: ReferenceHamiltonian, omega: float, e0: float,
-            symmetric: bool) -> float:
-    """The residual of (omega, e0): the floor of omega (G + e0) - M (and of + M)."""
-    shifted = omega * (g.entries + e0 * np.eye(g.dim))
+            symmetric: bool):
+    """Check the floors of omega (G + e0) - M (and of + M), one ``require_psd``
+    each; returns a function giving the residual of (omega, e0), their least."""
+    def shifted():
+        return omega * (g.entries + e0 * np.eye(g.dim))
+
+    gaps = [lambda: shifted() - m.entries]
+    if symmetric:
+        gaps.append(lambda: shifted() + m.entries)
     slack = CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm())
     what = "stability certificate fails verification"
-    residual = float(require_psd(shifted - m.entries, slack, what))
-    if symmetric:
-        residual = min(residual, float(require_psd(shifted + m.entries, slack, what)))
-    return residual
+    floors = [floor_reader(require_psd(gap(), slack, what), gap) for gap in gaps]
+    return lambda: min(floor() for floor in floors)
 
 
 def min_omega(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
@@ -239,7 +246,9 @@ def min_omega(m: HermitianMatrix, g: ReferenceHamiltonian, e0: float,
     directions of a unitary group).  The certificate is re-verified: its
     ``residual``, the smallest eigenvalue of omega (G + e0) - M (and of
     omega (G + e0) + M), must be at least -1e-8 * (1 + ||M||), or
-    ValueError is raised.
+    ValueError is raised.  The check is made at once; the residual itself
+    is computed when it is first read, one ``eigvalsh`` per gap, unless the
+    check already computed it.
     """
     return stability_curve(m, g, (e0,), symmetric)[0]
 
@@ -262,8 +271,9 @@ class StabilityCurve(Sequence):
     """Candidates (omegas[i], e0s[i]) along an e0 grid, each verified when read.
 
     ``omegas`` come from pencils and only rank candidates.  Item i is the
-    StabilityCertificate at e0s[i]; ``verify(i)`` returns its residual or
-    raises, and the certificate is cached on first read.
+    StabilityCertificate at e0s[i]; ``verify(i)`` checks it or raises, and
+    returns a function giving its residual, which the certificate calls when
+    its residual is first read.  The certificate is cached on first read.
     """
 
     def __init__(self, e0s: tuple, omegas: tuple, verify):
@@ -313,7 +323,7 @@ def joint_constants(curves) -> StabilityCurve:
     """Pairwise-max joint constants across several dynamics, per e0.
 
     Candidate i verifies every member curve at its own omega there; its
-    residual is the least of theirs.
+    residual, computed when read, is the least of theirs.
     """
     curves = tuple(curves)
     groups = list(zip(*(c.e0s for c in curves)))
@@ -321,8 +331,12 @@ def joint_constants(curves) -> StabilityCurve:
         if len({round(e0, 12) for e0 in group}) != 1:
             raise ValueError("joint constants need aligned e0 grids")
     omegas = tuple(max(c.omegas[i] for c in curves) for i in range(len(groups)))
-    return StabilityCurve(tuple(group[0] for group in groups), omegas,
-                          lambda i: min(c[i].residual for c in curves))
+
+    def verify(i):
+        members = [c[i] for c in curves]
+        return lambda: min(cert.residual for cert in members)
+
+    return StabilityCurve(tuple(group[0] for group in groups), omegas, verify)
 
 
 def evolve_grid(gen: LindbladGenerator, rho: DensityState, times) -> list:

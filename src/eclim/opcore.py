@@ -21,10 +21,18 @@ so one profile answers a whole grid of budgets.  The minimizer yields an affine 
 independently of the solver, and by strong duality the value equals
 sup{tr[M rho] : tr[G rho] <= E} for PSD M (the ground state of G is a
 strictly feasible point).
+
+Every operator inequality is one ``require_psd`` gate.  Above
+``FULL_EIGH_MAX_DIM`` a gate on one matrix is first proved in floating point
+by a shifted Cholesky factorization (Rump, BIT 46, 2006), which costs a
+fraction of the ``eigvalsh`` it replaces; the gate falls back to ``eigvalsh``
+when the proof fails.  A certificate's ``residual``, the least eigenvalue of
+its gap, is computed when it is first read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +49,13 @@ WITNESS_GAP_RTOL = 1e-8
 # Above this dimension the top eigenpair comes from a one-eigenvalue LAPACK
 # subset solve, which beats a full eigh from d ~ 12 on (2.0 ms against
 # 4.6 ms at d = 128 on one x86_64 core with OpenBLAS); below it the full
-# eigh has less call overhead (0.015 ms against 0.035 ms at d = 4).
+# eigh has less call overhead (0.015 ms against 0.035 ms at d = 4).  The
+# Cholesky proof of a PSD gate crosses over at the same size: 0.022 ms
+# against 0.013 ms for eigvalsh at d = 6, 0.021 against 0.021 ms at d = 12,
+# 0.017 against 0.029 ms at d = 16, 0.3-0.4 against 1.3-1.8 ms at d = 128
+# (same machine), so it is tried above it.
 FULL_EIGH_MAX_DIM = 12
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -58,13 +71,26 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A*)/2 of a square matrix, or of each matrix in a stack (..., n, n).
 
     Rejects an A whose anti-Hermitian part exceeds
-    ``1e-10 * (1 + frobenius norm)``.
+    ``1e-10 * (1 + frobenius norm)``.  Where a norm overflows, both are
+    retaken of A / 2^k, with 2^k above every real and imaginary part of A:
+    dividing by a power of two is exact, so the test is the same for any
+    finite A.
     """
     adj = np.swapaxes(a.conj(), -1, -2)
-    skew = np.linalg.norm(a - adj, axis=(-2, -1))
-    bad = skew > HERMITICITY_RTOL * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        skew = np.linalg.norm(a - adj, axis=(-2, -1))
+        size = np.linalg.norm(a, axis=(-2, -1))
+    if not math.isfinite((skew + size).sum()):
+        top = np.maximum(np.max(np.abs(a.real), axis=(-2, -1)),
+                         np.max(np.abs(a.imag), axis=(-2, -1)))
+        scale = np.ldexp(1.0, -np.frexp(top)[1])
+        b = scale[..., None, None] * a
+        skew = np.linalg.norm(b - np.swapaxes(b.conj(), -1, -2), axis=(-2, -1))
+        size = np.linalg.norm(b, axis=(-2, -1))
+    bad = skew > HERMITICITY_RTOL * (scale + size)
     if np.any(bad):
-        raise ValueError(f"matrix is not Hermitian (defect {np.max(skew[bad]):.3e})")
+        raise ValueError(f"matrix is not Hermitian (defect {np.max((skew / scale)[bad]):.3e})")
     return (a + adj) / 2.0
 
 
@@ -228,17 +254,41 @@ class DensityState:
         return DensityState(HermitianMatrix(np.outer(v, v.conj())))
 
 
+class _ComputedOnRead:
+    """A float field of a frozen record that may be given as a function of no
+    arguments: the function is called when the field is first read, and its
+    value replaces it.  The field holds a float or a function, never an
+    array, so it is kept in the record's ``__dict__`` directly: a certificate
+    is made per dual solve, and ``_set_fields`` would double its cost."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return 0.0  # the field's default
+        value = record.__dict__[self.name]
+        if callable(value):
+            value = record.__dict__[self.name] = float(value())
+        return value
+
+    def __set__(self, record, value):
+        record.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class AffineCertificate:
     """Pair (lam, e0) witnessing M <= lam*G + e0; the shared dual currency.
 
-    ``residual`` is the most negative eigenvalue of lam*G + e0 - M at
-    verification time (>= -1e-8 * (1 + |M|) when verified).
+    ``residual`` is the most negative eigenvalue of lam*G + e0 - M
+    (>= -1e-8 * (1 + |M|) when verified).  ``verify`` checks the inequality
+    at once; the residual is computed when it is first read, by one
+    ``eigvalsh`` of the gap, unless the check already computed it.
     """
 
     lam: float
     e0: float
-    residual: float = 0.0
+    residual: float = _ComputedOnRead()
 
     def __post_init__(self):
         if self.lam < 0 or self.e0 < 0:
@@ -248,19 +298,102 @@ class AffineCertificate:
         return self.lam * energy + self.e0
 
     def verify(self, m: HermitianMatrix, g: ReferenceHamiltonian) -> "AffineCertificate":
-        """Recompute the residual against M <= lam*G + e0 and check it."""
-        res = require_psd(self.lam * g.entries + self.e0 * np.eye(g.dim) - m.entries,
-                          CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm()),
-                          "certificate fails verification")
-        return AffineCertificate(self.lam, self.e0, residual=float(res))
+        """Check M <= lam*G + e0 (ValueError if not); the residual is computed when read."""
+        def gap():
+            return self.lam * g.entries + self.e0 * np.eye(g.dim) - m.entries
+
+        floor = require_psd(gap(), CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm()),
+                            "certificate fails verification")
+        return AffineCertificate(self.lam, self.e0, residual=floor_reader(floor, gap))
 
 
 def require_psd(gap, slack, what: str):
-    """The smallest eigenvalue of each gap B - A in ``gap`` (one matrix or a
-    stack); ValueError naming ``what`` where one is below -``slack``.  The gap
-    is not symmetrized: ``eigvalsh`` reads one triangle, and gaps built from
-    ``HermitianMatrix`` entries are exactly Hermitian."""
+    """Check that no gap B - A in ``gap`` (one matrix or a stack) has an
+    eigenvalue below -``slack``; ValueError naming ``what`` where one has.
+
+    Returns the smallest eigenvalue of each gap, or None where a single
+    matrix above ``FULL_EIGH_MAX_DIM`` was proved by ``_proves_psd``, which
+    computes no eigenvalue.  Where the proof fails, and for a stack or a
+    small matrix, the gate decides from ``eigvalsh``, whose smallest
+    eigenvalue is an estimate with its own rounding; a non-finite gap is
+    never proved, so it meets ``eigvalsh`` (and its LinAlgError) as before.
+    So the proof never makes a gate looser.  The gap is not symmetrized:
+    ``eigvalsh`` and ``cholesky`` read the same triangle, and gaps built
+    from ``HermitianMatrix`` entries are exactly Hermitian.
+    """
+    if gap.ndim == 2 and gap.shape[0] > FULL_EIGH_MAX_DIM and _proves_psd(gap, slack):
+        return None
     return require_psd_spectrum(np.linalg.eigvalsh(gap), slack, what)
+
+
+def _proves_psd(gap: np.ndarray, slack: float) -> bool:
+    """True only if gap + slack*1 is positive definite, proved in floating point.
+
+    The proof (Rump, "Verification of positive definiteness", BIT Numer.
+    Math. 46, 2006) is a Cholesky factorization of X = fl(gap + fl(slack - c)*1)
+    that runs to completion, with c an a-priori bound on its rounding.  Let
+    u = 2^-53, gamma_k = k u / (1 - k u), n the dimension and
+    t = sum_j |Re gap_jj| + n*slack, and take gamma = gamma_(n+3).
+
+    1. A Cholesky factorization of X that completes gives R with
+       R*R = X + dX, |dX| <= gamma |R*| |R| (Demmel 1989; Higham, Accuracy
+       and Stability of Numerical Algorithms, 2nd ed., Thm 10.3, whose
+       gamma_(n+1) becomes gamma_(n+3) because a complex product is accurate
+       to sqrt(2) gamma_2 <= gamma_3, Lemma 3.5; any blocking or summation
+       order is covered).
+    2. The diagonal gives |r_j|^2 <= x_jj / (1 - gamma), so
+       |dX_ij| <= gamma/(1-gamma) sqrt(x_ii x_jj) and
+       ||dX||_2 <= gamma/(1-gamma) tr X.  R has a positive diagonal, so
+       R*R is definite and lambda_min(X) > -gamma/(1-gamma) tr X (Rump).
+    3. The shift: X = gap + s*1 + E with s = fl(slack - c) <= slack - c +
+       u |slack - c| and E diagonal, |E_jj| <= u x_jj (one rounded sum).
+       Every x_jj > 0, so x_jj <= (1 + u)(|gap_jj| + slack) and
+       tr X <= (1 + u) t.  Hence
+       lambda_min(gap) + slack > c - u |slack - c| - (gamma/(1-gamma) + u)(1 + u) t.
+    4. c = 3 gamma t leaves the right side above gamma t (gamma >= 4u), and
+       that spare covers the rounding of t and of c itself, and underflow in
+       the factorization, whose absolute errors are of order
+       n^2 2^-1074 (1 + t), while t >= 2^-900.
+
+    ``numpy.linalg.cholesky`` completes on a NaN pivot, so a factorization
+    counts only when the gap and the factor's diagonal are finite: a NaN or
+    inf anywhere in the gap, or a NaN born of an overflow, makes it fail.
+
+    The shift is applied to the gap's diagonal in place and undone bit for
+    bit afterwards (a read-only gap is copied first).  A shifted copy would
+    be a fourth d x d array alive beside the gap and numpy's buffer and
+    factor; at d = 128 it made the heap trim and refault every call, 96 page
+    faults and 0.16 ms per proof on one x86_64 core.
+    """
+    n = gap.shape[0]
+    gamma = (n + 3) * _UNIT_ROUNDOFF / (1.0 - (n + 3) * _UNIT_ROUNDOFF)
+    t = float(np.abs(gap.diagonal().real).sum()) + n * slack
+    if not 2.0 ** -900 <= t < np.inf:
+        return False
+    if not gap.flags.writeable:
+        gap = gap.copy()
+    diagonal = gap.diagonal().copy()
+    gap.flat[::n + 1] += slack - 3.0 * gamma * t
+    try:
+        factor = np.linalg.cholesky(gap)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        gap.flat[::n + 1] = diagonal
+    return bool(np.isfinite(gap.sum() + factor.diagonal().sum()))
+
+
+def floor_reader(floor, gap_of):
+    """A function of no arguments giving a checked gap's smallest eigenvalue.
+
+    ``floor`` is what ``require_psd`` returned for the matrix ``gap_of()``:
+    the floor itself, or None where a proof decided without one; then the
+    function runs one ``eigvalsh`` of the rebuilt ``gap_of()``.  ``gap_of``
+    must build the same matrix each time, so the floor is the checked gap's.
+    """
+    if floor is None:
+        return lambda: np.linalg.eigvalsh(gap_of())[0]
+    return lambda: floor
 
 
 def require_psd_spectrum(evals, slack, what: str):

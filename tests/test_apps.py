@@ -1,9 +1,12 @@
 """Experiment-level tests: speed limits, Trotter, group bounds."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from eclim import apps, lindblad
+from eclim import apps, lindblad, opcore
 from eclim.apps import (
     OPEN_TOL,
     SpeedLimitConfig,
@@ -414,6 +417,67 @@ def _verified_omegas(seen, cert, symmetric: bool) -> list:
                for gap in gaps):
             out.append(omega)
     return out
+
+
+def _spy_eigvalsh_callers(monkeypatch) -> list:
+    """Record, for every numpy eigvalsh call, the (file, function) of each frame above it."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            callers.add((Path(frame.f_code.co_filename).name, frame.f_code.co_name))
+            frame = frame.f_back
+        calls.append(callers)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+class TestLazyResiduals:
+    """Every gate of a run is decided at once; a residual costs one eigvalsh
+    per gap, made only when something reads it."""
+
+    def test_speedlimit_run_computes_no_residual_it_does_not_read(self, monkeypatch):
+        certs, solve, best = [], opcore.EnergyProfile.solve, apps.best_certificate
+
+        def spy_solve(profile, energy_budget):
+            value, cert = solve(profile, energy_budget)
+            certs.append((cert, profile.m, profile.g))
+            return value, cert
+
+        def spy_best(*args):
+            certs.append((best(*args), None, None))
+            return certs[-1][0]
+
+        monkeypatch.setattr(opcore.EnergyProfile, "solve", spy_solve)
+        monkeypatch.setattr(apps, "best_certificate", spy_best)
+        calls = _spy_eigvalsh_callers(monkeypatch)
+        speedlimit_run(SpeedLimitConfig(n_qubits=5, seed=1,
+                                        time_grid=tuple(np.linspace(0.0, 0.6, 5))))
+        assert spin_system(5).dim == 32 > opcore.FULL_EIGH_MAX_DIM
+        affine = [c for c in certs if c[1] is not None]
+        stability = [c for c, m, _ in certs if m is None]
+        assert len(affine) == len(stability) == 4
+        # Under the checks, eigvalsh runs only for the slack's scale ||M||,
+        # cached per matrix: the gram of H1 - H2 and the two dissipation matrices.
+        checks = {("opcore.py", "verify"), ("lindblad.py", "_floors")}
+        under_checks = [callers for callers in calls if callers & checks]
+        assert all(("opcore.py", "operator_norm") in callers for callers in under_checks)
+        assert len(under_checks) <= 3
+        assert not [callers for callers in calls if ("opcore.py", "require_psd") in callers]
+
+        del calls[:]
+        cert, m, g = affine[0]
+        residual = cert.residual
+        assert len(calls) == 1 and cert.residual == residual and len(calls) == 1
+        monkeypatch.undo()
+        gap = cert.lam * g.entries + cert.e0 * np.eye(g.dim) - m.entries
+        assert residual == float(np.linalg.eigvalsh(gap)[0])
+        calls = _spy_eigvalsh_callers(monkeypatch)
+        residual = stability[0].residual  # symmetric: one eigvalsh per sign
+        assert len(calls) == 2 and stability[0].residual == residual and len(calls) == 2
 
 
 class TestLazyVerification:

@@ -297,6 +297,16 @@ class TestBirthAndRabi:
         assert data["omega_certified"] <= 0.3 * 1.001
 
 
+    def test_rabi_with_an_overflowing_coupling_warns_nothing(self, capfd):
+        # The Hermiticity check's norms of these matrices overflow; pytest
+        # turns the overflow warning they used to raise into an error.
+        code, out, err = run_main(["rabi", "--omega", "1", "--g", "1e200", "--nu", "0.5",
+                                   "--cutoff", "10"], capfd)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["within_analytic"] is True
+        assert data["omega_certified"] <= 1e200
+
     def test_rabi_residual_is_the_gap_floor(self, capsys):
         from eclim.lindblad import unitary_dissipation
         from eclim.models import rabi_hamiltonian

@@ -25,8 +25,9 @@ def scipy_modules_after(code: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-def scipy_mentions(tree: ast.Module):
-    """(enclosing def's qualified name or None, node) of each import or name of scipy."""
+def named_in(tree: ast.Module, name: str):
+    """(enclosing def's qualified name or None, node) of each import, name or
+    attribute whose first dotted part, or attribute name, is ``name``."""
     found = []
 
     def visit(node, scope):
@@ -36,10 +37,12 @@ def scipy_mentions(tree: ast.Module):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
+            names = [node.module or ""] + [a.name for a in node.names]
         elif isinstance(node, ast.Name):
             names = [node.id]
-        if any(n.split(".")[0] == "scipy" for n in names):
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        if any(n.split(".")[0] == name for n in names):
             found.append((scope, node))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -70,7 +73,7 @@ def test_scipy_is_named_only_where_a_kernel_needs_it():
     sites = set()
     for path in sorted((SRC / "eclim").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for scope, node in scipy_mentions(tree):
+        for scope, node in named_in(tree, "scipy"):
             assert scope is not None, f"{path.name}:{node.lineno} names scipy at module level"
             sites.add((path.stem, scope))
             if (path.stem, scope) == ("opcore", "_top_cuts"):
@@ -81,3 +84,13 @@ def test_scipy_is_named_only_where_a_kernel_needs_it():
                               and ast.unparse(n.test) == "d <= FULL_EIGH_MAX_DIM")
                 assert branch.orelse[0].lineno <= node.lineno <= branch.orelse[-1].end_lineno
     assert sites == SCIPY_SITES
+
+
+def test_cholesky_is_called_only_by_the_psd_proof():
+    # One owner for the proof of a PSD gate: opcore._proves_psd.
+    sites = set()
+    for path in sorted((SRC / "eclim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, node in named_in(tree, "cholesky"):
+            sites.add((path.stem, scope))
+    assert sites == {("opcore", "_proves_psd")}

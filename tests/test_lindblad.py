@@ -30,6 +30,7 @@ from eclim.lindblad import (
 from eclim.models import spin_system
 from eclim.opcore import (
     CERT_RESIDUAL_RTOL,
+    FULL_EIGH_MAX_DIM,
     DensityState,
     HermitianMatrix,
     ReferenceHamiltonian,
@@ -171,6 +172,21 @@ class TestMinOmega:
                     if symmetric:
                         expect = min(expect, float(np.linalg.eigvalsh(shifted + m.entries)[0]))
                     assert cert.residual == expect
+
+    def test_residual_read_after_a_proved_check_is_the_gap_floor(self):
+        # Above FULL_EIGH_MAX_DIM the floors are proved by Cholesky, and the
+        # residual is computed from the rebuilt gaps when first read.
+        rng = rng_from_seed(9)
+        d = FULL_EIGH_MAX_DIM + 3
+        for symmetric in (False, True):
+            m, g = random_hermitian(d, rng), random_reference(d, rng)
+            cert = min_omega(m, g, 0.7, symmetric=symmetric)
+            shifted = cert.omega * (g.entries + 0.7 * np.eye(d))
+            expect = float(np.linalg.eigvalsh(shifted - m.entries)[0])
+            if symmetric:
+                expect = min(expect, float(np.linalg.eigvalsh(shifted + m.entries)[0]))
+            assert cert.residual == expect
+            assert cert == StabilityCertificate(cert.omega, 0.7, residual=expect)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["minus_m", "plus_m"])
     @pytest.mark.parametrize("factor, accepted", [(0.9, True), (1.1, False)],

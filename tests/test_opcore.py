@@ -1,5 +1,8 @@
 """Core operator order, dual scan, and spectral calculus tests."""
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,22 @@ class TestHermitianMatrix:
             HermitianMatrix(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             HermitianMatrix(np.array([[np.nan, 0], [0, 0]]))
+
+    def test_overflowing_norms_still_reject_a_non_hermitian_matrix(self):
+        # The Frobenius norms of these overflow; pytest turns an overflow
+        # warning into an error, so none may be raised either.
+        with pytest.raises(ValueError, match=r"not Hermitian \(defect 1\.414e\+200\)"):
+            HermitianMatrix([[0.0, 1e200], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianMatrix([[0.0, 1e300], [1e300 * (1.0 + 1e-9), 0.0]])
+        stack = np.array([np.eye(2), [[0.0, 1e200], [0.0, 0.0]]], dtype=complex)
+        with pytest.raises(ValueError, match=r"not Hermitian \(defect 1\.414e\+200\)"):
+            dual_scan_witness(stack, ref(0.0, 1.0), 0.5)
+
+    def test_overflowing_norms_accept_a_hermitian_matrix(self):
+        m = HermitianMatrix([[1e300, 1e300], [1e300 * (1.0 + 1e-11), 0.0]])
+        assert m.entries[0, 1] == m.entries[1, 0] == (1e300 + 1e300 * (1.0 + 1e-11)) / 2.0
+        assert HermitianMatrix([[0.0, 1e200], [1e200, 0.0]]).entries[0, 1] == 1e200
 
     def test_entries_read_only(self):
         m = diag(1.0, 2.0)
@@ -534,6 +553,19 @@ class TestAffineCertificate:
         verified = cert.verify(g.matrix, g)
         assert verified.residual >= -1e-12
 
+    def test_residual_is_computed_when_read(self):
+        rng = rng_from_seed(10)
+        d = FULL_EIGH_MAX_DIM + 4
+        g = random_reference(d, rng)
+        m = random_psd(d, rng)
+        _, cert = dual_scan(m, g, 0.3 * g.max_energy())
+        assert callable(cert.__dict__["residual"])  # proved, not yet computed
+        gap = cert.lam * g.entries + cert.e0 * np.eye(d) - m.entries
+        assert cert.residual == float(np.linalg.eigvalsh(gap)[0])
+        assert cert.__dict__["residual"] == cert.residual  # kept after the first read
+        assert cert == AffineCertificate(cert.lam, cert.e0, residual=cert.residual)
+        assert AffineCertificate(1.0, 0.0).residual == 0.0
+
     def test_verify_rejects_invalid(self):
         g = ref(0.0, 1.0)
         with pytest.raises(ValueError):
@@ -601,6 +633,134 @@ class TestOneCheck:
         else:
             with pytest.raises(ValueError, match="certificate fails verification"):
                 dual_scan_witness(ms, ref(0.0, 1.0), 0.5)
+
+
+def _rounding_bound(gap: np.ndarray, slack: float) -> float:
+    """The shift c of ``opcore._proves_psd``: 3 gamma_(n+3) (sum |gap_jj| + n slack)."""
+    n = gap.shape[0]
+    u = 2.0 ** -53
+    gamma = (n + 3) * u / (1.0 - (n + 3) * u)
+    return 3.0 * gamma * (float(np.sum(np.abs(gap.diagonal().real))) + n * slack)
+
+
+def _gap_with_floor(d: int, floor: float, rng) -> np.ndarray:
+    """A dense Hermitian gap with least eigenvalue ``floor`` (up to its rounding)
+    and the others in [0.5, 2]."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    evals = np.concatenate([[floor], rng.uniform(0.5, 2.0, d - 1)])
+    gap = (q * evals) @ q.conj().T
+    return (gap + gap.conj().T) / 2.0
+
+
+def _gap_with_exact_floor(d: int, a0: float, rng):
+    """A Hermitian gap whose spectrum is known exactly, and its least eigenvalue
+    as a Fraction: a symmetric permutation of 2x2 blocks [[a, b], [b*, a]] with
+    b = (3 + 4i)/8, whose eigenvalues are a -+ 5/8 exactly.  Block 0 has a = a0."""
+    b = (3.0 + 4.0j) / 8.0
+    diagonal = np.concatenate([[a0], rng.uniform(1.0, 2.0, d // 2 - 1)])
+    blocks = np.zeros((d, d), dtype=complex)
+    for k, a in enumerate(diagonal):
+        blocks[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, b], [np.conj(b), a]]
+    perm = rng.permutation(d)
+    return blocks[np.ix_(perm, perm)], min(Fraction(float(a)) for a in diagonal) - Fraction(5, 8)
+
+
+def _decision(gap, slack) -> bool:
+    try:
+        require_psd(gap, slack, "gap")
+    except ValueError:
+        return False
+    return True
+
+
+class TestPsdProof:
+    """Above FULL_EIGH_MAX_DIM a single gate first tries a Cholesky proof of
+    gap + slack*1 > 0; it falls back to eigvalsh, so it is never looser."""
+
+    @pytest.mark.parametrize("d", [16, 128])
+    def test_decision_equals_eigvalsh_beyond_the_rounding_bound(self, d):
+        rng = rng_from_seed(d)
+        slack = 1e-6
+        # The built gap's true floor is -slack + delta within ~n u ||gap||.
+        built = 1e-12
+        for delta in (-1e-3, -1e-6, -1e-9, -1e-10, -3e-11, -1e-11, -3e-12, -1e-12,
+                      0.0, 1e-12, 3e-12, 1e-11, 3e-11, 1e-10, 1e-9, 1e-6, 1e-3):
+            gap = _gap_with_floor(d, -slack + delta, rng)
+            c = _rounding_bound(gap, slack)
+            proved = opcore._proves_psd(gap, slack)
+            if delta <= -built:
+                assert not proved, delta
+            if delta >= 2.0 * c + built:
+                assert proved, delta
+            if abs(delta) > c + built:
+                assert _decision(gap, slack) == (np.linalg.eigvalsh(gap)[0] >= -slack), delta
+
+    @pytest.mark.parametrize("d", [16, 128])
+    def test_factors_the_gap_shifted_by_slack_minus_the_rounding_bound(self, monkeypatch, d):
+        factored, cholesky = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: factored.append(a.copy()) or cholesky(a))
+        gap = _gap_with_floor(d, 0.5, rng_from_seed(d + 2))
+        slack = 1e-6
+        assert opcore._proves_psd(gap, slack)
+        shifted = gap + (slack - _rounding_bound(gap, slack)) * np.eye(d)
+        assert len(factored) == 1 and np.array_equal(factored[0], shifted)
+
+    @pytest.mark.parametrize("d", [16, 128])
+    def test_never_proves_an_exact_floor_below_minus_slack(self, d):
+        rng = rng_from_seed(d + 1)
+        slack = 2.0 ** -20
+        probe, _ = _gap_with_exact_floor(d, 1.0, rng)
+        c = _rounding_bound(probe, slack)
+        for delta in (-4 * c, -2 * c, -c, -c / 2, -2.0 ** -60, 0.0, 2.0 ** -60, c / 2, c,
+                      2 * c, 4 * c, 8 * c):
+            gap, floor = _gap_with_exact_floor(d, 0.625 - slack + delta, rng)
+            proved = opcore._proves_psd(gap, slack)
+            if proved:
+                assert floor > -Fraction(slack), delta
+            if delta >= 4 * c:
+                assert proved, delta
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (5, 2), (2, 5)], ids=["diag", "lower", "upper"])
+    def test_a_non_finite_gap_is_never_proved(self, bad, where):
+        gap = np.eye(16, dtype=complex)
+        gap[where] = bad
+        assert not opcore._proves_psd(gap, 1e-8)
+        # the gate decides as eigvalsh does, LinAlgError included
+        try:
+            expect = require_psd_spectrum(np.linalg.eigvalsh(gap), 1e-8, "gap")
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                require_psd(gap, 1e-8, "gap")
+        else:
+            assert np.array_equal(require_psd(gap, 1e-8, "gap"), expect, equal_nan=True)
+
+    def test_single_gates_above_the_cut_try_the_proof_first(self, monkeypatch):
+        calls = []
+        cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(("cholesky", a.shape)) or cholesky(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(("eigvalsh", a.shape)) or eigvalsh(a))
+        d = FULL_EIGH_MAX_DIM
+        assert require_psd(np.eye(d + 1), 0.0, "gap") is None
+        assert require_psd(np.eye(d), 0.0, "gap") == 1.0
+        assert require_psd(np.array([np.eye(d + 1)] * 2), 0.0, "gap").tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError, match=r"^gap \(min eigenvalue -1\.000e\+00\)$"):
+            require_psd(-np.eye(d + 1), 0.5, "gap")
+        assert calls == [("cholesky", (d + 1, d + 1)), ("eigvalsh", (d, d)),
+                         ("eigvalsh", (2, d + 1, d + 1)), ("cholesky", (d + 1, d + 1)),
+                         ("eigvalsh", (d + 1, d + 1))]
+
+    def test_the_gap_is_left_bitwise_unchanged(self):
+        rng = rng_from_seed(5)
+        for floor, writeable in ((1.0, True), (-1.0, True), (1.0, False)):
+            gap = _gap_with_floor(32, floor, rng)
+            before = gap.copy()
+            gap.flags.writeable = writeable
+            assert opcore._proves_psd(gap, 1e-8) == (floor > 0)  # completes, then fails
+            assert gap.tobytes() == before.tobytes()
 
 
 class TestNonFiniteInput:
