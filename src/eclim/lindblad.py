@@ -8,10 +8,13 @@ M <= omega*(G + e0) is read off a Hermitian-definite pencil.  Together
 
     energy(t) <= exp(omega*t) * (E + e0) - e0.
 
-A stability curve holds the pencil's omega at every e0 of a grid.  Those
-values only rank the candidates: every certificate a result reads is
-re-verified, by the floors of ``min_omega``, when it is first read; a
-candidate that loses the ranking is not a certificate.
+A stability curve is a grid of e0 candidates whose pencils are solved only
+when read.  Their omegas only rank the candidates: every certificate a
+result reads is re-verified, by the floors of ``min_omega``, when it is first
+read; a candidate that loses the ranking is not a certificate.  Because the
+exact omega falls with e0 no faster than 1/e0, the omegas already solved bound
+every other candidate's budget from below, so ``best_certificate`` solves only
+the pencils that can still win.
 
 Simulation vectorizes rho row-major, vec(A rho B) = (A (x) B^T) vec(rho),
 so the superoperator is K (x) 1 + 1 (x) conj(K) + sum L (x) conj(L).
@@ -26,13 +29,14 @@ superoperator, so no norm estimator runs and no random number is drawn.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opcore import CERT_RESIDUAL_RTOL, DensityState, HermitianMatrix, ReferenceHamiltonian, \
-    _ComputedOnRead, _set_fields, energy, expm, floor_reader, require_psd
+from .opcore import _UNIT_ROUNDOFF, CERT_RESIDUAL_RTOL, DensityState, HermitianMatrix, \
+    ReferenceHamiltonian, _ComputedOnRead, _set_fields, energy, expm, floor_reader, require_psd
 
 DISSIPATIVITY_RTOL = 1e-9
 # Up to this dimension a dense expm of the d^2 x d^2 superoperator is cheaper
@@ -60,6 +64,10 @@ TAYLOR_THETA = {
 }
 TAYLOR_TOL = 2.0 ** -53  # unit roundoff, the truncation tolerance of the Taylor action
 E0_GRID_POINTS = 13
+# Below this, absolute rounding (underflow) could outgrow the search's margins:
+# ``StabilityCurve.omega_floors`` then bounds nothing and ``_budget_floor``
+# subtracts it outright.
+_SEARCH_TINY = 2.0 ** -960
 
 
 class BoundViolation(RuntimeError):
@@ -105,34 +113,40 @@ class LindbladGenerator:
 
     def superoperator(self) -> np.ndarray:
         if "superop" not in self._cache:
-            eye = np.eye(self.dim)
-            s = np.kron(self.k, eye) + np.kron(eye, self.k.conj())
-            for l in self.lindblad:
-                s = s + np.kron(l, l.conj())
-            self._cache["superop"] = s
+            self._cache["superop"] = _kron_sum(np.kron, np.eye(self.dim), self.k, self.lindblad)
         return self._cache["superop"]
 
     def shifted_superoperator(self) -> tuple:
         """(A, mu, ||A||_1) with A = S - mu and mu = tr S / d^2, the Taylor action's operator.
 
-        S is assembled sparse, without the dense d^2 x d^2 intermediate, and A
-        is kept as CSR unless more than DENSE_ACTION_MIN_FILL of S is nonzero.
+        A is kept as CSR unless more than DENSE_ACTION_MIN_FILL of S is
+        nonzero.  S has at most 2 d nnz(K) + sum nnz(L)^2 nonzeros.  When that
+        count could pass the fill, S is assembled with dense ``np.kron`` (at
+        d = 16 the sparse assembly of a dense S took twice as long);
+        otherwise it is assembled sparse, without the dense d^2 x d^2
+        intermediate.  Both give S, mu and ||A||_1 the same bits.
         """
         if "superop_sparse" not in self._cache:
-            import scipy.sparse
             n = self.dim * self.dim
-            eye = scipy.sparse.identity(self.dim, dtype=complex, format="csr")
-            k = scipy.sparse.csr_matrix(self.k)
-            s = scipy.sparse.kron(k, eye) + scipy.sparse.kron(eye, k.conj())
-            for l in self.lindblad:
-                ls = scipy.sparse.csr_matrix(l)
-                s = s + scipy.sparse.kron(ls, ls.conj())
+            fill = DENSE_ACTION_MIN_FILL * n * n
+            dense = 2 * self.dim * np.count_nonzero(self.k) + sum(
+                np.count_nonzero(l) ** 2 for l in self.lindblad) > fill
+            if dense:
+                s = _kron_sum(np.kron, np.eye(self.dim), self.k, self.lindblad)
+            else:
+                import scipy.sparse
+                s = _kron_sum(scipy.sparse.kron,
+                              scipy.sparse.identity(self.dim, dtype=complex, format="csr"),
+                              scipy.sparse.csr_matrix(self.k),
+                              [scipy.sparse.csr_matrix(l) for l in self.lindblad])
             mu = s.trace() / n
-            if s.nnz > DENSE_ACTION_MIN_FILL * n * n:
-                a = s.toarray()
+            if dense and np.count_nonzero(s) > fill:
+                a = s
                 a.flat[::n + 1] -= mu
             else:
-                a = scipy.sparse.csr_matrix(s - mu * scipy.sparse.identity(n, format="csr"))
+                import scipy.sparse
+                a = scipy.sparse.csr_matrix(
+                    scipy.sparse.csr_matrix(s) - mu * scipy.sparse.identity(n, format="csr"))
             self._cache["superop_sparse"] = (a, mu, float(abs(a).sum(axis=0).max()))
         return self._cache["superop_sparse"]
 
@@ -148,6 +162,14 @@ class LindbladGenerator:
             last = {t: last[t] if t in last else expm(t * s) for t in times}
             self._cache["grid"] = last
         return last
+
+
+def _kron_sum(kron, eye, k, lindblad):
+    """K (x) 1 + 1 (x) conj(K) + sum L (x) conj(L), with ``kron`` dense or sparse."""
+    s = kron(k, eye) + kron(eye, k.conj())
+    for l in lindblad:
+        s = s + kron(l, l.conj())
+    return s
 
 
 def dissipation_matrix(gen: LindbladGenerator, g: ReferenceHamiltonian) -> HermitianMatrix:
@@ -205,21 +227,63 @@ def _rotated(m: HermitianMatrix, g: ReferenceHamiltonian) -> tuple:
     return np.clip(ge, 0.0, None), gv, (a + a.conj().T) / 2.0
 
 
+def _require_e0(e0: float):
+    if not 0 < e0 < np.inf:
+        raise ValueError("e0 must be positive and finite so that G + e0 is definite")
+
+
 def _scaled_pencil(rotated: tuple, e0: float) -> tuple:
     """(s, B): s = (lam + e0)^(-1/2) and B = diag(s) A diag(s), unitarily similar
     to (G + e0)^(-1/2) M (G + e0)^(-1/2), so B has the pencil's eigenvalues."""
-    if not 0 < e0 < np.inf:
-        raise ValueError("e0 must be positive and finite so that G + e0 is definite")
+    _require_e0(e0)
     lam, _, a = rotated
     s = (lam + e0) ** -0.5
     return s, s[:, None] * a * s
 
 
 def _pencil_omega(rotated: tuple, e0: float, symmetric: bool) -> float:
-    """The pencil's least omega >= 0 with M <= omega (G + e0) (and -M with ``symmetric``)."""
-    evals = np.linalg.eigvalsh(_scaled_pencil(rotated, e0)[1])
+    """The pencil's least omega >= 0 with M <= omega (G + e0) (and -M with ``symmetric``).
+
+    An exactly zero A gives 0.0 with no eigensolve, once e0 is checked:
+    ``eigvalsh`` returns exact zeros for the zero matrix, so the bits agree.
+    """
+    b = _scaled_pencil(rotated, e0)[1]
+    if not rotated[2].any():
+        return 0.0
+    evals = np.linalg.eigvalsh(b)
     omega = max(0.0, float(evals[-1]))
     return max(omega, float(-evals[0])) if symmetric else omega
+
+
+def _pencil_error(rotated: tuple) -> float:
+    """kappa with |computed omega - exact omega| <= kappa / e0 at every e0 > 0.
+
+    "Exact" is the pencil of the rotation's own (lam, A), lam >= 0, whose
+    omega has the two properties ``StabilityCurve.omega_floors`` relies on.
+    Let u = 2^-53 and n = dim A.  B = diag(s) A diag(s) with
+    s = (lam + e0)^(-1/2) <= e0^(-1/2), so ||B||_F <= ||A||_F / e0.
+    ``_scaled_pencil`` rounds s (a sum and a power, 3u) and two products,
+    a perturbation of at most 9u ||B||_F.  ``eigvalsh`` (LAPACK's Householder
+    tridiagonalization and tridiagonal solver) is backward stable: its
+    eigenvalues are exact for a matrix within p(n) u ||B||_2 of its input.
+    p(n) = 4n^2 takes the worst-case form of the bound for a product of n
+    Householder reflections (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Lemma 19.3, its constant set to 4); observed errors
+    are O(u ||B||_2).  By Weyl's theorem (Golub and Van Loan, Matrix
+    Computations, 4th ed., Sec. 8.1.2) each eigenvalue, and so omega, moves
+    by at most (4n^2 + 10) u ||A||_F / e0.  The 22u spare covers the rounding
+    of ||A||_F and of the floors' own arithmetic, whose terms are at most
+    ||A||_F (1 + O(u)) / e0.
+
+    The bound on LAPACK is an assumption, not a proof.  It decides only
+    which pencils get solved: were it wrong, the search could pick a
+    different winner than the exhaustive ranking, and that winner would
+    still pass ``min_omega``'s floors before any result reads it.
+    """
+    a = rotated[2]
+    top = float(np.abs(a).max())
+    size = top * float(np.linalg.norm(a / top)) if top > 0 else 0.0
+    return (4.0 * a.shape[0] ** 2 + 32.0) * _UNIT_ROUNDOFF * size
 
 
 def _floors(m: HermitianMatrix, g: ReferenceHamiltonian, omega: float, e0: float,
@@ -268,18 +332,26 @@ def default_e0_grid(g: ReferenceHamiltonian) -> np.ndarray:
 
 
 class StabilityCurve(Sequence):
-    """Candidates (omegas[i], e0s[i]) along an e0 grid, each verified when read.
+    """Candidates (omega(i), e0s[i]) along an e0 grid, each verified when read.
 
-    ``omegas`` come from pencils and only rank candidates.  Item i is the
-    StabilityCertificate at e0s[i]; ``verify(i)`` checks it or raises, and
-    returns a function giving its residual, which the certificate calls when
-    its residual is first read.  The certificate is cached on first read.
+    ``pencil(i)`` gives (omega, kappa): candidate i's omega, computed when
+    ``omega(i)`` is first read and then cached, and a bound kappa / e0 on the
+    rounding of every omega of the curve (see ``_pencil_error``).  ``omegas``
+    reads them all.  The omegas only rank candidates.  Item i is the
+    StabilityCertificate at e0s[i]; ``verify(i, omega)`` checks it or
+    raises, and returns a function giving its residual, which the
+    certificate calls when its residual is first read.  The certificate is
+    cached on first read.  Neither function refers to the curve, so a curve
+    is freed as soon as its last reference goes, with no reference cycle.
     """
 
-    def __init__(self, e0s: tuple, omegas: tuple, verify):
+    def __init__(self, e0s: tuple, pencil, verify):
         self.e0s = e0s
-        self.omegas = omegas
+        self._pencil = pencil
         self._verify = verify
+        self._omegas = [None] * len(e0s)
+        self._kappa = 0.0
+        self._order = sorted(range(len(e0s)), key=e0s.__getitem__)  # grid in e0 order
         self._certs = {}
 
     def __len__(self) -> int:
@@ -289,40 +361,178 @@ class StabilityCurve(Sequence):
         i = range(len(self.e0s))[i]
         cert = self._certs.get(i)
         if cert is None:
-            cert = self._certs[i] = StabilityCertificate(self.omegas[i], self.e0s[i],
-                                                         residual=self._verify(i))
+            omega = self.omega(i)
+            cert = self._certs[i] = StabilityCertificate(omega, self.e0s[i],
+                                                         residual=self._verify(i, omega))
         return cert
+
+    def omega(self, i: int) -> float:
+        """Candidate i's pencil omega, solved on first read."""
+        omega = self._omegas[i]
+        if omega is None:
+            omega, kappa = self._pencil(i)
+            self._omegas[i] = omega
+            self._kappa = max(self._kappa, kappa)
+        return omega
+
+    @property
+    def omegas(self) -> tuple:
+        return tuple(self.omega(i) for i in range(len(self.e0s)))
+
+    def solved(self, i: int) -> bool:
+        return self._omegas[i] is not None
+
+    def middle(self) -> int:
+        """The candidate at the median e0, whose omega bounds both halves of the grid."""
+        return self._order[len(self._order) // 2]
+
+    def omega_floors(self) -> list:
+        """Lower bounds on every candidate's computed omega: the omega itself
+        where solved, and elsewhere a bound from the solved ones.
+
+        The exact omega w(e0) is the least w >= 0 with A <= w (lam + e0) in
+        G's eigenbasis, lam >= 0.  Let e0 < e0'.  Then lam + e0 <= lam + e0',
+        so w(e0) >= w(e0'); and lam + e0' <= (e0'/e0)(lam + e0), so
+        w(e0') >= w(e0) e0 / e0'.  Both hold for -A, and for the largest of
+        several such w, as in ``joint_constants``.  With every computed omega
+        within kappa / e0 of w, an unsolved candidate j gets, from each
+        solved i,
+
+            omega_j >= omega_i - kappa / e0_i - kappa / e0_j          (e0_i >= e0_j)
+            omega_j >= (omega_i e0_i - kappa) / e0_j - kappa / e0_j   (e0_i <= e0_j)
+
+        and never less than 0.  Two sweeps in e0 order take the best of
+        these, so a curve's floors cost O(len) however many are solved.
+        Where kappa / e0 could underflow (kappa < 2^-960 max e0, which
+        includes an exactly zero A) an unsolved candidate's floor is 0.
+        """
+        e0s, omegas, kappa = self.e0s, self._omegas, self._kappa
+        floors = [0.0 if w is None else w for w in omegas]
+        if not kappa >= _SEARCH_TINY * max(e0s, default=0.0):
+            return floors
+        order = self._order
+        above = -math.inf  # max of omega_i - kappa / e0_i over solved e0_i >= e0_j
+        for j in reversed(order):
+            if omegas[j] is None:
+                floors[j] = max(0.0, above - kappa / e0s[j])
+            else:
+                above = max(above, omegas[j] - kappa / e0s[j])
+        below = -math.inf  # max of omega_i e0_i - kappa over solved e0_i <= e0_j
+        for j in order:
+            if omegas[j] is None:
+                floors[j] = max(floors[j], (below - kappa) / e0s[j])
+            else:
+                below = max(below, omegas[j] * e0s[j] - kappa)
+        return floors
 
 
 def stability_curve(m: HermitianMatrix, g: ReferenceHamiltonian, e0_grid,
                     symmetric: bool = False) -> StabilityCurve:
     """The pencil's omega of a dissipation matrix M along an e0 grid; omega is
-    nonincreasing in e0.  Each item passes ``min_omega``'s floors when read."""
+    nonincreasing in e0.  M is rotated into G's eigenbasis when the first
+    omega is read, and each pencil is solved when its omega is read.  Each
+    item passes ``min_omega``'s floors when read."""
     e0s = tuple(float(e0) for e0 in e0_grid)
-    rotated = _rotated(m, g)
-    omegas = tuple(_pencil_omega(rotated, e0, symmetric) for e0 in e0s)
-    return StabilityCurve(e0s, omegas, lambda i: _floors(m, g, omegas[i], e0s[i], symmetric))
+    if m.dim != g.dim:
+        raise ValueError(f"dimension mismatch: {m.dim} vs {g.dim}")
+    for e0 in e0s:
+        _require_e0(e0)
+    rotation = []  # [(_rotated(m, g), its _pencil_error)] once an omega is read
+
+    def pencil(i):
+        if not rotation:
+            rotated = _rotated(m, g)
+            rotation.append((rotated, _pencil_error(rotated)))
+        rotated, kappa = rotation[0]
+        return _pencil_omega(rotated, e0s[i], symmetric), kappa
+
+    return StabilityCurve(e0s, pencil,
+                          lambda i, omega: _floors(m, g, omega, e0s[i], symmetric))
+
+
+def _budget_floor(omega: float, e0: float, energy_in: float, t: float) -> float:
+    """A lower bound on ``_budget(w, e0, energy_in, t)`` for every w >= omega,
+    when 0 <= energy_in < inf and t is finite; -inf where it overflows.
+
+    Let u = 2^-53, X(w) = exp(w |t|)(E + e0) and b(w) = X(w) - e0, the exact
+    budget.  ``_budget`` rounds w |t| (which moves exp by w |t| u), exp (at
+    most 8u, numpy's or libm's), E + e0, the product and the difference;
+    since X >= E + e0 >= e0, its result is within
+    r(w) = (w |t| + 13) u X(w) of b(w).  b - r grows with w while
+    w |t| < 1/u - 14, which every w with a finite budget meets, so each
+    computed budget at w >= omega is at least b(omega) - r(omega).  The same
+    count for this function's own X and difference shows that subtracting
+    (2 omega |t| + 32) u X leaves it below that, with 6u X to spare.  The
+    absolute 2^-960 covers underflow.
+    """
+    scaled = omega * abs(t)
+    try:
+        grow = math.exp(scaled) * (energy_in + e0)
+    except OverflowError:
+        return -math.inf
+    low = grow - e0 - (2.0 * scaled + 32.0) * _UNIT_ROUNDOFF * grow - _SEARCH_TINY
+    return low if low == low else -math.inf  # inf - inf where E + e0 overflows
 
 
 def best_certificate(curves, energy_in: float, t: float) -> StabilityCertificate:
     """The verified certificate minimizing exp(omega t)(E + e0) - e0 over the
     candidates of ``curves``; ties go to the first in curve, then grid order.
-    Only the winner is verified."""
-    def bound(candidate):
-        curve, i = candidate
-        return _budget(curve.omegas[i], curve.e0s[i], energy_in, t)
+    Only the winner is verified.
 
-    candidates = [(curve, i) for curve in curves for i in range(len(curve))]
-    if not candidates:
+    Pencils are solved only as the ranking needs them.  Every unsolved
+    candidate has a floor on its budget (``omega_floors``, then
+    ``_budget_floor``).  Until every floor lies strictly above the least
+    budget solved, the curve holding the least floor solves that candidate,
+    or its middle one if none of its pencils is solved yet (its floors are
+    then all 0).  So each candidate left unsolved has a budget above the
+    winner's, and the winner, ties and near-ties included, is the exhaustive
+    ranking's.  A solve recomputes the floors of its own curve only.  Where
+    f_t(E) need not grow with omega (E < 0, E or t not finite) every pencil
+    is solved.
+    """
+    curves = tuple(curves)
+    if not any(len(curve) for curve in curves):
         raise ValueError("no certificates supplied")
-    curve, i = min(candidates, key=bound)
-    return curve[i]
+    every = not (0.0 <= energy_in < np.inf and abs(t) < np.inf)
+    budgets = [[_budget(curve.omega(i), e0, energy_in, t) if every or curve.solved(i) else None
+                for i, e0 in enumerate(curve.e0s)] for curve in curves]
+
+    def bounds(k):
+        """(least budget solved, least floor unsolved, the candidate to solve) on
+        curve k: the one with that floor, or the middle of a curve not yet read."""
+        curve, row = curves[k], budgets[k]
+        best, low, at = np.inf, np.inf, None
+        for i, (floor, e0) in enumerate(zip(curve.omega_floors(), curve.e0s)):
+            if row[i] is not None:
+                best = min(best, row[i])
+            else:
+                floor = _budget_floor(floor, e0, energy_in, t)
+                if at is None or floor < low:
+                    low, at = floor, i
+        if at is not None and all(b is None for b in row):
+            at = curve.middle()
+        return best, low, at
+
+    summary = [bounds(k) for k in range(len(curves))]
+    while True:
+        best = min(s[0] for s in summary)
+        low, k = min(((s[1], k) for k, s in enumerate(summary) if s[2] is not None),
+                     default=(np.inf, None))
+        if k is None or low > best:
+            break
+        i = summary[k][2]
+        budgets[k][i] = _budget(curves[k].omega(i), curves[k].e0s[i], energy_in, t)
+        summary[k] = bounds(k)
+    solved = [(k, i) for k, row in enumerate(budgets) for i, b in enumerate(row) if b is not None]
+    k, i = min(solved, key=lambda ki: budgets[ki[0]][ki[1]])
+    return curves[k][i]
 
 
 def joint_constants(curves) -> StabilityCurve:
     """Pairwise-max joint constants across several dynamics, per e0.
 
-    Candidate i verifies every member curve at its own omega there; its
+    Candidate i's omega is the largest of the members' there, each solved
+    when read.  It verifies every member curve at its own omega; its
     residual, computed when read, is the least of theirs.
     """
     curves = tuple(curves)
@@ -330,13 +540,15 @@ def joint_constants(curves) -> StabilityCurve:
     for group in groups:
         if len({round(e0, 12) for e0 in group}) != 1:
             raise ValueError("joint constants need aligned e0 grids")
-    omegas = tuple(max(c.omegas[i] for c in curves) for i in range(len(groups)))
 
-    def verify(i):
+    def pencil(i):
+        return max(c.omega(i) for c in curves), max(c._kappa for c in curves)
+
+    def verify(i, omega):
         members = [c[i] for c in curves]
         return lambda: min(cert.residual for cert in members)
 
-    return StabilityCurve(tuple(group[0] for group in groups), omegas, verify)
+    return StabilityCurve(tuple(group[0] for group in groups), pencil, verify)
 
 
 def evolve_grid(gen: LindbladGenerator, rho: DensityState, times) -> list:

@@ -1,6 +1,8 @@
 """Experiment-level tests: speed limits, Trotter, group bounds."""
 
+import gc
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -367,7 +369,8 @@ def _spy_certification(monkeypatch) -> dict:
     """Record every rotated dissipation matrix, the number of rotations, the
     shape of every pencil eigvalsh, every floor lindblad checks and every
     certificate whose budget apps reads."""
-    seen = {"pencils": {}, "rotations": 0, "solved": [], "floors": [], "winners": []}
+    seen = {"pencils": {}, "rotations": 0, "solved": [], "floors": [], "winners": [],
+            "rankings": []}
     outputs = {}  # pencil matrices, kept alive so that no other array takes their id
     rotated, scaled = lindblad._rotated, lindblad._scaled_pencil
     require_psd, best = lindblad.require_psd, apps.best_certificate
@@ -394,6 +397,7 @@ def _spy_certification(monkeypatch) -> dict:
 
     def spy_best(*args):
         seen["winners"].append(best(*args))
+        seen["rankings"].append(args)
         return seen["winners"][-1]
 
     monkeypatch.setattr(lindblad, "_rotated", spy_rotated)
@@ -480,21 +484,53 @@ class TestLazyResiduals:
         assert len(calls) == 2 and stability[0].residual == residual and len(calls) == 2
 
 
+def _exhaustive_winner(curves, energy_in, t):
+    """The first candidate, in curve then grid order, of least budget over
+    every pencil of ``curves``: the ranking as made before pencils were lazy."""
+    candidates = [(curve, i) for curve in curves for i in range(len(curve))]
+    curve, i = min(candidates, key=lambda ci: lindblad._budget(
+        ci[0].omegas[ci[1]], ci[0].e0s[ci[1]], energy_in, t))
+    return curve[i]
+
+
 class TestLazyVerification:
     """A candidate's pencil omega only ranks; every certificate whose budget a
     result reads has passed the floors of min_omega."""
 
-    def test_qsl_spin7_pencils_every_candidate_and_verifies_winners(self, monkeypatch):
-        for scenario in ("left", "right"):
+    def test_qsl_spin7_pencils_what_the_ranking_needs_and_verifies_winners(self, monkeypatch):
+        # Both curves had all 13 pencils solved before the bounded search: 26.
+        for scenario, most in (("left", 16), ("right", 1)):
             seen = _spy_certification(monkeypatch)
             speedlimit_run(SpeedLimitConfig(scenario=scenario, seed=1,
                                             time_grid=tuple(np.linspace(0.0, 0.6, 5))))
             monkeypatch.undo()
             distinct = {(c.omega, c.e0) for c in seen["winners"]}
-            assert seen["solved"] == [(128, 128)] * 26
+            assert 1 <= len(seen["solved"]) <= most
+            assert set(seen["solved"]) == {(128, 128)}
             assert seen["rotations"] == 2  # one per curve
             assert len(seen["winners"]) == 4
             assert 2 <= len(seen["floors"]) <= 2 * len(distinct)
+            for cert, args in zip(seen["winners"], seen["rankings"]):
+                assert cert is _exhaustive_winner(*args)
+
+    def test_a_run_leaves_no_curve_in_a_reference_cycle(self, monkeypatch):
+        refs, curve = [], apps.stability_curve
+
+        def spy_curve(*args, **kwargs):
+            made = curve(*args, **kwargs)
+            refs.append(weakref.ref(made))
+            return made
+
+        monkeypatch.setattr(apps, "stability_curve", spy_curve)
+        cfg = SpeedLimitConfig(n_qubits=3, seed=1, time_grid=tuple(np.linspace(0.0, 0.6, 5)))
+        gc.collect()
+        gc.disable()
+        try:
+            speedlimit_run(cfg)
+            assert len(refs) == 2
+            assert [ref() for ref in refs] == [None, None]  # freed without the collector
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("run", ["speedlimit", "open", "trotter"])
     def test_every_read_certificate_passed_its_own_floors(self, monkeypatch, run):

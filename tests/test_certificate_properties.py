@@ -8,7 +8,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from eclim import lindblad  # noqa: E402
-from eclim.lindblad import default_e0_grid, stability_curve  # noqa: E402
+from eclim.lindblad import best_certificate, default_e0_grid, stability_curve  # noqa: E402
 from eclim.norms import eco_norm  # noqa: E402
 from eclim.opcore import (  # noqa: E402
     CERT_RESIDUAL_RTOL,
@@ -59,6 +59,69 @@ def test_stability_curve_items_reverify(d, seed, symmetric, data):
     floor = lindblad._floors(m, g, cert.omega, cert.e0, symmetric)
     assert cert.residual >= -CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm())
     assert cert.residual == floor()
+
+
+def _exhaustive_winner(curves, energy_in, t):
+    """(curve, index) of the least budget over every pencil, first in order."""
+    candidates = [(k, i) for k, curve in enumerate(curves) for i in range(len(curve))]
+    return min(candidates, key=lambda ki: lindblad._budget(
+        curves[ki[0]].omegas[ki[1]], curves[ki[0]].e0s[ki[1]], energy_in, t))
+
+
+@PROPERTY_SETTINGS
+@given(d=dims, seed=seeds, symmetric=st.booleans(),
+       pair=st.sampled_from(("random", "twins", "zero", "scalar", "top")),
+       grid=st.sampled_from(("default", "shuffled")),
+       energy=st.sampled_from((-1e3, -0.5, 0.0, 1e-300, 1e-12, 1e300)) | st.floats(0.0, 20.0),
+       times=st.lists(st.sampled_from((1e-300, 1e-12, 1e3, np.inf)) | st.floats(-5.0, 5.0),
+                      min_size=1, max_size=4))
+def test_best_certificate_is_the_exhaustive_winner(d, seed, symmetric, pair, grid, energy,
+                                                   times):
+    rng = rng_from_seed(seed)
+    g = random_reference(d, rng)
+    m = random_hermitian(d, rng)
+    top = g.eigh()[1][:, -1:]
+    others = {"random": random_hermitian(d, rng),
+              "twins": m,  # every budget tied with the other curve's
+              "zero": HermitianMatrix(np.zeros((d, d))),  # every pencil 0.0, none solved
+              # omega e0 constant, and omega nearly flat in e0: the floors are tight
+              "scalar": HermitianMatrix(0.7 * np.eye(d)),
+              "top": HermitianMatrix(2.0 * top @ top.conj().T)}
+    e0s = default_e0_grid(g)
+    if grid == "shuffled":  # out of e0 order, with repeated e0 (tied budgets in a curve)
+        e0s = rng.permutation(np.concatenate([e0s, e0s[:3]]))
+    ms = [others[pair], m] if pair == "zero" else [m, others[pair]]
+    bounded = [stability_curve(mi, g, e0s, symmetric) for mi in ms]
+    exhaustive = [stability_curve(mi, g, e0s, symmetric) for mi in ms]
+    for t in times:
+        cert = best_certificate(bounded, energy, t)
+        k, i = _exhaustive_winner(exhaustive, energy, t)
+        assert bounded[k][i] is cert
+        assert np.array_equal([cert.omega, cert.e0], [exhaustive[k].omegas[i], e0s[i]])
+
+
+@PROPERTY_SETTINGS
+@given(d=dims, seed=seeds, symmetric=st.booleans(),
+       kind=st.sampled_from(("random", "scalar", "top")), data=st.data())
+def test_omega_floors_bound_every_unsolved_omega(d, seed, symmetric, kind, data):
+    rng = rng_from_seed(seed)
+    g = random_reference(d, rng)
+    top = g.eigh()[1][:, -1:]
+    m = {"random": random_hermitian(d, rng),
+         "scalar": HermitianMatrix(0.7 * np.eye(d)),  # omega e0 = 0.7
+         # omega = 2 / (max G + e0), nearly flat below max G
+         "top": HermitianMatrix(2.0 * top @ top.conj().T)}[kind]
+    e0s = default_e0_grid(g)
+    curve = stability_curve(m, g, e0s, symmetric)
+    solved = data.draw(st.sets(st.integers(0, len(e0s) - 1), min_size=1))
+    for i in solved:
+        curve.omega(i)
+    floors = curve.omega_floors()
+    exact = stability_curve(m, g, e0s, symmetric).omegas
+    for j, (floor, omega) in enumerate(zip(floors, exact)):
+        assert floor == omega if j in solved else 0.0 <= floor <= omega
+        if kind == "scalar" and j > min(solved):  # the 1/e0 floor is tight
+            assert floor == pytest.approx(omega, rel=1e-9)
 
 
 @PROPERTY_SETTINGS

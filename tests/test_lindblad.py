@@ -264,6 +264,26 @@ class TestEigenbasisPencil:
             m = HermitianMatrix(-g.entries)
             assert stability_curve(m, g, grid).omegas == (0.0,) * len(grid)
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("d", [2, 13, 128])
+    def test_zero_matrix_skips_the_eigensolve_with_the_same_bits(self, monkeypatch, d,
+                                                                 symmetric):
+        g = spin_system(7).reference if d == 128 else random_reference(d, rng_from_seed(d))
+        rotated = lindblad._rotated(HermitianMatrix(np.zeros((d, d))), g)
+        for e0 in default_e0_grid(g):
+            evals = np.linalg.eigvalsh(lindblad._scaled_pencil(rotated, e0)[1])
+            expect = max(0.0, float(evals[-1]))
+            if symmetric:
+                expect = max(expect, float(-evals[0]))
+            calls = []
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: calls.append(args))
+            omega = lindblad._pencil_omega(rotated, e0, symmetric)
+            monkeypatch.undo()
+            assert calls == []
+            assert np.float64(omega).tobytes() == np.float64(expect).tobytes()
+        with pytest.raises(ValueError, match="e0 must be positive"):
+            lindblad._pencil_omega(rotated, 0.0, symmetric)
+
     @pytest.mark.parametrize("m, g", _pencil_cases())
     def test_pencil_vector_saturates(self, m, g):
         for e0 in default_e0_grid(g)[::3]:

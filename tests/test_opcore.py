@@ -77,6 +77,12 @@ class TestHermitianMatrix:
         assert m.entries[0, 1] == m.entries[1, 0] == (1e300 + 1e300 * (1.0 + 1e-11)) / 2.0
         assert HermitianMatrix([[0.0, 1e200], [1e200, 0.0]]).entries[0, 1] == 1e200
 
+    def test_overflowing_sum_stores_finite_entries(self):
+        # A + A* overflows here; pytest turns the overflow warning into an error.
+        m = HermitianMatrix([[1e308, 1e308j], [-1e308j, 1e308]])
+        assert np.all(np.isfinite(m.entries))
+        assert np.array_equal(m.entries, np.array([[1e308, 1e308j], [-1e308j, 1e308]]))
+
     def test_entries_read_only(self):
         m = diag(1.0, 2.0)
         with pytest.raises(ValueError):
@@ -367,6 +373,29 @@ class TestEnergyProfile:
                                           tuple(solved[e][1] for e in grid)))
             assert max(abs(a - b) / (1.0 + abs(a))
                        for a, b in zip(curves[0].values, curves[1].values)) <= 1e-12
+
+    def test_a_secant_stalled_at_one_end_bisects(self):
+        # Instance primal-36 of the benchmark's duality-primal workload at seed
+        # 33 (d = 5, E = 0.1), rebuilt from its seed.  The lower end's
+        # subgradient is -1.4e-17, so every secant point was clamped tol/2
+        # below the upper end; 200 such cuts could not close the bracket.
+        from eclim.norms import eco_norm_primal, eco_profile
+
+        rng = np.random.Generator(np.random.PCG64(33))
+        for i in range(37):
+            for d in range(2, 7):
+                a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(d)
+                w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                rng.integers(0, 2 ** 31)
+                if (i, d) == (36, 5):
+                    op, g = a, ground_shift(HermitianMatrix(w @ w.conj().T / d))
+        profile = eco_profile(op, g)
+        value, cert = profile.solve(0.1)
+        assert profile.evaluations <= 100  # 59; 202 without the bisection
+        assert profile.last_gap <= 1e-12 * (1.0 + value)
+        assert cert.bound(0.1) == pytest.approx(value, rel=1e-15)
+        primal, _ = eco_norm_primal(op, g, 0.1)
+        assert primal ** 2 * (1.0 - 1e-12) <= value <= primal ** 2 * (1.0 + 1e-9)
 
     def test_warm_solves_reuse_cuts(self):
         m, g = random_psd(6, rng_from_seed(41)), random_reference(6, rng_from_seed(42))
