@@ -303,9 +303,8 @@ def trotter_run(gen1: LindbladGenerator, gen2: LindbladGenerator,
     if not n_grid or min(n_grid) < 1:
         raise ValueError("need at least one Trotter step count, each at least 1")
     states = _sampled_states(g, energy_budget, n_states, seed)
-    e0_grid = default_e0_grid(g)
-    joint = joint_constants([stability_curve(dissipation_matrix(gen, g), g, e0_grid)
-                             for gen in (gen1, gen2)])
+    joint = joint_constants([dissipation_matrix(gen, g) for gen in (gen1, gen2)], g,
+                            default_e0_grid(g))
     budget = _certified_budget([joint], energy_budget, 2.0 * t)
 
     comm = generator_commutator(gen1, gen2)

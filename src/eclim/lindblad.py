@@ -8,13 +8,13 @@ M <= omega*(G + e0) is read off a Hermitian-definite pencil.  Together
 
     energy(t) <= exp(omega*t) * (E + e0) - e0.
 
-A stability curve is a grid of e0 candidates whose pencils are solved only
-when read.  Their omegas only rank the candidates: every certificate a
-result reads is re-verified, by the floors of ``min_omega``, when it is first
-read; a candidate that loses the ranking is not a certificate.  Because the
-exact omega falls with e0 no faster than 1/e0, the omegas already solved bound
-every other candidate's budget from below, so ``best_certificate`` solves only
-the pencils that can still win.
+A stability curve is a grid of e0 candidates, for one dissipation matrix or
+jointly for several, whose pencils are solved only when read.  Their omegas
+only rank the candidates: every certificate a result reads is re-verified, by
+the floors of ``min_omega``, when it is first read; a candidate that loses the
+ranking is not a certificate.  Because the exact omega falls with e0 no faster
+than 1/e0, the omegas already solved bound every other candidate's budget from
+below, so ``best_certificate`` solves only the pencils that can still win.
 
 Simulation vectorizes rho row-major, vec(A rho B) = (A (x) B^T) vec(rho),
 so the superoperator is K (x) 1 + 1 (x) conj(K) + sum L (x) conj(L).
@@ -87,10 +87,14 @@ class LindbladGenerator:
         k = np.asarray(self.k, dtype=complex)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError("K must be a square matrix")
+        if not np.isfinite(k).all():
+            raise ValueError("K has a non-finite entry")
         ops = tuple(np.asarray(l, dtype=complex) for l in self.lindblad)
-        for l in ops:
+        for a, l in enumerate(ops):
             if l.shape != k.shape:
                 raise ValueError("Lindblad operators must match the dimension of K")
+            if not np.isfinite(l).all():
+                raise ValueError(f"Lindblad operator {a} has a non-finite entry")
         dissipation = sum((l.conj().T @ l for l in ops), np.zeros_like(k)) + k + k.conj().T
         dissipation = (dissipation + dissipation.conj().T) / 2.0
         evals = np.linalg.eigvalsh(dissipation)
@@ -222,9 +226,9 @@ def _rotated(m: HermitianMatrix, g: ReferenceHamiltonian) -> tuple:
     """
     if m.dim != g.dim:
         raise ValueError(f"dimension mismatch: {m.dim} vs {g.dim}")
-    ge, gv = g.eigh()
+    lam, gv = g.clipped_eigh()
     a = gv.conj().T @ m.entries @ gv
-    return np.clip(ge, 0.0, None), gv, (a + a.conj().T) / 2.0
+    return lam, gv, (a + a.conj().T) / 2.0
 
 
 def _require_e0(e0: float):
@@ -332,25 +336,35 @@ def default_e0_grid(g: ReferenceHamiltonian) -> np.ndarray:
 
 
 class StabilityCurve(Sequence):
-    """Candidates (omega(i), e0s[i]) along an e0 grid, each verified when read.
+    """Candidates (omega(i), e0s[i]) along one e0 grid for the dissipation
+    matrices ``ms``, each verified when read.
 
-    ``pencil(i)`` gives (omega, kappa): candidate i's omega, computed when
-    ``omega(i)`` is first read and then cached, and a bound kappa / e0 on the
-    rounding of every omega of the curve (see ``_pencil_error``).  ``omegas``
-    reads them all.  The omegas only rank candidates.  Item i is the
-    StabilityCertificate at e0s[i]; ``verify(i, omega)`` checks it or
-    raises, and returns a function giving its residual, which the
-    certificate calls when its residual is first read.  The certificate is
-    cached on first read.  Neither function refers to the curve, so a curve
+    Candidate i's omega is the largest of the matrices' pencil omegas at
+    e0s[i]: one matrix gives its stability constants, several their joint
+    constants.  Each matrix is rotated into G's eigenbasis when its first
+    omega is read; every omega is solved on first read and then cached, and
+    ``omegas`` reads them all.  The omegas only rank candidates.  Item i is
+    the StabilityCertificate at e0s[i]: when first read it passes each
+    matrix's ``_floors`` at that matrix's own omega and e0s[i], or raises,
+    and its residual, computed when read, is the least of theirs.  The
+    certificate is cached.  It holds no reference to the curve, so a curve
     is freed as soon as its last reference goes, with no reference cycle.
     """
 
-    def __init__(self, e0s: tuple, pencil, verify):
-        self.e0s = e0s
-        self._pencil = pencil
-        self._verify = verify
-        self._omegas = [None] * len(e0s)
-        self._kappa = 0.0
+    def __init__(self, ms, g: ReferenceHamiltonian, e0_grid, symmetric: bool = False):
+        ms = tuple(ms)
+        if not ms:
+            raise ValueError("no dissipation matrices supplied")
+        for m in ms:
+            if m.dim != g.dim:
+                raise ValueError(f"dimension mismatch: {m.dim} vs {g.dim}")
+        e0s = tuple(float(e0) for e0 in e0_grid)
+        for e0 in e0s:
+            _require_e0(e0)
+        self.e0s, self._ms, self._g, self._symmetric = e0s, ms, g, symmetric
+        self._rotations = [None] * len(ms)
+        self._members = [None] * len(e0s)  # each matrix's omega, per solved candidate
+        self._kappa = 0.0  # the largest _pencil_error of the rotations made
         self._order = sorted(range(len(e0s)), key=e0s.__getitem__)  # grid in e0 order
         self._certs = {}
 
@@ -361,26 +375,33 @@ class StabilityCurve(Sequence):
         i = range(len(self.e0s))[i]
         cert = self._certs.get(i)
         if cert is None:
-            omega = self.omega(i)
-            cert = self._certs[i] = StabilityCertificate(omega, self.e0s[i],
-                                                         residual=self._verify(i, omega))
+            omega, e0 = self.omega(i), self.e0s[i]
+            floors = [_floors(m, self._g, w, e0, self._symmetric)
+                      for m, w in zip(self._ms, self._members[i])]
+            cert = self._certs[i] = StabilityCertificate(
+                omega, e0, residual=lambda: min(floor() for floor in floors))
         return cert
 
     def omega(self, i: int) -> float:
         """Candidate i's pencil omega, solved on first read."""
-        omega = self._omegas[i]
-        if omega is None:
-            omega, kappa = self._pencil(i)
-            self._omegas[i] = omega
-            self._kappa = max(self._kappa, kappa)
-        return omega
+        members = self._members[i]
+        if members is None:
+            members = []
+            for k, m in enumerate(self._ms):
+                rotated = self._rotations[k]
+                if rotated is None:
+                    rotated = self._rotations[k] = _rotated(m, self._g)
+                    self._kappa = max(self._kappa, _pencil_error(rotated))
+                members.append(_pencil_omega(rotated, self.e0s[i], self._symmetric))
+            self._members[i] = members
+        return max(members)
 
     @property
     def omegas(self) -> tuple:
         return tuple(self.omega(i) for i in range(len(self.e0s)))
 
     def solved(self, i: int) -> bool:
-        return self._omegas[i] is not None
+        return self._members[i] is not None
 
     def middle(self) -> int:
         """The candidate at the median e0, whose omega bounds both halves of the grid."""
@@ -394,9 +415,8 @@ class StabilityCurve(Sequence):
         G's eigenbasis, lam >= 0.  Let e0 < e0'.  Then lam + e0 <= lam + e0',
         so w(e0) >= w(e0'); and lam + e0' <= (e0'/e0)(lam + e0), so
         w(e0') >= w(e0) e0 / e0'.  Both hold for -A, and for the largest of
-        several such w, as in ``joint_constants``.  With every computed omega
-        within kappa / e0 of w, an unsolved candidate j gets, from each
-        solved i,
+        several such w, one per matrix.  With every computed omega within
+        kappa / e0 of w, an unsolved candidate j gets, from each solved i,
 
             omega_j >= omega_i - kappa / e0_i - kappa / e0_j          (e0_i >= e0_j)
             omega_j >= (omega_i e0_i - kappa) / e0_j - kappa / e0_j   (e0_i <= e0_j)
@@ -406,7 +426,8 @@ class StabilityCurve(Sequence):
         Where kappa / e0 could underflow (kappa < 2^-960 max e0, which
         includes an exactly zero A) an unsolved candidate's floor is 0.
         """
-        e0s, omegas, kappa = self.e0s, self._omegas, self._kappa
+        e0s, kappa = self.e0s, self._kappa
+        omegas = [None if w is None else max(w) for w in self._members]
         floors = [0.0 if w is None else w for w in omegas]
         if not kappa >= _SEARCH_TINY * max(e0s, default=0.0):
             return floors
@@ -429,25 +450,8 @@ class StabilityCurve(Sequence):
 def stability_curve(m: HermitianMatrix, g: ReferenceHamiltonian, e0_grid,
                     symmetric: bool = False) -> StabilityCurve:
     """The pencil's omega of a dissipation matrix M along an e0 grid; omega is
-    nonincreasing in e0.  M is rotated into G's eigenbasis when the first
-    omega is read, and each pencil is solved when its omega is read.  Each
-    item passes ``min_omega``'s floors when read."""
-    e0s = tuple(float(e0) for e0 in e0_grid)
-    if m.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {m.dim} vs {g.dim}")
-    for e0 in e0s:
-        _require_e0(e0)
-    rotation = []  # [(_rotated(m, g), its _pencil_error)] once an omega is read
-
-    def pencil(i):
-        if not rotation:
-            rotated = _rotated(m, g)
-            rotation.append((rotated, _pencil_error(rotated)))
-        rotated, kappa = rotation[0]
-        return _pencil_omega(rotated, e0s[i], symmetric), kappa
-
-    return StabilityCurve(e0s, pencil,
-                          lambda i, omega: _floors(m, g, omega, e0s[i], symmetric))
+    nonincreasing in e0.  Each item passes ``min_omega``'s floors when read."""
+    return StabilityCurve((m,), g, e0_grid, symmetric)
 
 
 def _budget_floor(omega: float, e0: float, energy_in: float, t: float) -> float:
@@ -528,27 +532,15 @@ def best_certificate(curves, energy_in: float, t: float) -> StabilityCertificate
     return curves[k][i]
 
 
-def joint_constants(curves) -> StabilityCurve:
-    """Pairwise-max joint constants across several dynamics, per e0.
+def joint_constants(ms, g: ReferenceHamiltonian, e0_grid) -> StabilityCurve:
+    """Pairwise-max joint constants of several dynamics along one e0 grid.
 
-    Candidate i's omega is the largest of the members' there, each solved
-    when read.  It verifies every member curve at its own omega; its
-    residual, computed when read, is the least of theirs.
+    ``ms`` holds their dissipation matrices.  Candidate i's omega is the
+    largest of theirs at e0s[i], so one certificate bounds the energy growth
+    of each; it passes every matrix's floors at that matrix's own omega and
+    the shared e0 when read.
     """
-    curves = tuple(curves)
-    groups = list(zip(*(c.e0s for c in curves)))
-    for group in groups:
-        if len({round(e0, 12) for e0 in group}) != 1:
-            raise ValueError("joint constants need aligned e0 grids")
-
-    def pencil(i):
-        return max(c.omega(i) for c in curves), max(c._kappa for c in curves)
-
-    def verify(i, omega):
-        members = [c[i] for c in curves]
-        return lambda: min(cert.residual for cert in members)
-
-    return StabilityCurve(tuple(group[0] for group in groups), pencil, verify)
+    return StabilityCurve(ms, g, e0_grid)
 
 
 def evolve_grid(gen: LindbladGenerator, rho: DensityState, times) -> list:

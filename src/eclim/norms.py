@@ -188,8 +188,7 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
 
     Returns ``(value, psi)`` with psi feasible and value evaluated directly.
     """
-    ge, gv = g.eigh()
-    ge = np.clip(ge, 0.0, None)
+    ge, gv = g.clipped_eigh()
     mb = gv.conj().T @ m.entries @ gv  # M in the eigenbasis of G
     mb = (mb + mb.conj().T) / 2.0
     feas_tol = energy_budget * (1.0 + 1e-12) + 1e-15
@@ -257,8 +256,7 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
 def random_feasible_sample_max(m: HermitianMatrix, g: ReferenceHamiltonian,
                                energy_budget: float, samples: int, seed: int = 0) -> float:
     """Best of Haar-random pure states retracted onto the energy shell."""
-    ge, gv = g.eigh()
-    ge = np.clip(ge, 0.0, None)
+    ge, gv = g.clipped_eigh()
     mb = gv.conj().T @ m.entries @ gv
     rng = rng_from_seed(seed)
     best = -np.inf

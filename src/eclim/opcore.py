@@ -193,6 +193,7 @@ class ReferenceHamiltonian:
             shifted = HermitianMatrix(self.matrix.entries - lo * np.eye(self.matrix.dim))
             _set_fields(self, matrix=shifted,
                         ground_energy_removed=self.ground_energy_removed + lo)
+        _set_fields(self, _cache={})
 
     @property
     def dim(self) -> int:
@@ -204,6 +205,15 @@ class ReferenceHamiltonian:
 
     def eigh(self):
         return self.matrix.eigh()
+
+    def clipped_eigh(self) -> tuple:
+        """(lam, V): G = V diag(lam) V* with lam clipped at 0; computed once, read-only."""
+        if "clipped" not in self._cache:
+            ge, gv = self.eigh()
+            lam = np.clip(ge, 0.0, None)
+            lam.flags.writeable = False
+            self._cache["clipped"] = lam, gv
+        return self._cache["clipped"]
 
     def max_energy(self) -> float:
         return self.matrix.operator_norm()
@@ -743,8 +753,8 @@ def project_to_energy_shell(psi: np.ndarray, g: ReferenceHamiltonian,
 
 def _shell_projector(g: ReferenceHamiltonian, energy_budget: float):
     """``project_to_energy_shell`` as a function of the vector, with G's data loaded once."""
-    ge, gv = g.eigh()
-    ge, gvh = np.clip(ge, 0.0, None), gv.conj().T
+    ge, gv = g.clipped_eigh()
+    gvh = gv.conj().T
 
     def project(v):
         v = v / np.linalg.norm(v)

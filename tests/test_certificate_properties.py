@@ -8,7 +8,12 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from eclim import lindblad  # noqa: E402
-from eclim.lindblad import best_certificate, default_e0_grid, stability_curve  # noqa: E402
+from eclim.lindblad import (  # noqa: E402
+    StabilityCurve,
+    best_certificate,
+    default_e0_grid,
+    stability_curve,
+)
 from eclim.norms import eco_norm  # noqa: E402
 from eclim.opcore import (  # noqa: E402
     CERT_RESIDUAL_RTOL,
@@ -72,11 +77,12 @@ def _exhaustive_winner(curves, energy_in, t):
 @given(d=dims, seed=seeds, symmetric=st.booleans(),
        pair=st.sampled_from(("random", "twins", "zero", "scalar", "top")),
        grid=st.sampled_from(("default", "shuffled")),
+       joint=st.booleans(),
        energy=st.sampled_from((-1e3, -0.5, 0.0, 1e-300, 1e-12, 1e300)) | st.floats(0.0, 20.0),
        times=st.lists(st.sampled_from((1e-300, 1e-12, 1e3, np.inf)) | st.floats(-5.0, 5.0),
                       min_size=1, max_size=4))
-def test_best_certificate_is_the_exhaustive_winner(d, seed, symmetric, pair, grid, energy,
-                                                   times):
+def test_best_certificate_is_the_exhaustive_winner(d, seed, symmetric, pair, grid, joint,
+                                                   energy, times):
     rng = rng_from_seed(seed)
     g = random_reference(d, rng)
     m = random_hermitian(d, rng)
@@ -91,8 +97,15 @@ def test_best_certificate_is_the_exhaustive_winner(d, seed, symmetric, pair, gri
     if grid == "shuffled":  # out of e0 order, with repeated e0 (tied budgets in a curve)
         e0s = rng.permutation(np.concatenate([e0s, e0s[:3]]))
     ms = [others[pair], m] if pair == "zero" else [m, others[pair]]
-    bounded = [stability_curve(mi, g, e0s, symmetric) for mi in ms]
-    exhaustive = [stability_curve(mi, g, e0s, symmetric) for mi in ms]
+
+    def curves():
+        """One curve per matrix, or their joint curve beside the second's own."""
+        if joint:
+            return [StabilityCurve(ms, g, e0s, symmetric), stability_curve(ms[1], g, e0s,
+                                                                            symmetric)]
+        return [stability_curve(mi, g, e0s, symmetric) for mi in ms]
+
+    bounded, exhaustive = curves(), curves()
     for t in times:
         cert = best_certificate(bounded, energy, t)
         k, i = _exhaustive_winner(exhaustive, energy, t)
@@ -102,25 +115,28 @@ def test_best_certificate_is_the_exhaustive_winner(d, seed, symmetric, pair, gri
 
 @PROPERTY_SETTINGS
 @given(d=dims, seed=seeds, symmetric=st.booleans(),
-       kind=st.sampled_from(("random", "scalar", "top")), data=st.data())
-def test_omega_floors_bound_every_unsolved_omega(d, seed, symmetric, kind, data):
+       kind=st.sampled_from(("random", "scalar", "top")),
+       partner=st.sampled_from((None, "random", "scalar", "top")), data=st.data())
+def test_omega_floors_bound_every_unsolved_omega(d, seed, symmetric, kind, partner, data):
     rng = rng_from_seed(seed)
     g = random_reference(d, rng)
     top = g.eigh()[1][:, -1:]
-    m = {"random": random_hermitian(d, rng),
-         "scalar": HermitianMatrix(0.7 * np.eye(d)),  # omega e0 = 0.7
-         # omega = 2 / (max G + e0), nearly flat below max G
-         "top": HermitianMatrix(2.0 * top @ top.conj().T)}[kind]
+    matrices = {"random": random_hermitian(d, rng),
+                "scalar": HermitianMatrix(0.7 * np.eye(d)),  # omega e0 = 0.7
+                # omega = 2 / (max G + e0), nearly flat below max G
+                "top": HermitianMatrix(2.0 * top @ top.conj().T)}
+    # with a partner, the joint curve of the two matrices
+    ms = [matrices[kind]] + ([] if partner is None else [matrices[partner]])
     e0s = default_e0_grid(g)
-    curve = stability_curve(m, g, e0s, symmetric)
+    curve = StabilityCurve(ms, g, e0s, symmetric)
     solved = data.draw(st.sets(st.integers(0, len(e0s) - 1), min_size=1))
     for i in solved:
         curve.omega(i)
     floors = curve.omega_floors()
-    exact = stability_curve(m, g, e0s, symmetric).omegas
+    exact = StabilityCurve(ms, g, e0s, symmetric).omegas
     for j, (floor, omega) in enumerate(zip(floors, exact)):
         assert floor == omega if j in solved else 0.0 <= floor <= omega
-        if kind == "scalar" and j > min(solved):  # the 1/e0 floor is tight
+        if (kind, partner) == ("scalar", None) and j > min(solved):  # the 1/e0 floor is tight
             assert floor == pytest.approx(omega, rel=1e-9)
 
 

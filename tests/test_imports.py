@@ -94,3 +94,15 @@ def test_cholesky_is_called_only_by_the_psd_proof():
         for scope, node in named_in(tree, "cholesky"):
             sites.add((path.stem, scope))
     assert sites == {("opcore", "_proves_psd")}
+
+
+def test_stability_curves_are_built_only_by_their_two_constructors():
+    # One curve type: a single matrix's curve or several matrices' joint one.
+    sites = set()
+    for path in sorted((SRC / "eclim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for scope, node in named_in(tree, "StabilityCurve"):
+            if id(node) in calls:
+                sites.add((path.stem, scope))
+    assert sites == {("lindblad", "stability_curve"), ("lindblad", "joint_constants")}

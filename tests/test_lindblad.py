@@ -81,6 +81,18 @@ class TestGeneratorValidation:
         with pytest.raises(ValueError):
             LindbladGenerator(0.1 * np.eye(2), (LOWER,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    def test_rejects_non_finite_operators_by_name(self, bad):
+        # checked before the dissipativity test, so no numpy warning comes first
+        k = np.zeros((2, 2), dtype=complex)
+        k[0, 0] = bad
+        with pytest.raises(ValueError, match="^K has a non-finite entry$"):
+            LindbladGenerator(k, (LOWER,))
+        l = LOWER.copy()
+        l[1, 0] = bad
+        with pytest.raises(ValueError, match="^Lindblad operator 1 has a non-finite entry$"):
+            LindbladGenerator(np.zeros((2, 2)), (LOWER, l))
+
 
 class TestDissipationMatrix:
     def test_commuting_hamiltonian(self):
@@ -629,30 +641,48 @@ class TestJointConstants:
         g = random_reference(3, rng)
         ms = [dissipation_matrix(random_generator(3, rng), g) for _ in range(3)]
         grid = default_e0_grid(g)
-        curves = [stability_curve(m, g, grid) for m in ms]
-        joint = joint_constants(curves)
+        joint = joint_constants(ms, g, grid)
         floors = _spy_floors(monkeypatch)
         cert = joint[5]
         assert len(floors) == len(ms)
         monkeypatch.undo()
         members = [min_omega(m, g, float(grid[5])) for m in ms]
-        assert [c[5] for c in curves] == members
+        shifted = g.entries + float(grid[5]) * np.eye(3)
+        for floor, m, member in zip(floors, ms, members):
+            assert np.array_equal(floor, member.omega * shifted - m.entries)
         assert cert == StabilityCertificate(max(c.omega for c in members), float(grid[5]),
                                             residual=min(c.residual for c in members))
 
-    def test_misaligned_grids(self):
-        g = ref(0.0, 1.0)
-        m = HermitianMatrix(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="aligned e0 grids"):
-            joint_constants([stability_curve(m, g, (1.0, 2.0)), stability_curve(m, g, (1.0, 3.0))])
+    @pytest.mark.parametrize("case", ["tiny-e0", "random"])
+    def test_every_item_passes_each_members_gate_at_the_joint_constants(self, case):
+        # One grid for every member: at e0 = 1e-20 the zero matrix's omega is 0
+        # and sigma_x's about 1e10, so the joint certificate must carry sigma_x's.
+        if case == "tiny-e0":
+            g, grid = ref(0.0, 1.0), (1e-20, 1e-15)
+            ms = [HermitianMatrix(np.zeros((2, 2))), HermitianMatrix(SX)]
+        else:
+            rng = rng_from_seed(9)
+            g = random_reference(4, rng)
+            ms = [dissipation_matrix(random_generator(4, rng), g) for _ in range(3)]
+            grid = default_e0_grid(g)
+        for cert in joint_constants(ms, g, grid):
+            for m in ms:
+                gap = cert.omega * (g.entries + cert.e0 * np.eye(g.dim)) - m.entries
+                slack = CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm())
+                assert float(np.linalg.eigvalsh(gap)[0]) >= -slack
+            assert cert.residual >= -CERT_RESIDUAL_RTOL * (1.0 + max(m.operator_norm()
+                                                                     for m in ms))
+
+    def test_needs_a_dissipation_matrix(self):
+        with pytest.raises(ValueError, match="no dissipation matrices supplied"):
+            joint_constants([], ref(0.0, 1.0), (1.0,))
 
     def test_pairwise_max_verifies_for_each(self):
         rng = rng_from_seed(7)
         g = random_reference(3, rng)
         gens = [random_generator(3, rng) for _ in range(3)]
         grid = default_e0_grid(g)
-        curves = [stability_curve(dissipation_matrix(gen, g), g, grid) for gen in gens]
-        joint = joint_constants(curves)
+        joint = joint_constants([dissipation_matrix(gen, g) for gen in gens], g, grid)
         cert = best_certificate([joint], 1.0, 1.0)
         for gen in gens:
             rho = random_density(3, rng)
