@@ -28,13 +28,10 @@ from .channels import (
     KrausChannel,
     apply,
     choi,
-    compose,
-    compose_energy_bound,
     dual_apply,
     energy_curve,
     max_output_energy,
     sqrt_reference_certificate,
-    tensor_reference,
 )
 from .norms import (
     CpDifference,
@@ -75,7 +72,6 @@ from .models import (
     SpinSystem,
     ad_norm_su2,
     birth_epsilons,
-    birth_generator,
     birth_tau,
     birth_trace,
     rabi_hamiltonian,

@@ -22,7 +22,6 @@ import numpy as np
 from .lindblad import (
     BoundViolation,
     LindbladGenerator,
-    StabilityCertificate,
     best_certificate,
     default_e0_grid,
     dissipation_matrix,
@@ -52,7 +51,6 @@ ROW_TOL = 1e-7
 OPEN_TOL = 1e-6
 # Operator norm of each random perturbation in the "left" scenario.
 LEFT_PERTURBATION_NORM = 0.5
-QSL_PANELS = 64
 
 
 @dataclass(frozen=True)
@@ -62,17 +60,13 @@ class SpeedLimitConfig:
     time_grid: tuple = tuple(np.linspace(0.0, 0.6, 61))
     seed: int = 0
     first_order: bool = False
-    h1: HermitianMatrix | None = None
-    h2: HermitianMatrix | None = None
 
     def __post_init__(self):
         grid = tuple(float(t) for t in self.time_grid)
         if not grid or grid[0] != 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("time grid must be ascending and start at 0")
-        if self.scenario not in ("left", "right", "custom"):
+        if self.scenario not in ("left", "right"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.scenario == "custom" and (self.h1 is None or self.h2 is None):
-            raise ValueError("custom scenario needs explicit h1 and h2")
         _set_fields(self, time_grid=grid)
 
 
@@ -103,9 +97,7 @@ def _scenario_hamiltonians(cfg: SpeedLimitConfig, spin: SpinSystem, rng):
         r1 = random_hermitian(spin.dim, rng, operator_norm=LEFT_PERTURBATION_NORM)
         r2 = random_hermitian(spin.dim, rng, operator_norm=LEFT_PERTURBATION_NORM)
         return spin.sx + r1, spin.sy + r2
-    if cfg.scenario == "right":
-        return spin.sx, random_hermitian(spin.dim, rng, operator_norm=spin.sx.operator_norm())
-    return cfg.h1, cfg.h2
+    return spin.sx, random_hermitian(spin.dim, rng, operator_norm=spin.sx.operator_norm())
 
 
 def _certified_budget(curves, energy_budget: float, t: float) -> float:
@@ -156,25 +148,6 @@ def speedlimit_run(cfg: SpeedLimitConfig) -> list:
         rows.append(SpeedLimitRow(float(t), actual, float(t) * value,
                                   float(t) * uniform_rate))
     return rows
-
-
-def qsl_integral_bound(h1: HermitianMatrix, h2: HermitianMatrix,
-                       g: ReferenceHamiltonian, e_psi: float,
-                       cert: StabilityCertificate, t: float):
-    """Midpoint-rule value of the integrated bound and its t-form majorant.
-
-    Uses one fixed certificate so that both quantities instantiate the same
-    estimate; the integrand is nondecreasing in s, hence the integral never
-    exceeds t * ||H1 - H2||_{op, f_t(E)}.
-    """
-    profile = eco_profile((h1 - h2).entries, g)
-
-    def norm_at(s: float) -> float:
-        return np.sqrt(max(0.0, profile.solve(cert.budget(e_psi, s))[0]))
-
-    mids = (np.arange(QSL_PANELS) + 0.5) * (t / QSL_PANELS)
-    integral = sum(norm_at(float(s)) for s in mids) * (t / QSL_PANELS)
-    return integral, t * norm_at(t)
 
 
 # ---------------------------------------------------------------------------

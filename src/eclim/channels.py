@@ -24,7 +24,6 @@ import numpy as np
 
 from .opcore import (
     CERT_RESIDUAL_RTOL,
-    PSD_RTOL,
     AffineCertificate,
     DensityState,
     EnergyCurve,
@@ -36,7 +35,6 @@ from .opcore import (
     floor_reader,
     psd_order_leq,
     require_psd,
-    require_psd_spectrum,
     spectral_function,
 )
 
@@ -107,23 +105,9 @@ def dual_apply(t: KrausChannel, b: HermitianMatrix) -> HermitianMatrix:
     return HermitianMatrix(sum(k.conj().T @ b.entries @ k for k in t.kraus))
 
 
-def compose(s: KrausChannel, t: KrausChannel) -> KrausChannel:
-    """Kraus form of S after T (first T, then S)."""
-    if s.dim_in != t.dim_out:
-        raise ValueError(f"cannot compose: {s.dim_in} vs {t.dim_out}")
-    return KrausChannel(tuple(a @ b for a in s.kraus for b in t.kraus))
-
-
 def tensor_with_identity(t: KrausChannel, ancilla_dim: int) -> KrausChannel:
     eye = np.eye(ancilla_dim, dtype=complex)
     return KrausChannel(tuple(np.kron(k, eye) for k in t.kraus))
-
-
-def tensor_reference(g_a: ReferenceHamiltonian, g_b: ReferenceHamiltonian) -> ReferenceHamiltonian:
-    """Composite reference G_A (x) 1 + 1 (x) G_B."""
-    ga, gb = g_a.entries, g_b.entries
-    comp = np.kron(ga, np.eye(g_b.dim)) + np.kron(np.eye(g_a.dim), gb)
-    return ReferenceHamiltonian(HermitianMatrix(comp))
 
 
 def extend_reference(g: ReferenceHamiltonian, ancilla_dim: int) -> ReferenceHamiltonian:
@@ -157,15 +141,6 @@ def jordan_kraus(c: HermitianMatrix, dim_in: int, dim_out: int):
     return plus, minus
 
 
-def kraus_from_choi(c: HermitianMatrix, dim_in: int, dim_out: int) -> KrausChannel:
-    """Rebuild a Kraus form from a PSD Choi matrix."""
-    plus, _ = jordan_kraus(c, dim_in, dim_out)
-    evals = c.eigh()[0]
-    require_psd_spectrum(evals, PSD_RTOL * (1.0 + float(np.max(np.abs(evals)))),
-                         "Choi matrix is not PSD")
-    return KrausChannel(tuple(plus) or (np.zeros((dim_out, dim_in)),))
-
-
 def choi_of_superoperator(s_hat: np.ndarray, dim_in: int, dim_out: int) -> HermitianMatrix:
     """Choi matrix of any Hermiticity-preserving map given as a superoperator.
 
@@ -174,16 +149,6 @@ def choi_of_superoperator(s_hat: np.ndarray, dim_in: int, dim_out: int) -> Hermi
     """
     s4 = np.asarray(s_hat, dtype=complex).reshape(dim_out, dim_out, dim_in, dim_in)
     return HermitianMatrix(s4.transpose(2, 0, 3, 1).reshape(dim_in * dim_out, dim_in * dim_out))
-
-
-def stinespring(t: KrausChannel) -> np.ndarray:
-    """Dilation isometry V = sum_a K_a (x) |a> into output (x) Kraus-index space."""
-    r = len(t.kraus)
-    v = np.zeros((t.dim_out * r, t.dim_in), dtype=complex)
-    for a, k in enumerate(t.kraus):
-        for row in range(t.dim_out):
-            v[row * r + a, :] = k[row, :]
-    return v
 
 
 def _output_energy_observable(t: KrausChannel, g_in: ReferenceHamiltonian,
@@ -209,12 +174,6 @@ def energy_curve(t: KrausChannel, g_in: ReferenceHamiltonian,
         values.append(v)
         certs.append(c)
     return EnergyCurve(tuple(float(e) for e in e_grid), tuple(values), tuple(certs))
-
-
-def compose_energy_bound(cert_s: AffineCertificate, cert_t: AffineCertificate,
-                         energy_budget: float) -> float:
-    """f_S(f_T(E)) evaluated on affine certificates; dominates f_{ST}(E)."""
-    return cert_s.lam * (cert_t.lam * energy_budget + cert_t.e0) + cert_s.e0
 
 
 def sqrt_reference_certificate(t: KrausChannel, g_in: ReferenceHamiltonian,

@@ -111,7 +111,7 @@ def _cmd_ecd_norm(args) -> tuple[str, int]:
     ref = _reference(args.ref)
     if args.seesaw:
         if args.minus:
-            diff = CpDifference.from_channels(chan, parse_channel(load_file(args.minus)))
+            diff = CpDifference(chan, parse_channel(load_file(args.minus)))
         else:
             diff = CpDifference.from_channel(chan)
         est = ecd_norm_seesaw(diff, ref, args.energy, ancilla_dim=args.ancilla,

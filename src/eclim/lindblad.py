@@ -87,14 +87,12 @@ class LindbladGenerator:
         k = np.asarray(self.k, dtype=complex)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError("K must be a square matrix")
-        if not np.isfinite(k).all():
-            raise ValueError("K has a non-finite entry")
+        _require_finite("K", k)
         ops = tuple(np.asarray(l, dtype=complex) for l in self.lindblad)
         for a, l in enumerate(ops):
             if l.shape != k.shape:
                 raise ValueError("Lindblad operators must match the dimension of K")
-            if not np.isfinite(l).all():
-                raise ValueError(f"Lindblad operator {a} has a non-finite entry")
+            _require_finite(f"Lindblad operator {a}", l)
         dissipation = sum((l.conj().T @ l for l in ops), np.zeros_like(k)) + k + k.conj().T
         dissipation = (dissipation + dissipation.conj().T) / 2.0
         evals = np.linalg.eigvalsh(dissipation)
@@ -109,9 +107,13 @@ class LindbladGenerator:
 
     @staticmethod
     def from_hamiltonian(h, lindblad=()) -> "LindbladGenerator":
-        """Build K = -iH - (1/2) sum L*L from a Hamiltonian."""
+        """Build K = -iH - (1/2) sum L*L from a Hamiltonian; a non-finite H or
+        L is named before any arithmetic."""
         hm = h.entries if isinstance(h, HermitianMatrix) else np.asarray(h, dtype=complex)
+        _require_finite("H", hm)
         ops = tuple(np.asarray(l, dtype=complex) for l in lindblad)
+        for a, l in enumerate(ops):
+            _require_finite(f"Lindblad operator {a}", l)
         k = -1j * hm - 0.5 * sum((l.conj().T @ l for l in ops), np.zeros_like(hm))
         return LindbladGenerator(k, ops)
 
@@ -166,6 +168,11 @@ class LindbladGenerator:
             last = {t: last[t] if t in last else expm(t * s) for t in times}
             self._cache["grid"] = last
         return last
+
+
+def _require_finite(name: str, m: np.ndarray):
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has a non-finite entry")
 
 
 def _kron_sum(kron, eye, k, lindblad):

@@ -1,7 +1,7 @@
 """Concrete model builders: quantum birth process, spin systems, Rabi model.
 
 The birth process is the level ladder with upward rates mu_n; its escape
-time is tau = sum 1/mu_n and the truncated generator drops the outflow at
+time is tau = sum 1/mu_n and the truncated chain drops the outflow at
 the top level, so the trace deficit measures probability mass past the
 cutoff.  Spin systems carry the collective operators S_j built from Pauli
 Kronecker products and the reference Hamiltonian Sx^2 + Sy^2 + Sz^2 minus
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lindblad import LindbladGenerator, StabilityCertificate, min_omega, unitary_dissipation
+from .lindblad import StabilityCertificate, min_omega, unitary_dissipation
 from .opcore import HermitianMatrix, ReferenceHamiltonian, _set_fields, expm, ground_shift
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -108,21 +108,6 @@ def birth_tau(rates: BirthRates, cutoff: int):
     return float(np.sum(1.0 / mu)), verdict
 
 
-def birth_generator(rates: BirthRates, cutoff: int) -> LindbladGenerator:
-    """Truncated birth generator on cutoff+1 levels.
-
-    K = -diag(mu_0 .. mu_N)/2 and L raises n -> n+1 for n < N; the outflow
-    at the top level is dropped, so trace leaks exactly the mass escaping
-    past the cutoff.
-    """
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
-    mu = rates.rates_array(cutoff + 1)
-    k = np.diag(-mu / 2.0).astype(complex)
-    l = np.diag(np.sqrt(mu[:cutoff]), -1).astype(complex)
-    return LindbladGenerator(k, (l,))
-
-
 def birth_trace(rates: BirthRates, cutoff: int, t: float) -> float:
     """Trace of the truncated evolution started from level 0 at time t.
 
@@ -139,23 +124,6 @@ def birth_trace(rates: BirthRates, cutoff: int, t: float) -> float:
     p0[0] = 1.0
     p = expm(float(t) * a) @ p0
     return float(np.sum(p))
-
-
-def birth_survival_exact(rates: BirthRates, cutoff: int, t: float) -> float:
-    """Closed-form trace for distinct rates (hypoexponential tail formula).
-
-    trace(t) = P(T_0 + ... + T_N > t) = sum_i w_i exp(-mu_i t) with
-    w_i = prod_{j != i} mu_j / (mu_j - mu_i); an independent oracle.
-    """
-    mu = rates.rates_array(cutoff + 1)
-    if len(np.unique(mu)) != len(mu):
-        raise ValueError("the closed form requires pairwise distinct rates")
-    total = 0.0
-    for i in range(len(mu)):
-        others = np.delete(mu, i)
-        w = float(np.prod(others / (others - mu[i])))
-        total += w * math.exp(-mu[i] * t)
-    return total
 
 
 @dataclass(frozen=True)
@@ -307,9 +275,23 @@ class RabiModel:
 
 
 def rabi_hamiltonian(omega: float, g: float, nu: float, cutoff: int) -> RabiModel:
-    """H = omega a'a + g sigma_x (a + a') + nu sigma_z on C^2 (x) C^(cutoff+1)."""
+    """H = omega a'a + g sigma_x (a + a') + nu sigma_z on C^2 (x) C^(cutoff+1).
+
+    Before any matrix is built, a non-finite parameter is rejected by name,
+    and so are parameters for which H N overflows: ``unitary_dissipation``
+    takes i[H, N] from H N - N H, whose largest entry is at the top level N,
+    (|omega| N + |nu|) N on the diagonal and |g| sqrt(N) N off it.
+    """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
+    omega, g, nu = float(omega), float(g), float(nu)  # Python floats overflow silently
+    for name, value in (("omega", omega), ("g", g), ("nu", nu)):
+        if not math.isfinite(value):
+            raise ValueError(f"Rabi parameter {name} must be finite, got {value}")
+    top = max(abs(omega) * cutoff + abs(nu), abs(g) * math.sqrt(cutoff)) * cutoff
+    if not top <= np.finfo(float).max:
+        raise ValueError(f"Rabi parameters omega={omega}, g={g}, nu={nu} overflow H or "
+                         f"i[H, N] at cutoff {cutoff}; reduce them or the cutoff")
     n = cutoff + 1
     a = np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
     num = np.diag(np.arange(n)).astype(complex)

@@ -30,7 +30,6 @@ from .channels import (
     tensor_with_identity,
 )
 from .opcore import (
-    AffineCertificate,
     DensityState,
     EnergyProfile,
     HermitianMatrix,
@@ -309,10 +308,6 @@ class CpDifference:
     @property
     def dim_out(self) -> int:
         return self.plus.dim_out
-
-    @staticmethod
-    def from_channels(plus: KrausChannel, minus: KrausChannel) -> "CpDifference":
-        return CpDifference(plus, minus, 1.0)
 
     @staticmethod
     def from_channel(t: KrausChannel) -> "CpDifference":

@@ -307,6 +307,32 @@ class TestBirthAndRabi:
         assert data["within_analytic"] is True
         assert data["omega_certified"] <= 1e200
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--omega", "inf"], "Rabi parameter omega must be finite, got inf"),
+        (["--g", "nan"], "Rabi parameter g must be finite, got nan"),
+        (["--omega", "1e308"], "Rabi parameters omega=1e+308, g=0.3, nu=0.5 overflow H or "
+                               "i[H, N] at cutoff 10; reduce them or the cutoff"),
+        (["--g", "1e307", "--cutoff", "100"], "Rabi parameters omega=1.0, g=1e+307, nu=0.5 "
+                                              "overflow H or i[H, N] at cutoff 100; reduce "
+                                              "them or the cutoff"),
+        # (|omega| N + |nu|) N is 1.69e308 at N = 13, inside the float range
+        (["--omega", "1e306", "--cutoff", "13"], None),
+        (["--omega", "1e306", "--cutoff", "14"], "Rabi parameters omega=1e+306, g=0.3, "
+                                                 "nu=0.5 overflow H or i[H, N] at cutoff "
+                                                 "14; reduce them or the cutoff"),
+    ], ids=["omega-inf", "g-nan", "omega-1e308", "g-1e307", "omega-at-edge", "omega-past-edge"])
+    def test_rabi_parameters_are_named_before_any_arithmetic(self, flags, message, capfd):
+        # pytest turns warnings into errors, so a numpy warning before the line fails here
+        args = dict(zip(["--omega", "--g", "--nu", "--cutoff"], ["1", "0.3", "0.5", "10"]))
+        args.update(zip(flags[::2], flags[1::2]))
+        code, out, err = run_main(["rabi", *(x for kv in args.items() for x in kv)], capfd)
+        if message is None:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["within_analytic"] is True
+        else:
+            assert (code, out) == (2, "")
+            assert err == to_json({"code": "input_error", "message": message}) + "\n"
+
     def test_rabi_residual_is_the_gap_floor(self, capsys):
         from eclim.lindblad import unitary_dissipation
         from eclim.models import rabi_hamiltonian

@@ -1,4 +1,5 @@
-"""The import path: eclim loads scipy only when a kernel needs it."""
+"""Static checks of the source: scipy loads only when a kernel needs it, and no
+public definition lives on for its own unit tests alone."""
 
 import ast
 import os
@@ -6,13 +7,23 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # Where scipy may be named: (module, enclosing def) of every scipy kernel.
 SCIPY_SITES = {
     ("opcore", "expm"),
     ("opcore", "_top_cuts"),
     ("lindblad", "LindbladGenerator.shifted_superoperator"),
+}
+
+# Public definitions that no library code, benchmark or acceptance criterion
+# names, kept on purpose, each with its reason.
+UNCALLED_KEPT = {
+    "open_speedlimit": "the paper's open-system speed limit; it shares apps._row "
+                       "with trotter_run, the Trotter check",
+    "reevaluate_seesaw_witness": "the see-saw's re-check of a witness, independent of "
+                                 "the solver that found it",
 }
 
 
@@ -106,3 +117,40 @@ def test_stability_curves_are_built_only_by_their_two_constructors():
             if id(node) in calls:
                 sites.add((path.stem, scope))
     assert sites == {("lindblad", "stability_curve"), ("lindblad", "joint_constants")}
+
+
+def names_used(node) -> set:
+    """Every identifier ``node`` names: names, attribute names and imported names."""
+    used = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            used.update(a.name.split(".")[-1] for a in n.names)
+    return used
+
+
+def test_every_public_definition_is_named_outside_its_unit_tests():
+    """Code that only its own unit tests call is dead.
+
+    Each public top-level def and class of src/eclim (but __init__.py) must be
+    named by another top-level statement of src/eclim, by perfbench/*.py or by
+    an acceptance criterion (tests/test_acceptance.py); __init__'s exports do
+    not count.  The check is by name alone: any same-named identifier in those
+    files counts as a use, so a dead definition that shares its name with
+    something else passes.
+    """
+    library = sorted(p for p in (SRC / "eclim").glob("*.py") if p.name != "__init__.py")
+    readers = [*library, *sorted((ROOT / "perfbench").glob("*.py")),
+               ROOT / "tests" / "test_acceptance.py"]
+    statements = [(path, stmt) for path in readers
+                  for stmt in ast.parse(path.read_text(), filename=str(path)).body]
+    uses = [(stmt, names_used(stmt)) for _, stmt in statements]
+    defined = [stmt for path, stmt in statements if path in library
+               and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+               and not stmt.name.startswith("_")]
+    unnamed = {d.name for d in defined
+               if not any(d.name in names for stmt, names in uses if stmt is not d)}
+    assert unnamed == set(UNCALLED_KEPT)

@@ -92,6 +92,11 @@ class TestGeneratorValidation:
         l[1, 0] = bad
         with pytest.raises(ValueError, match="^Lindblad operator 1 has a non-finite entry$"):
             LindbladGenerator(np.zeros((2, 2)), (LOWER, l))
+        # from_hamiltonian names H and L before its own arithmetic on them
+        with pytest.raises(ValueError, match="^H has a non-finite entry$"):
+            LindbladGenerator.from_hamiltonian(k, (LOWER,))
+        with pytest.raises(ValueError, match="^Lindblad operator 1 has a non-finite entry$"):
+            LindbladGenerator.from_hamiltonian(np.zeros((2, 2)), (LOWER, l))
 
 
 class TestDissipationMatrix:

@@ -1,15 +1,15 @@
 """Birth process, spin system, and Rabi model tests."""
 
+import math
+
 import numpy as np
 import pytest
 
-from eclim.lindblad import evolve, unitary_dissipation
+from eclim.lindblad import LindbladGenerator, evolve, unitary_dissipation
 from eclim.models import (
     BirthRates,
     RabiModel,
     birth_epsilons,
-    birth_generator,
-    birth_survival_exact,
     birth_tau,
     birth_trace,
     ad_norm_su2,
@@ -22,12 +22,39 @@ from eclim.opcore import (
     DensityState,
     HermitianMatrix,
     ReferenceHamiltonian,
-    haar_state,
     psd_order_leq,
     rng_from_seed,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def birth_generator(rates, cutoff):
+    """Truncated birth generator on cutoff+1 levels, an oracle for ``birth_trace``.
+
+    K = -diag(mu_0 .. mu_N)/2 and L raises n -> n+1 for n < N; the outflow
+    at the top level is dropped, so trace leaks exactly the mass escaping
+    past the cutoff.
+    """
+    mu = rates.rates_array(cutoff + 1)
+    k = np.diag(-mu / 2.0).astype(complex)
+    l = np.diag(np.sqrt(mu[:cutoff]), -1).astype(complex)
+    return LindbladGenerator(k, (l,))
+
+
+def birth_survival_exact(rates, cutoff, t):
+    """Closed-form trace for distinct rates (hypoexponential tail formula).
+
+    trace(t) = P(T_0 + ... + T_N > t) = sum_i w_i exp(-mu_i t) with
+    w_i = prod_{j != i} mu_j / (mu_j - mu_i); an oracle for ``birth_trace``.
+    """
+    mu = rates.rates_array(cutoff + 1)
+    assert len(np.unique(mu)) == len(mu), "the closed form needs pairwise distinct rates"
+    total = 0.0
+    for i in range(len(mu)):
+        others = np.delete(mu, i)
+        total += float(np.prod(others / (others - mu[i]))) * math.exp(-mu[i] * t)
+    return total
 
 
 class TestBirthTau:

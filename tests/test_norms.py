@@ -191,8 +191,7 @@ class TestEcdCp:
 
 class TestSeesaw:
     def test_flip_vs_identity_reaches_two(self):
-        diff = CpDifference.from_channels(KrausChannel.unitary(SX),
-                                          KrausChannel.identity(2))
+        diff = CpDifference(KrausChannel.unitary(SX), KrausChannel.identity(2))
         est = ecd_norm_seesaw(diff, ref(0.0, 1.0), 1.0, ancilla_dim=2,
                               restarts=16, seed=3)
         assert est.value == pytest.approx(2.0, abs=1e-8)
@@ -203,14 +202,13 @@ class TestSeesaw:
         z = CpDifference.from_channel(KrausChannel.zero(2))
         assert ecd_norm_seesaw(z, g, 1.0, restarts=4, seed=0).value == pytest.approx(0.0, abs=1e-12)
         t = amplitude_damping(0.4)
-        tt = CpDifference.from_channels(t, t)
+        tt = CpDifference(t, t)
         assert ecd_norm_seesaw(tt, g, 1.0, restarts=4, seed=0).value == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_within_restart(self):
         rng = rng_from_seed(40)
         g = random_reference(3, rng)
-        diff = CpDifference.from_channels(random_cp_channel(3, rng),
-                                          random_cp_channel(3, rng))
+        diff = CpDifference(random_cp_channel(3, rng), random_cp_channel(3, rng))
         est = ecd_norm_seesaw(diff, g, 0.8, restarts=8, seed=11)
         for hist in est.history:
             for a, b in zip(hist, hist[1:]):
@@ -219,8 +217,7 @@ class TestSeesaw:
     def test_witness_invariants(self):
         rng = rng_from_seed(41)
         g = random_reference(2, rng)
-        diff = CpDifference.from_channels(random_cp_channel(2, rng),
-                                          random_cp_channel(2, rng))
+        diff = CpDifference(random_cp_channel(2, rng), random_cp_channel(2, rng))
         e = 0.6
         est = ecd_norm_seesaw(diff, g, e, restarts=8, seed=2)
         g_ext = extend_reference(g, 2)
@@ -243,8 +240,7 @@ class TestSeesaw:
     def test_deterministic_given_seed(self):
         rng = rng_from_seed(43)
         g = random_reference(2, rng)
-        diff = CpDifference.from_channels(random_cp_channel(2, rng),
-                                          random_cp_channel(2, rng))
+        diff = CpDifference(random_cp_channel(2, rng), random_cp_channel(2, rng))
         a = ecd_norm_seesaw(diff, g, 0.5, restarts=6, seed=9)
         b = ecd_norm_seesaw(diff, g, 0.5, restarts=6, seed=9)
         assert a.value == b.value
@@ -302,15 +298,14 @@ class TestSeesawLockstep:
     @pytest.mark.parametrize("ancilla_dim", [1, 2, 3])
     def test_budgets_and_ancillas(self, e, ancilla_dim):
         rng = rng_from_seed(60 + ancilla_dim)
-        diff = CpDifference.from_channels(random_cp_channel(2, rng),
-                                          random_cp_channel(2, rng, n_kraus=3))
+        diff = CpDifference(random_cp_channel(2, rng), random_cp_channel(2, rng, n_kraus=3))
         self.check(diff, ref(0.0, 1.0), e, ancilla_dim, 6, 5)
 
     @pytest.mark.parametrize("e", [0.05, 3.0])
     def test_above_full_eigh_dimension(self, e):
         rng = rng_from_seed(64)
         g = random_reference(4, rng)
-        diff = CpDifference.from_channels(random_cp_channel(4, rng), random_cp_channel(4, rng))
+        diff = CpDifference(random_cp_channel(4, rng), random_cp_channel(4, rng))
         assert 4 * 4 > FULL_EIGH_MAX_DIM
         self.check(diff, g, e * g.max_energy(), 4, 3, 2)
 
@@ -319,15 +314,15 @@ class TestSeesawLockstep:
         g = random_reference(3, rng)
         plus = random_cp_channel(3, rng, trace_preserving=True)
         minus = random_cp_channel(3, rng, trace_preserving=True)
-        self.check(CpDifference.from_channels(plus, minus), g, 0.3, 3, 5, 1)
-        self.check(CpDifference.from_channels(minus, plus), g, 0.3, 2, 1, 4)
+        self.check(CpDifference(plus, minus), g, 0.3, 3, 5, 1)
+        self.check(CpDifference(minus, plus), g, 0.3, 2, 1, 4)
 
     # Under a cap of 2 every restart leaves at the cap; under 7, some stall first.
     @pytest.mark.parametrize("cap, lengths", [(2, {2}), (7, {5, 6, 7})])
     def test_restarts_leave_at_different_iterations(self, monkeypatch, cap, lengths):
         monkeypatch.setattr(norms, "SEESAW_MAX_ITER", cap)
         rng = rng_from_seed(65)
-        diff = CpDifference.from_channels(random_cp_channel(2, rng), random_cp_channel(2, rng))
+        diff = CpDifference(random_cp_channel(2, rng), random_cp_channel(2, rng))
         est = self.check(diff, ref(0.0, 1.0), 0.3, 2, 8, 3)
         assert {len(h) for h in est.history} == lengths
 
@@ -374,7 +369,7 @@ class TestCpDifference:
     @pytest.mark.parametrize("ancilla_dim", [1, 3])
     def test_stacked_actions_match_per_slice(self, ancilla_dim):
         rng = rng_from_seed(67 + ancilla_dim)
-        diff = CpDifference.from_channels(random_cp_channel(3, rng, 3), random_cp_channel(3, rng))
+        diff = CpDifference(random_cp_channel(3, rng, 3), random_cp_channel(3, rng))
         ext = CpDifference(tensor_with_identity(diff.plus, ancilla_dim),
                            tensor_with_identity(diff.minus, ancilla_dim), diff.scale)
         n = 3 * ancilla_dim
