@@ -108,13 +108,19 @@ class LindbladGenerator:
     @staticmethod
     def from_hamiltonian(h, lindblad=()) -> "LindbladGenerator":
         """Build K = -iH - (1/2) sum L*L from a Hamiltonian; a non-finite H or
-        L is named before any arithmetic."""
+        L, or an L whose L*L overflows, is named before any arithmetic warns."""
         hm = h.entries if isinstance(h, HermitianMatrix) else np.asarray(h, dtype=complex)
         _require_finite("H", hm)
         ops = tuple(np.asarray(l, dtype=complex) for l in lindblad)
         for a, l in enumerate(ops):
             _require_finite(f"Lindblad operator {a}", l)
-        k = -1j * hm - 0.5 * sum((l.conj().T @ l for l in ops), np.zeros_like(hm))
+        with np.errstate(over="ignore", invalid="ignore"):
+            grams = [l.conj().T @ l for l in ops]
+            for a, gram in enumerate(grams):
+                if not np.isfinite(gram).all():
+                    raise ValueError(f"Lindblad operator {a} is too large: L*L overflows")
+            k = -1j * hm - 0.5 * sum(grams, np.zeros_like(hm))
+        _require_finite("K = -iH - (1/2) sum L*L", k)
         return LindbladGenerator(k, ops)
 
     def superoperator(self) -> np.ndarray:

@@ -449,6 +449,41 @@ def _exhaustive_winner(curves, energy_in, t):
     return curve[i]
 
 
+class TestTopCutCounts:
+    """The d = 128 top eigensolves ("cuts") of the speed limit's energy profile:
+    counts, not times, so the bound holds on any machine."""
+
+    @staticmethod
+    def _new_cuts_per_solve(monkeypatch, scenario: str, steps: int) -> tuple:
+        """Mean cuts per ``solve`` over seeds 0-3, leaving out the cut at lam = 0
+        that each profile makes when it is built, and the number of probes the
+        compressed dual placed."""
+        profiles, make = [], apps.eco_profile
+
+        def spy_profile(a, g):
+            profiles.append(make(a, g))
+            return profiles[-1]
+
+        monkeypatch.setattr(apps, "eco_profile", spy_profile)
+        for seed in range(4):
+            speedlimit_run(SpeedLimitConfig(scenario=scenario, seed=seed,
+                                            time_grid=tuple(np.linspace(0.0, 0.6, steps))))
+        monkeypatch.undo()
+        assert len(profiles) == 4
+        cuts = sum(p.evaluations - 1 for p in profiles)
+        return cuts / (4 * (steps - 1)), sum(p.model_probes for p in profiles)
+
+    @pytest.mark.parametrize("scenario, steps, most", [
+        ("left", 5, 4.0),  # 7.31 when the secant placed every probe
+        ("right", 5, 2.0),  # 2.69
+        ("left", 60, 2.5),  # 4.86
+    ])
+    def test_qsl_spin7_cuts_per_solve(self, monkeypatch, scenario, steps, most):
+        mean, probes = self._new_cuts_per_solve(monkeypatch, scenario, steps)
+        assert mean <= most
+        assert probes > 0
+
+
 class TestLazyVerification:
     """A candidate's pencil omega only ranks; every certificate whose budget a
     result reads has passed the floors of min_omega."""

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ import pytest
 from eclim.cli import build_parser, main
 from eclim.jsonio import (InputError, format_float, parse_generator, parse_hermitian,
                           parse_matrix, to_json)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def op_json(m):
@@ -211,6 +214,17 @@ class TestCertifyAndSimulate:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_an_overflowing_lindblad_operator_is_named(self, files, capfd):
+        # pytest turns warnings into errors, so a warning from L*L fails here
+        l = np.zeros((2, 2))
+        l[1, 0] = 1e200
+        gen = files["write"]("gen.json", {"dim": 2, "hamiltonian": op_json(np.zeros((2, 2))),
+                                          "lindblad": [op_json(l)]})
+        code, out, err = run_main(["certify", "--gen", gen, "--ref", files["g"]], capfd)
+        assert (code, out) == (2, "")
+        assert err == to_json({"code": "input_error", "message": "generator: Lindblad "
+                               "operator 0 is too large: L*L overflows"}) + "\n"
+
     def test_k_form_dimension_mismatch(self, files, capsys):
         genk = files["write"]("genk.json", {"dim": 3, "k": op_json(np.eye(2))})
         code, _, err = run_main(["certify", "--gen", genk, "--ref", files["g"]], capsys)
@@ -306,6 +320,19 @@ class TestBirthAndRabi:
         data = json.loads(out)
         assert data["within_analytic"] is True
         assert data["omega_certified"] <= 1e200
+
+    def test_rabi_whose_gate_diagonal_overflows_warns_nothing(self):
+        # The PSD proof's diagonal sum overflows at d = 11; the proof fails
+        # and eigvalsh decides, as before, but numpy used to warn on the sum.
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "eclim.cli", "rabi",
+                               "--omega", "1", "--g", "5e306", "--nu", "0.5", "--cutoff", "10"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            '{"omega_certified": 3.5344106572411001e+306, "analytic_bound": '
+            '4.9999999999999999e+306, "e0": 2, "residual": 5.628334528115326e+291, '
+            '"within_analytic": true}\n')
 
     @pytest.mark.parametrize("flags, message", [
         (["--omega", "inf"], "Rabi parameter omega must be finite, got inf"),

@@ -98,6 +98,14 @@ class TestGeneratorValidation:
         with pytest.raises(ValueError, match="^Lindblad operator 1 has a non-finite entry$"):
             LindbladGenerator.from_hamiltonian(np.zeros((2, 2)), (LOWER, l))
 
+    def test_overflowing_lindblad_products_are_named(self):
+        # pytest turns warnings into errors, so a warning from the products fails here
+        with pytest.raises(ValueError, match=r"^Lindblad operator 1 is too large: L\*L overflows$"):
+            LindbladGenerator.from_hamiltonian(np.zeros((2, 2)), (LOWER, 1e200 * LOWER))
+        # each L*L is 1e308, finite; their sum is not
+        with pytest.raises(ValueError, match=r"^K = -iH - \(1/2\) sum L\*L has a non-finite entry$"):
+            LindbladGenerator.from_hamiltonian(np.zeros((2, 2)), (1e154 * LOWER, 1e154 * LOWER))
+
 
 class TestDissipationMatrix:
     def test_commuting_hamiltonian(self):

@@ -355,6 +355,37 @@ class TestEnergyProfile:
         spin = spin_system(7)
         diff = spin.sx + random_hermitian(spin.dim, rng, operator_norm=0.5) - spin.sy
         yield HermitianMatrix(diff.entries.conj().T @ diff.entries), spin.reference
+        # the subset solve under the secant search, then under the model's
+        for d in (16, opcore._MODEL_MIN_DIM):
+            yield from TestEnergyProfile._subset_instances(d)
+
+    @staticmethod
+    def _subset_instances(d: int):
+        """Two pairs above FULL_EIGH_MAX_DIM, where cuts come from the subset solve."""
+        assert d > FULL_EIGH_MAX_DIM
+        rng = rng_from_seed(32)
+        yield random_psd(d, rng), random_reference(d, rng)
+        # lambda_max(M - lam*G) = max_i (sqrt(i + 1) - lam*i): for E < d - 1 the
+        # strictly concave levels put the minimizer at the crossing of exactly
+        # two of them, a kink where the top eigenvalue is doubly degenerate.
+        levels = np.arange(d, dtype=float)
+        yield diag(*np.sqrt(levels + 1.0)), ref(*levels)
+
+    @pytest.mark.parametrize("d", [16, opcore._MODEL_MIN_DIM])
+    def test_subset_solves_match_the_primal_oracle(self, d):
+        from eclim.norms import eco_norm_primal
+
+        grid = np.geomspace(1e-3, 50.0, 12)
+        for m, g in self._subset_instances(d):
+            root = spectral_function(m, "sqrt")
+            profile = EnergyProfile(m, g)
+            for e in grid:
+                value, cert = profile.solve(e)
+                assert cert.bound(e) == pytest.approx(value, rel=1e-15, abs=1e-15)
+                primal, _ = eco_norm_primal(root.entries, g, e)
+                assert primal ** 2 * (1.0 - 1e-12) <= value <= primal ** 2 * (1.0 + 1e-9)
+            # the model places probes from _MODEL_MIN_DIM on, and only there
+            assert (profile.model_probes > 0) == (d >= opcore._MODEL_MIN_DIM)
 
     def test_grid_matches_cold_solves_in_any_order(self):
         grid = np.geomspace(1e-3, 50.0, 12)
