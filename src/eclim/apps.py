@@ -15,6 +15,8 @@ exact cp upper bound still covers the left-hand side.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,14 +316,37 @@ def group_qsl(spin: SpinSystem, c_x, c_y, psi: np.ndarray):
     lhs = ||exp(-iA(X)) psi - exp(-iA(Y)) psi||,
     rhs = (e^omega - 1)/omega * |cX - cY| * ||sqrt(Delta) psi||, with
     omega = min(ad norms) and the convention (e^0 - 1)/0 = 1.
+
+    Before any arithmetic on the coefficients, a non-finite one is rejected
+    by name, and so are coefficients for which A(X), the ad norm 2|c| or
+    rhs would come within a factor 4 of the float range.  The collective
+    spins have entries and norms at most n, so n |c|_1 bounds A(X) and 2|c|.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("psi must be a unit vector")
     c_x, c_y = (np.asarray(c, dtype=float).reshape(-1) for c in (c_x, c_y))
+    big = sys.float_info.max / 4.0
     for name, c in (("c_x", c_x), ("c_y", c_y)):
         if c.size != 3:
             raise ValueError(f"{name} needs three coefficients, got {c.size}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"{name} must be finite, got {c.tolist()}")
+        # Python floats overflow silently
+        if not spin.n_qubits * sum(abs(x) for x in c.tolist()) <= big:
+            raise ValueError(f"{name}={c.tolist()} overflows A(X) = sum c_j S_j on "
+                             f"{spin.n_qubits} qubits; reduce it")
+    sqrt_delta = spectral_function(spin.laplacian, "sqrt")
+    psi_part = float(np.linalg.norm(sqrt_delta.entries @ psi))
+    two_c = 2.0 * min(math.hypot(*c_x.tolist()), math.hypot(*c_y.tolist()))
+    fits = two_c <= math.log(big)  # e^omega fits
+    if fits:
+        factor = math.expm1(two_c) / two_c if two_c else 1.0
+        fits = factor * math.hypot(*(c_x - c_y).tolist()) * psi_part <= big
+    if not fits:
+        raise ValueError(f"c_x={c_x.tolist()}, c_y={c_y.tolist()} overflow the bound "
+                         "(e^omega - 1)/omega * |c_x - c_y| * ||sqrt(Delta) psi||; "
+                         "reduce them")
 
     def apply_exp(coeffs):
         gen = spin.generator(coeffs)
@@ -332,9 +357,7 @@ def group_qsl(spin: SpinSystem, c_x, c_y, psi: np.ndarray):
 
     omega = min(ad_norm_su2(c_x), ad_norm_su2(c_y))
     factor = 1.0 if omega == 0.0 else (np.exp(omega) - 1.0) / omega
-    sqrt_delta = spectral_function(spin.laplacian, "sqrt")
-    rhs = float(factor * np.linalg.norm(c_x - c_y)
-                * np.linalg.norm(sqrt_delta.entries @ psi))
+    rhs = float(factor * np.linalg.norm(c_x - c_y) * psi_part)
     if lhs > rhs + 1e-9:
         raise BoundViolation(f"group speed limit violated: {lhs} > {rhs}")
     return lhs, rhs

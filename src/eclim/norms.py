@@ -1,10 +1,11 @@
 """Energy-constrained operator and diamond norms.
 
 The ECO norm of A at budget E is computed exactly through the dual scan on
-A*A.  A structural primal oracle (a bisection on the multiplier lam for the
-top eigenvector of M - lam*G, plus exact solves on two-dimensional planes of
-top eigenvectors at the crossing) provides certified lower bounds used to
-confirm strong duality.  The ECD norm is exact for cp maps; for general
+A*A.  A structural primal oracle (a bracketed search, by safeguarded Newton
+steps from its own eigensolves, for the multiplier lam where the energy of
+the top eigenvector of M - lam*G crosses the budget, plus exact solves on
+two-dimensional planes of top eigenvectors at the crossing) provides
+certified lower bounds used to confirm strong duality.  The ECD norm is exact for cp maps; for general
 *-preserving maps, given as an ordered difference of cp parts, a see-saw
 yields certified lower bounds: every iterate is a feasible input state, so
 the reported trace norm never exceeds the true ECD value.  The see-saw's
@@ -179,54 +180,89 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
     Independent of the dual scan.  The optimum is the top eigenvector of
     M - lam*G at the multiplier where its energy crosses the budget, or a
     mix of top eigenvectors there.  The energy of the top eigenvector is
-    nonincreasing in lam by convexity of the top eigenvalue, so a bisection
-    pins the crossing, and exact solves on two-dimensional planes handle the
-    mixed case: the plane of the top eigenvectors on both sides of the
-    crossing, and the plane of the top two eigenvectors on each side.  The
-    result is deterministic.
+    nonincreasing in lam by convexity of the top eigenvalue, so a bracket
+    [lo, hi] with lo infeasible and hi feasible pins the crossing; it
+    shrinks until lo and hi are adjacent floats.  Each probe is a Newton
+    step on h(lam) = <v|G|v> - E from the latest probe, with the derivative
+    of a simple eigenpair (Overton, SIAM J. Optim. 2, 1992) taken from the
+    same eigensolve, or the midpoint where the top level is degenerate or
+    the step leaves the half of the bracket next to that probe.  Exact
+    solves on two-dimensional planes handle the mixed case: the plane of
+    the top eigenvectors on both sides of the crossing, and the plane of the
+    top two eigenvectors on each side.  The result is deterministic.
 
     Returns ``(value, psi)`` with psi feasible and value evaluated directly.
     """
     ge, gv = g.clipped_eigh()
     mb = gv.conj().T @ m.entries @ gv  # M in the eigenbasis of G
     mb = (mb + mb.conj().T) / 2.0
+    gd = np.diag(ge)
     feas_tol = energy_budget * (1.0 + 1e-12) + 1e-15
 
     def energy_of(v):
         return float(ge @ np.abs(v) ** 2)
 
-    def top_vectors(lam):
-        return np.linalg.eigh(mb - lam * np.diag(ge))[1]
+    def newton_step(evals, evecs):
+        """-h/h' for h = <v|G|v> - E at the top eigenvector v of M - lam*G.
+
+        h' = -2 sum_k |<v_k|G|v>|^2 / (mu - mu_k), the derivative of a simple
+        eigenpair; None where the top level is degenerate or h' = 0.
+        """
+        gaps = evals[-1] - evals[:-1]
+        if not np.all(gaps > 0.0):
+            return None
+        v = evecs[:, -1]
+        slope = -2.0 * float(np.sum(np.abs(evecs[:, :-1].conj().T @ (ge * v)) ** 2 / gaps))
+        if not slope < 0.0:
+            return None
+        return (energy_of(v) - energy_budget) / -slope
 
     evals_m, evecs_m = np.linalg.eigh(mb)
     candidates = [evecs_m[:, -1]]
     if energy_of(evecs_m[:, -1]) > energy_budget:
         candidates = []
-        lo = 0.0
+        lo, evv_lo = 0.0, evecs_m
         hi = 2.0 * max(1.0, max(0.0, float(evals_m[-1])) / energy_budget)
         hi_feasible = False
         for _ in range(60):
-            if energy_of(top_vectors(hi)[:, -1]) <= energy_budget:
+            evv_hi = np.linalg.eigh(mb - hi * gd)[1]
+            if energy_of(evv_hi[:, -1]) <= energy_budget:
                 hi_feasible = True
                 break
             hi *= 4.0
+        else:  # hi was quadrupled after its last probe
+            evv_hi = np.linalg.eigh(mb - hi * gd)[1]
+        # Each Newton step starts from the latest probe, first from lam = 0;
+        # side is +1 when that probe is lo, -1 when it is hi.
+        lam, evals, evecs, side = 0.0, evals_m, evecs_m, 1.0
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             # lo is infeasible, so with hi feasible a mid that is lo or hi
-            # leaves both where they are: the bisection has reached its fixed point.
+            # leaves both where they are: the bracket has reached its fixed point.
             if hi_feasible and not lo < mid < hi:
                 break
-            if energy_of(top_vectors(mid)[:, -1]) > energy_budget:
-                lo = mid
+            probe = mid
+            step = newton_step(evals, evecs)
+            if step is not None:
+                # Two ulps past the Newton point: once Newton has converged
+                # the probe lands across the crossing, so the bracket closes
+                # from both sides.  A probe outside the half of the bracket
+                # next to lam falls back to the midpoint.
+                newton = lam + step + side * 2.0 * np.spacing(lam)
+                if lo < newton < hi and abs(newton - lam) <= 0.5 * (hi - lo):
+                    probe = newton
+            lam = probe
+            evals, evecs = np.linalg.eigh(mb - lam * gd)
+            if energy_of(evecs[:, -1]) > energy_budget:
+                lo, evv_lo, side = lam, evecs, 1.0
             else:
-                hi = mid
+                hi, evv_hi, side = lam, evecs, -1.0
         # Both sides of the crossing lie in the top eigenspace of M - lam*G,
         # one above the budget and one within it, so the plane they span
         # holds a state of energy E on that eigenspace however degenerate it
         # is.  When the two sides coincide (a simple top eigenvalue) that
         # plane degenerates, and the top-2 planes on each side carry the
         # direction in which the top eigenvector turns.
-        evv_lo, evv_hi = top_vectors(lo), top_vectors(hi)
         v_hi = evv_hi[:, -1]
         two_sided = np.linalg.qr(np.column_stack([v_hi, evv_lo[:, -1]]))[0]
         for pair in (evv_lo[:, -2:], evv_hi[:, -2:], two_sided):

@@ -651,3 +651,27 @@ class TestGroupQsl:
         spin = spin_system(2)
         with pytest.raises(ValueError):
             group_qsl(spin, [1, 0, 0], [0, 1, 0], np.ones(spin.dim))
+
+    @pytest.mark.parametrize("cx, cy, message", [
+        ([np.nan, 0, 0], [0, 1, 0], "c_x must be finite, got [nan, 0.0, 0.0]"),
+        ([0, 1, 0], [0, -np.inf, 0], "c_y must be finite, got [0.0, -inf, 0.0]"),
+        ([1e308, 0, 0], [0, 1, 0], "c_x=[1e+308, 0.0, 0.0] overflows A(X) = sum c_j S_j "
+                                   "on 2 qubits; reduce it"),
+        # 2 |c| = 800: e^omega overflows though A(X) is small
+        ([400, 0, 0], [400, 1, 0], "c_x=[400.0, 0.0, 0.0], c_y=[400.0, 1.0, 0.0] overflow "
+                                   "the bound (e^omega - 1)/omega * |c_x - c_y| * "
+                                   "||sqrt(Delta) psi||; reduce them"),
+    ])
+    def test_rejects_coefficients_that_overflow(self, cx, cy, message):
+        spin = spin_system(2)
+        psi = haar_state(spin.dim, rng_from_seed(11))
+        with pytest.raises(ValueError) as err:
+            group_qsl(spin, cx, cy, psi)
+        assert str(err.value) == message
+
+    def test_largest_omega_below_the_float_range_is_finite(self):
+        # 2 |c| = 708 keeps e^omega within a quarter of the float range
+        spin = spin_system(2)
+        psi = haar_state(spin.dim, rng_from_seed(12))
+        lhs, rhs = group_qsl(spin, [354, 0, 0], [354, 0, 1], psi)
+        assert np.isfinite(rhs) and lhs <= rhs

@@ -600,6 +600,25 @@ class TestGroupQslCommand:
         assert data["lhs"] <= data["rhs"]
 
 
+    @pytest.mark.parametrize("cx, cy", [
+        ("1e308,0,0", "0,1,0"),  # A(X) and the ad norm overflow
+        ("0,1,0", "1e308,0,0"),
+        ("400,0,0", "400,1,0"),  # e^omega overflows
+        ("1,0,0", "1e307,0,0"),  # (e^omega - 1)/omega |c_x - c_y| overflows
+    ])
+    def test_overflowing_coefficients_are_named_without_warnings(self, cx, cy):
+        # numpy used to warn four times and LAPACK to print DLASCL errors
+        # before the JSON writer failed on an infinite rhs (exit 3).
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "eclim.cli", "group-qsl",
+                               "--qubits", "2", "--cx", cx, "--cy", cy],
+                              capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert b"DLASCL" not in proc.stderr
+        assert proc.stderr.count(b"\n") == 1
+        err = json.loads(proc.stderr)
+        assert err["code"] == "input_error"
+        assert "overflow" in err["message"]
+
     def test_bound_violation_exits_one(self, capsys, monkeypatch):
         from eclim import cli
         from eclim.lindblad import BoundViolation

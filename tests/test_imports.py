@@ -119,6 +119,16 @@ def test_stability_curves_are_built_only_by_their_two_constructors():
     assert sites == {("lindblad", "stability_curve"), ("lindblad", "joint_constants")}
 
 
+def test_the_primal_oracle_names_no_part_of_the_dual_solver():
+    # The primal confirms the dual only while it solves its own problem:
+    # constrained_rayleigh_max places its probes from its own eigensolves.
+    tree = ast.parse((SRC / "eclim" / "norms.py").read_text())
+    fn = next(n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == "constrained_rayleigh_max")
+    dual = {"dual_scan", "dual_scan_witness", "EnergyProfile", "_compressed_point", "_top_cuts"}
+    assert names_used(fn) & dual == set()
+
+
 def names_used(node) -> set:
     """Every identifier ``node`` names: names, attribute names and imported names."""
     used = set()

@@ -12,6 +12,7 @@ from eclim.channels import (
 )
 from eclim.norms import (
     CpDifference,
+    constrained_rayleigh_max,
     ecd_norm_cp,
     ecd_norm_seesaw,
     eco_norm,
@@ -24,10 +25,13 @@ from eclim.opcore import (
     DensityState,
     HermitianMatrix,
     ReferenceHamiltonian,
+    dual_scan,
     dual_scan_witness,
     energy,
+    ground_shift,
     haar_state,
     project_to_energy_shell,
+    random_psd,
     random_reference,
     rng_from_seed,
     vector_energy,
@@ -170,6 +174,86 @@ class TestEcoNormPrimal:
             # deterministic: the seed does not enter the result
             again, _ = eco_norm_primal(a, g, e, restarts=32, seed=i + 1000)
             assert again == primal
+
+    def test_eigensolves_per_binding_call(self, monkeypatch):
+        # The duality-primal workload's draw: d = 2..6, budgets 0.1, 1, 10.
+        # A slack call makes two eigensolves (G's and M's); a bisection to
+        # adjacent floats made 58-67 per binding call, 61.8 on average.
+        real, calls, counts = np.linalg.eigh, [0], []
+
+        def spy(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        rng = rng_from_seed(61)
+        for i in range(24):
+            for j, d in enumerate(range(2, 7)):
+                a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(d)
+                w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                g = ground_shift(HermitianMatrix(w @ w.conj().T / d))
+                calls[0] = 0
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "eigh", spy)
+                    eco_norm_primal(a, g, (0.1, 1.0, 10.0)[(i + j) % 3])
+                counts.append(calls[0])
+        counts = np.array(counts)
+        binding = counts[counts > 2]
+        assert np.all(counts >= 2) and len(binding) >= len(counts) // 2
+        assert binding.mean() <= 16.0
+        assert binding.max() <= 70
+
+    @pytest.mark.parametrize("name, bisected", [
+        # constrained_rayleigh_max's values when it bisected to adjacent floats
+        ("repeated", 5.008524631850898),
+        ("degenerate", 2.500000000000001),
+        ("split", 2.5000000000005005),
+        ("tiny budget", 0.4946508760869755),
+        ("huge budget", 2.011616978367393),
+        ("d=12", 5.760774769558395),
+    ])
+    def test_hard_crossings(self, name, bisected):
+        _, m, g, e = next(case for case in hard_crossings() if case[0] == name)
+        value, psi = constrained_rayleigh_max(m, g, e)
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+        assert vector_energy(g, psi) <= e * (1.0 + 1e-12)
+        assert abs(value - bisected) <= 1e-12 * abs(bisected)
+        dual, _ = dual_scan(m, g, e)
+        assert -1e-9 <= (dual - value) / max(1.0, dual) <= 1e-6
+
+
+
+def haar_unitary(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated(diagonal, u):
+    return u @ np.diag(diagonal).astype(complex) @ u.conj().T
+
+
+def hard_crossings():
+    """(name, M, G, E) where the primal oracle's Newton probes must fall back.
+
+    In "degenerate" M and G commute, so the top level of M - lam*G is doubly
+    degenerate at lam* = 1.5, where the line 4 - 2 lam (energy 2) meets the
+    line 1 (energy 0); "split" couples the two levels by 5e-13, which splits
+    that crossing by 1e-12.  Both optima are 2.5, at equal weights.
+    """
+    rng = rng_from_seed(2024)
+    u4, u6 = haar_unitary(4, rng), haar_unitary(6, rng)
+    coupled = np.diag([1.0, 2.0, 4.0, 0.5]).astype(complex)
+    coupled[0, 2] = coupled[2, 0] = 5e-13
+    cases = [
+        ("repeated", random_psd(6, rng), rotated([0.0, 1.0, 1.0, 1.0, 2.0, 2.0], u6), 0.5),
+        ("degenerate", rotated([1.0, 2.0, 4.0, 0.5], u4), rotated([0.0, 1.0, 2.0, 3.0], u4), 1.0),
+        ("split", coupled, np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex), 1.0),
+        ("tiny budget", random_psd(4, rng), random_reference(4, rng).matrix.entries, 1e-8),
+        ("huge budget", random_psd(4, rng), 1e9 * random_reference(4, rng).matrix.entries, 1e8),
+        ("d=12", random_psd(12, rng), random_reference(12, rng).matrix.entries, 1.0),
+    ]
+    return [(name, m if isinstance(m, HermitianMatrix) else HermitianMatrix(m),
+             ground_shift(HermitianMatrix(g)), e) for name, m, g, e in cases]
 
 
 class TestEcdCp:
