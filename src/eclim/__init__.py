@@ -22,7 +22,7 @@ from .opcore import (
     energy,
     ground_shift,
     psd_order_leq,
-    spectral_function,
+    psd_sqrt,
 )
 from .channels import (
     KrausChannel,

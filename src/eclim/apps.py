@@ -42,10 +42,10 @@ from .opcore import (
     energy,
     expm,
     haar_state,
+    psd_sqrt,
     random_density,
     random_hermitian,
     rng_from_seed,
-    spectral_function,
     vector_energy,
 )
 
@@ -336,7 +336,7 @@ def group_qsl(spin: SpinSystem, c_x, c_y, psi: np.ndarray):
         if not spin.n_qubits * sum(abs(x) for x in c.tolist()) <= big:
             raise ValueError(f"{name}={c.tolist()} overflows A(X) = sum c_j S_j on "
                              f"{spin.n_qubits} qubits; reduce it")
-    sqrt_delta = spectral_function(spin.laplacian, "sqrt")
+    sqrt_delta = psd_sqrt(spin.laplacian)
     psi_part = float(np.linalg.norm(sqrt_delta.entries @ psi))
     two_c = 2.0 * min(math.hypot(*c_x.tolist()), math.hypot(*c_y.tolist()))
     fits = two_c <= math.log(big)  # e^omega fits

@@ -562,8 +562,10 @@ def evolve_grid(gen: LindbladGenerator, rho: DensityState, times) -> list:
     Up to dimension DENSE_EXPM_MAX_DIM each state is a dense propagator
     exp(tS) applied to vec(rho).  Beyond it the sorted distinct times are
     swept once, each step applying the Taylor action exp((t - prev) S) to the
-    previous state, so no time restarts from zero.  The trace may only
-    decrease.
+    previous state, so no time restarts from zero; a time t whose Taylor
+    step counts ||tA||_1 / theta_m overflow is rejected before the sweep.
+    The trace may only decrease, and a state that is not finite is rejected
+    with its time.
     """
     times = [float(t) for t in times]
     for t in times:
@@ -580,13 +582,16 @@ def evolve_grid(gen: LindbladGenerator, rho: DensityState, times) -> list:
     if gen.dim <= DENSE_EXPM_MAX_DIM:
         props = gen.grid_propagators(steps)
         for t in steps:
-            states[t] = _checked_state(props[t] @ vec, gen.dim, tr_in)
+            states[t] = _checked_state(props[t] @ vec, gen.dim, tr_in, t)
     else:
         op, prev = gen.shifted_superoperator(), 0.0
+        if steps and not np.isfinite(steps[-1] * op[2] / min(TAYLOR_THETA.values())):
+            raise ValueError(f"evolution time {steps[-1]!r} is too long: the Taylor "
+                             f"step count of ||tA||_1 = {steps[-1] * op[2]:.3e} overflows")
         for t in steps:
             vec = _taylor_action(op, t - prev, vec)
             prev = t
-            states[t] = _checked_state(vec, gen.dim, tr_in)
+            states[t] = _checked_state(vec, gen.dim, tr_in, t)
     return [states[t] for t in times]
 
 
@@ -628,7 +633,9 @@ def _taylor_action(op: tuple, h: float, v: np.ndarray) -> np.ndarray:
     return f
 
 
-def _checked_state(vec: np.ndarray, dim: int, tr_in: float) -> DensityState:
+def _checked_state(vec: np.ndarray, dim: int, tr_in: float, t: float) -> DensityState:
+    if not np.isfinite(vec).all():
+        raise ValueError(f"the evolved state at time {t!r} is not finite")
     out = vec.reshape(dim, dim)
     out = (out + out.conj().T) / 2.0
     tr_out = float(np.real(np.trace(out)))

@@ -8,12 +8,14 @@ two-dimensional planes of top eigenvectors at the crossing) provides
 certified lower bounds used to confirm strong duality.  The ECD norm is exact for cp maps; for general
 *-preserving maps, given as an ordered difference of cp parts, a see-saw
 yields certified lower bounds: every iterate is a feasible input state, so
-the reported trace norm never exceeds the true ECD value.  The see-saw's
-restarts advance in lockstep on stacked (R, n, n) arrays: per iteration,
-one stacked eigensolve of the images and one ``dual_scan_witness`` call on
-the stack of dual images, for every restart that has not yet stalled or
-reached ``SEESAW_MAX_ITER``.  Stacked LAPACK calls loop over the matrices,
-so each restart's history is bitwise what it would be alone.
+the reported trace norm never exceeds the true ECD value.  That bound rests
+on the witness alone, so the see-saw builds no dual certificate.  Its
+restarts advance in lockstep on stacked (R, n, n) arrays: per iteration, one
+stacked eigensolve of the images and one ``dual_scan_witness`` call on the
+stack of dual images, which returns the next input states, for every restart
+that has not yet stalled or reached ``SEESAW_MAX_ITER``.  Stacked LAPACK
+calls loop over the matrices, so each restart's history is bitwise what it
+would be alone.
 """
 
 from __future__ import annotations
@@ -475,7 +477,7 @@ def ecd_norm_seesaw(s: CpDifference, g: ReferenceHamiltonian, energy_budget: flo
         value_prev[live] = values[going]
         signs = np.where(evals >= 0.0, 1.0, -1.0)
         w = evecs @ (signs[..., None] * np.swapaxes(evecs.conj(), -1, -2))
-        _, _, psi = dual_scan_witness(s_ext.dual_apply_bipartite(w), g_ext, energy_budget)
+        psi = dual_scan_witness(s_ext.dual_apply_bipartite(w), g_ext, energy_budget)
 
     best = int(np.argmax(best_values))  # the first maximum: ties go to the lowest restart
     return EcdEstimate(

@@ -25,7 +25,7 @@ sup{tr[M rho] : tr[G rho] <= E} for PSD M (the ground state of G is a
 strictly feasible point).
 
 Every operator inequality is one ``require_psd`` gate.  Above
-``FULL_EIGH_MAX_DIM`` a gate on one matrix is first proved in floating point
+``FULL_EIGH_MAX_DIM`` a gate is first proved in floating point
 by a shifted Cholesky factorization (Rump, BIT 46, 2006), which costs a
 fraction of the ``eigvalsh`` it replaces; the gate falls back to ``eigvalsh``
 when the proof fails.  A certificate's ``residual``, the least eigenvalue of
@@ -332,21 +332,21 @@ class AffineCertificate:
         return AffineCertificate(self.lam, self.e0, residual=floor_reader(floor, gap))
 
 
-def require_psd(gap, slack, what: str):
-    """Check that no gap B - A in ``gap`` (one matrix or a stack) has an
-    eigenvalue below -``slack``; ValueError naming ``what`` where one has.
+def require_psd(gap: np.ndarray, slack: float, what: str):
+    """Check that the gap B - A has no eigenvalue below -``slack``;
+    ValueError naming ``what`` where it has.
 
-    Returns the smallest eigenvalue of each gap, or None where a single
-    matrix above ``FULL_EIGH_MAX_DIM`` was proved by ``_proves_psd``, which
-    computes no eigenvalue.  Where the proof fails, and for a stack or a
-    small matrix, the gate decides from ``eigvalsh``, whose smallest
-    eigenvalue is an estimate with its own rounding; a non-finite gap is
-    never proved, so it meets ``eigvalsh`` (and its LinAlgError) as before.
-    So the proof never makes a gate looser.  The gap is not symmetrized:
-    ``eigvalsh`` and ``cholesky`` read the same triangle, and gaps built
-    from ``HermitianMatrix`` entries are exactly Hermitian.
+    Returns the gap's smallest eigenvalue, or None where a gap above
+    ``FULL_EIGH_MAX_DIM`` was proved by ``_proves_psd``, which computes no
+    eigenvalue.  Where the proof fails, and for a small gap, the gate
+    decides from ``eigvalsh``, whose smallest eigenvalue is an estimate with
+    its own rounding; a non-finite gap is never proved, so it meets
+    ``eigvalsh`` (and its LinAlgError) as before.  So the proof never makes
+    a gate looser.  The gap is not symmetrized: ``eigvalsh`` and
+    ``cholesky`` read the same triangle, and gaps built from
+    ``HermitianMatrix`` entries are exactly Hermitian.
     """
-    if gap.ndim == 2 and gap.shape[0] > FULL_EIGH_MAX_DIM and _proves_psd(gap, slack):
+    if gap.shape[0] > FULL_EIGH_MAX_DIM and _proves_psd(gap, slack):
         return None
     return require_psd_spectrum(np.linalg.eigvalsh(gap), slack, what)
 
@@ -422,13 +422,11 @@ def floor_reader(floor, gap_of):
     return lambda: floor
 
 
-def require_psd_spectrum(evals, slack, what: str):
-    """``require_psd`` on ascending spectra already at hand, such as a cached ``eigvals``."""
-    lo = evals[..., 0]
-    bad = lo < -np.asarray(slack)
-    # Not np.any: a numpy reduction right after a d = 128 LAPACK call costs 2-4% of it.
-    if True in bad.ravel().tolist():
-        raise ValueError(f"{what} (min eigenvalue {np.min(lo[bad]):.3e})")
+def require_psd_spectrum(evals: np.ndarray, slack: float, what: str):
+    """``require_psd`` on an ascending spectrum already at hand, such as a cached ``eigvals``."""
+    lo = evals[0]
+    if lo < -slack:
+        raise ValueError(f"{what} (min eigenvalue {lo:.3e})")
     return lo
 
 
@@ -650,7 +648,14 @@ class EnergyProfile:
         return lam, lam * energy_budget + max(0.0, cut[0]), _subgradient(cut, energy_budget)
 
     def solve(self, energy_budget: float):
-        """Minimize g for this budget; returns ``(value, cert)``.
+        """Minimize g for this budget; returns ``(value, cert)``, the
+        certificate verified."""
+        lam, value = self._minimize(energy_budget)
+        cert = AffineCertificate(lam, max(0.0, self._cuts[lam][0])).verify(self.m, self.g)
+        return value, cert
+
+    def _minimize(self, energy_budget: float):
+        """Minimize g for this budget; returns ``(lam, value)``, unverified.
 
         Stops when the certified gap is at most 1e-12 * (1 + |value|) and
         the lam-bracket at most 1e-10 * (1 + |a| + |b|) (the witness is
@@ -683,8 +688,7 @@ class EnergyProfile:
             best, gap = self._bracket_search(lo, hi, e)
         self.last_gap = gap
         lam, value, _ = best
-        cert = AffineCertificate(lam, max(0.0, self._cuts[lam][0])).verify(self.m, self.g)
-        return value, cert
+        return lam, value
 
     def _bracket_search(self, lo, hi, e: float):
         """Shrink the bracket [lo, hi] (subgradients < 0 and >= 0) around the minimum.
@@ -765,80 +769,57 @@ def dual_scan(m: HermitianMatrix, g: ReferenceHamiltonian, energy_budget: float)
     return EnergyProfile(m, g).solve(energy_budget)
 
 
-def dual_scan_witness(m, g: ReferenceHamiltonian, energy_budget: float):
-    """Reconstruct a primal-optimal pure state from the dual scan.
+def dual_scan_witness(ms, g: ReferenceHamiltonian, energy_budget: float) -> np.ndarray:
+    """Primal-optimal pure states reconstructed from the dual scan, one per
+    Hermitian matrix M of the stack ``ms`` (R, n, n), as an (R, n) array.
 
-    At the optimal slope the witness lives in the top eigenspace of
-    M - lam*G; mixing the two eigenvectors of the compressed G that
-    straddle the budget pins the energy to exactly E, and a one-dimensional
-    eigenspace gives its eigenvector with no compression.  The returned
-    vector is always feasible, so tr[M psi psi*] is a certified lower bound.
-
-    Returns ``(value, cert, psi)``.  ``m`` may also be an array (R, n, n)
-    of Hermitian matrices, checked and symmetrized as ``HermitianMatrix``
-    does; then ``value`` and ``cert`` are lists and ``psi`` is an (R, n)
-    array, each entry bitwise what its matrix gives alone.  One stacked
-    eigensolve makes every cut at lam = 0.  Where that cut's subgradient is
-    nonnegative the budget is slack and lam = 0 is optimal: those
-    certificates are re-verified together, and up to ``FULL_EIGH_MAX_DIM``
-    the cut's eigensolve, of the same matrix M - 0*G, also gives the norms
-    that scale the verification slack and the witness's eigenspace.  The
-    other matrices go on to ``EnergyProfile.solve`` from that cut.  G's
-    clipped spectrum and eigenvectors are loaded once for all the witnesses.
+    The matrices are checked and symmetrized as ``HermitianMatrix`` does.
+    At the optimal slope lam the witness lives in the top eigenspace of
+    M - lam*G; mixing the two eigenvectors of the compressed G that straddle
+    the budget pins the energy to exactly E, and a one-dimensional
+    eigenspace gives its eigenvector with no compression.  Each witness is
+    retracted onto the energy shell, so it is always feasible and
+    tr[M psi psi*] is a lower bound; no certificate is built (``dual_scan``
+    gives the verified one).  One stacked eigensolve makes every cut at
+    lam = 0.  Where that cut's subgradient is nonnegative the budget is
+    slack and lam = 0 is optimal; up to ``FULL_EIGH_MAX_DIM`` that
+    eigensolve, of the same matrix M - 0*G, is also the witness's.  The
+    other matrices find lam by ``EnergyProfile`` from that cut.  Stacked
+    LAPACK calls loop over the matrices, so each witness is bitwise what
+    its matrix gives in a stack of one.
     """
-    if isinstance(m, HermitianMatrix):
-        values, certs, psis = _dual_scan_witnesses(m.entries[None], g, energy_budget)
-        return values[0], certs[0], psis[0]
-    ms = np.asarray(m, dtype=complex)
+    ms = np.asarray(ms, dtype=complex)
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {ms.shape}")
     if not np.all(np.isfinite(ms)):
         raise ValueError("matrix entries must be finite")
-    return _dual_scan_witnesses(_hermitian_part(ms), g, energy_budget)
-
-
-def _dual_scan_witnesses(ms: np.ndarray, g: ReferenceHamiltonian, energy_budget: float):
-    """``dual_scan_witness`` of each Hermitian matrix in the stack ``ms``."""
+    ms = _hermitian_part(ms)
     if ms.shape[1:] != (g.dim, g.dim):
         raise ValueError(f"dimension mismatch: {ms.shape[-1]} vs {g.dim}")
     if not 0 < energy_budget < np.inf:
         raise ValueError("energy budget must be positive and finite")
     e = float(energy_budget)
-    count = ms.shape[0]
     cuts, eig = _top_cuts(ms - 0.0 * g.entries, g)
-    full = eig if g.dim <= FULL_EIGH_MAX_DIM else None
-    slack = [r for r in range(count) if _subgradient(cuts[r], e) >= 0.0]
-    values, certs = [None] * count, [None] * count
-    if slack:
-        e0 = np.array([max(0.0, cuts[r][0]) for r in slack])
-        spectra = np.linalg.eigvalsh(ms[slack]) if full is None else full[0][slack]
-        norms = np.max(np.abs(spectra), axis=-1)
-        residuals = require_psd(e0[:, None, None] * np.eye(g.dim) - ms[slack],
-                                CERT_RESIDUAL_RTOL * (1.0 + norms),
-                                "certificate fails verification")
-        for r, e0_r, res in zip(slack, e0.tolist(), residuals.tolist()):
-            values[r] = 0.0 * e + e0_r
-            certs[r] = AffineCertificate(0.0, e0_r, residual=res)
-    for r in range(count):
-        if certs[r] is None:
-            profile = EnergyProfile._from_first_cut(HermitianMatrix(ms[r]), g, cuts[r],
+    full = g.dim <= FULL_EIGH_MAX_DIM
+    lams, eigs = {}, [None] * len(cuts)  # the slope of each row whose eigh is still due
+    for r, cut in enumerate(cuts):
+        if _subgradient(cut, e) >= 0.0:  # a slack budget: lam = 0
+            if full:
+                eigs[r] = eig[0][r], eig[1][r]
+            else:
+                lams[r] = 0.0
+        else:
+            profile = EnergyProfile._from_first_cut(HermitianMatrix(ms[r]), g, cut,
                                                     eig[1][r, :, -1])
-            values[r], certs[r] = profile.solve(e)
-
-    eigs = [None] * count
-    if full is not None:
-        for r in slack:
-            eigs[r] = full[0][r], full[1][r]
-    redo = [r for r in range(count) if eigs[r] is None]
-    if redo:
-        lam = np.array([certs[r].lam for r in redo])
-        evals, evecs = np.linalg.eigh(ms[redo] - lam[:, None, None] * g.entries)
-        for r, ev, vecs in zip(redo, evals, evecs):
+            lams[r] = profile._minimize(e)[0]
+    if lams:
+        lam = np.array(list(lams.values()))
+        evals, evecs = np.linalg.eigh(ms[list(lams)] - lam[:, None, None] * g.entries)
+        for r, ev, vecs in zip(lams, evals, evecs):
             eigs[r] = ev, vecs
     # The retraction guards the float edge cases of the witness's branches.
     onto_shell = _shell_projector(g, e)
-    psis = np.array([onto_shell(_pinned_witness(ev, vecs, g, e)) for ev, vecs in eigs])
-    return values, certs, psis
+    return np.array([onto_shell(_pinned_witness(ev, vecs, g, e)) for ev, vecs in eigs])
 
 
 def _pinned_witness(evals: np.ndarray, evecs: np.ndarray, g: ReferenceHamiltonian,
@@ -934,26 +915,13 @@ def retract_columns(c: np.ndarray, ge: np.ndarray, energy_budget: float) -> np.n
     return c
 
 
-def spectral_function(m: HermitianMatrix, f: str, p: float | None = None) -> HermitianMatrix:
-    """Apply sqrt, power(p in (0,1]), or log1p through the eigendecomposition."""
+def psd_sqrt(m: HermitianMatrix) -> HermitianMatrix:
+    """The square root of a PSD matrix, through its eigendecomposition."""
     evals, evecs = m.eigh()
-    if f in ("sqrt", "power"):
-        require_psd_spectrum(evals, PSD_RTOL * (1.0 + float(np.max(np.abs(evals)))),
-                             f"{f} undefined on spectrum")
-        d = np.clip(evals, 0.0, None)
-        if f == "sqrt":
-            fd = np.sqrt(d)
-        else:
-            if p is None or not (0.0 < p <= 1.0):
-                raise ValueError("power requires an exponent p in (0, 1]")
-            fd = d ** p
-    elif f == "log1p":
-        if float(evals[0]) <= -1.0:
-            raise ValueError("log1p undefined on spectrum (eigenvalue <= -1)")
-        fd = np.log1p(evals)
-    else:
-        raise ValueError(f"unknown spectral function {f!r}")
-    return HermitianMatrix(evecs @ (fd[:, None] * evecs.conj().T))
+    require_psd_spectrum(evals, PSD_RTOL * (1.0 + float(np.max(np.abs(evals)))),
+                         "sqrt undefined on spectrum")
+    root = np.sqrt(np.clip(evals, 0.0, None))
+    return HermitianMatrix(evecs @ (root[:, None] * evecs.conj().T))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .opcore import (
     ground_shift,
     identity,
     psd_order_leq,
-    spectral_function,
+    psd_sqrt,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -67,8 +67,8 @@ def _checks():
     yield "dual scan: identity -> 1 at (0,1); zero -> 0 at (0,0)", dual_trivials
 
     yield "sqrt(diag(0,4)) = diag(0,2)", lambda: np.allclose(
-        spectral_function(HermitianMatrix(np.diag([0.0, 4.0]).astype(complex)),
-                          "sqrt").entries, np.diag([0.0, 2.0]))
+        psd_sqrt(HermitianMatrix(np.diag([0.0, 4.0]).astype(complex))).entries,
+        np.diag([0.0, 2.0]))
 
     yield "eco norm of pauli_x is 1", lambda: abs(
         eco_norm(PAULI_X, g01, 0.3)[0] - 1.0) < 1e-9

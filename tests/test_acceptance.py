@@ -375,7 +375,7 @@ def test_criterion_10_operator_monotone_suite():
         d = int(rng.integers(2, 5))
         chan = random_cp_channel(d, rng)
         m = random_psd(d, rng)
-        if not monotone_image_check(chan, m, tol=1e-8):
+        if not monotone_image_check(chan, m):
             monotone_ok = False
 
     cert_ok = True

@@ -632,8 +632,8 @@ class TestGroupQsl:
         u_psi = evecs @ (np.exp(-1j * evals) * (evecs.conj().T @ psi))
         assert lhs == pytest.approx(float(np.linalg.norm(u_psi - psi)), abs=1e-12)
         # omega = min(ad, 0) = 0, so the prefactor is the convention value 1
-        from eclim.opcore import spectral_function
-        sqrt_delta = spectral_function(spin.laplacian, "sqrt")
+        from eclim.opcore import psd_sqrt
+        sqrt_delta = psd_sqrt(spin.laplacian)
         expect_rhs = float(np.linalg.norm(c) * np.linalg.norm(sqrt_delta.entries @ psi))
         assert rhs == pytest.approx(expect_rhs, abs=1e-12)
 

@@ -492,6 +492,26 @@ class TestBadNumbersExitTwo:
             "code": "input_error",
             "message": f"energy budget must be nonnegative and finite, got {float(energy)}"}
 
+    @pytest.mark.parametrize("dim, message", [
+        # up to lindblad.DENSE_EXPM_MAX_DIM a dense propagator, which overflows
+        (2, "the evolved state at time 1e+300 is not finite"),
+        # beyond it the Taylor action, whose step count overflows
+        (10, "evolution time 1e+300 is too long: the Taylor step count of ||tA||_1"),
+    ])
+    def test_simulate_huge_time_is_named(self, files, capfd, dim, message):
+        lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
+        gen = files["write"]("damped.json", {"dim": dim, "lindblad": [op_json(lower)],
+                                             "hamiltonian": op_json(np.zeros((dim, dim)))})
+        ref = files["write"]("number.json", op_json(np.diag(np.arange(dim, dtype=float))))
+        rho = files["write"]("excited.json", op_json(np.diag(np.eye(dim)[-1])))
+        code, out, err = run_main(["simulate", "--gen", gen, "--state", rho, "--ref", ref,
+                                   "--times", "0,1e300"], capfd)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == "input_error"
+        assert json.loads(err)["message"].startswith(message)
+
     @pytest.mark.parametrize("rule, message", [
         ("power:nan", "power rule needs a finite p, got nan"),
         ("geometric:inf", "geometric rule needs a finite r, got inf"),
@@ -731,7 +751,8 @@ class TestUsageAndVersion:
 
     def test_console_script(self):
         proc = subprocess.run([sys.executable, "-m", "eclim.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
         assert proc.returncode == 0
 
 

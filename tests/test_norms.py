@@ -357,8 +357,7 @@ def seesaw_per_restart(s, g, energy_budget, ancilla_dim, restarts, seed):
             value_prev = value
             signs = np.where(evals >= 0.0, 1.0, -1.0)
             w = evecs @ (signs[:, None] * evecs.conj().T)
-            m = HermitianMatrix(s_ext.dual_apply_bipartite(w))
-            _, _, psi = dual_scan_witness(m, g_ext, energy_budget)
+            psi = dual_scan_witness(s_ext.dual_apply_bipartite(w)[None], g_ext, energy_budget)[0]
         histories.append(tuple(trace))
         if local_best_value > best_value:
             best_value, best_psi = local_best_value, local_best_psi
