@@ -65,8 +65,12 @@ class SpeedLimitConfig:
 
     def __post_init__(self):
         grid = tuple(float(t) for t in self.time_grid)
-        if not grid or grid[0] != 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("time grid must be ascending and start at 0")
+        if not grid or grid[0] != 0.0:
+            raise ValueError("time grid must start at 0")
+        for a, b in zip(grid, grid[1:]):
+            if not a < b < np.inf:
+                raise ValueError(f"time grid must be finite and strictly ascending, "
+                                 f"got {b} after {a}")
         if self.scenario not in ("left", "right"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         _set_fields(self, time_grid=grid)

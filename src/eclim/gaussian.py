@@ -142,11 +142,6 @@ class GaussianChannel:
         return GaussianChannel(np.sqrt(eta) * np.eye(d), (1.0 - eta) * np.eye(d),
                                np.zeros(d))
 
-    @staticmethod
-    def displacement(modes: int, alpha) -> "GaussianChannel":
-        d = 2 * modes
-        return GaussianChannel(np.eye(d), np.zeros((d, d)), alpha)
-
 
 def apply_channel(c: GaussianChannel, s: GaussianState) -> GaussianState:
     if c.modes_in != s.modes:
@@ -190,11 +185,6 @@ class GaussianGenerator:
     @staticmethod
     def damping(kappa: float) -> "GaussianGenerator":
         return GaussianGenerator(1, -(kappa / 2.0) * np.eye(2), kappa * np.eye(2))
-
-    @staticmethod
-    def rotation(omega: float, modes: int = 1) -> "GaussianGenerator":
-        return GaussianGenerator(modes, omega * symplectic_form(modes),
-                                 np.zeros((2 * modes, 2 * modes)))
 
 
 def _generator_condition(xdot: np.ndarray, ydot: np.ndarray, modes: int) -> np.ndarray:

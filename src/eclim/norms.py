@@ -3,9 +3,10 @@
 The ECO norm of A at budget E is computed exactly through the dual scan on
 A*A.  A structural primal oracle (a bracketed search, by safeguarded Newton
 steps from its own eigensolves, for the multiplier lam where the energy of
-the top eigenvector of M - lam*G crosses the budget, plus exact solves on
-two-dimensional planes of top eigenvectors at the crossing) provides
-certified lower bounds used to confirm strong duality.  The ECD norm is exact for cp maps; for general
+the top eigenvector of M - lam*G crosses the budget, which ends on the point
+of energy E on the arc between the top eigenvectors on both sides of the
+crossing) provides certified lower bounds used to confirm strong duality.
+The ECD norm is exact for cp maps; for general
 *-preserving maps, given as an ordered difference of cp parts, a see-saw
 yields certified lower bounds: every iterate is a feasible input state, so
 the reported trace norm never exceeds the true ECD value.  That bound rests
@@ -92,68 +93,31 @@ def trace_norm(x) -> float:
 # Primal side: the structural oracle over energy-feasible unit vectors.
 # ---------------------------------------------------------------------------
 
-def _plane_max(m2: np.ndarray, g2: np.ndarray, energy_budget: float):
-    """Exact maximum of a 2x2 compressed problem over the Bloch sphere.
+def _arc_points(v_hi, v_lo, ge, energy_budget: float) -> list:
+    """The points of energy E on the arc of unit vectors from v_hi to v_lo.
 
-    With psi = alpha*u + beta*v, both quadratic forms are affine in the
-    Bloch vector n, so the constrained maximum over {q_G <= E, |n| = 1}
-    reduces to a closed-form spherical-cap maximization.  Returns
-    ``(value, (alpha, beta))`` or None when the plane holds no feasible
-    point.
+    With u = v_hi in the phase that makes s = <u|v_lo> positive, and
+    w = (v_lo - s u)/r the unit remainder of v_lo, the arc is
+    psi(t) = cos t u + sin t w for tan t in [0, r/s].  Its energy under G's
+    eigenvalues ``ge`` is E where (b - E) tan^2 t + 2c tan t + (a - E) = 0,
+    for a, b the energies of u and w and c = Re <u|G|w>.  The roots are taken
+    in the form without cancellation, so a point near u keeps its relative
+    accuracy.  Empty when v_lo is parallel to v_hi.
     """
-    am = 0.5 * float(m2[0, 0].real + m2[1, 1].real)
-    bm = np.array([m2[0, 1].real, -m2[0, 1].imag,
-                   0.5 * (m2[0, 0].real - m2[1, 1].real)])
-    ag = 0.5 * float(g2[0, 0].real + g2[1, 1].real)
-    bg = np.array([g2[0, 1].real, -g2[0, 1].imag,
-                   0.5 * (g2[0, 0].real - g2[1, 1].real)])
-    nb, ng = float(np.linalg.norm(bm)), float(np.linalg.norm(bg))
-
-    def bloch_to_state(n):
-        # Magnitudes come from n_z alone (exact unit norm); the transverse
-        # components only set the relative phase, so pole noise is harmless.
-        alpha = np.sqrt(max(0.0, 0.5 * (1.0 + n[2])))
-        beta_mag = np.sqrt(max(0.0, 0.5 * (1.0 - n[2])))
-        w = complex(n[0], n[1]) / 2.0  # target conj(alpha) * beta
-        if alpha >= beta_mag:
-            beta = w / alpha if alpha > 0 else 0.0
-            beta = beta * (beta_mag / abs(beta)) if abs(beta) > 0 else beta_mag
-            return alpha, beta
-        alpha_c = np.conj(w) / beta_mag
-        alpha_c = alpha_c * (alpha / abs(alpha_c)) if abs(alpha_c) > 0 else alpha
-        return alpha_c, beta_mag
-
-    scale_m = nb + abs(am) + 1e-30
-    scale_g = ng + abs(ag) + 1e-30
-
-    if nb <= 1e-13 * scale_m:
-        # constant objective; only feasibility matters
-        n = -bg / ng if ng > 1e-13 * scale_g else np.array([0.0, 0.0, 1.0])
-        if ag + bg @ n > energy_budget + 1e-13 * scale_g:
-            return None
-        return am, bloch_to_state(n)
-
-    n = bm / nb
-    if ag + bg @ n <= energy_budget:
-        return am + nb, bloch_to_state(n)
-    if ng <= 1e-13 * scale_g:
-        return None  # constant infeasible energy on the whole sphere
-    t = (energy_budget - ag) / ng
-    if t < -1.0:
-        return None
-    t = min(t, 1.0)
-    dhat = bg / ng
-    bperp = bm - (bm @ dhat) * dhat
-    nbp = float(np.linalg.norm(bperp))
-    if nbp > 1e-9 * nb:
-        n = t * dhat + np.sqrt(max(0.0, 1.0 - t * t)) * (bperp / nbp)
-    else:
-        # bm is parallel to bg: the cap value is constant, pick any clean
-        # perpendicular so the Bloch vector stays exactly unit
-        perp = np.eye(3)[int(np.argmin(np.abs(dhat)))]
-        perp = perp - (perp @ dhat) * dhat
-        n = t * dhat + np.sqrt(max(0.0, 1.0 - t * t)) * (perp / np.linalg.norm(perp))
-    return am + float(bm @ n), bloch_to_state(n)
+    s = complex(np.vdot(v_hi, v_lo))
+    u = v_hi * (s / abs(s)) if s != 0.0 else v_hi
+    rest = v_lo - abs(s) * u
+    r = float(np.linalg.norm(rest))
+    if not r > 0.0:
+        return []
+    w = rest / r
+    p = float(ge @ np.abs(u) ** 2) - energy_budget
+    q = float(ge @ np.abs(w) ** 2) - energy_budget
+    c = float(np.real(np.vdot(u, ge * w)))
+    k = -(c + np.copysign(np.sqrt(max(0.0, c * c - p * q)), c))  # roots p/k and k/q
+    taus = [x / y for x, y in ((p, k), (k, q)) if y != 0.0]
+    return [(u + tau * w) / np.hypot(1.0, tau)
+            for tau in taus if 0.0 <= tau and tau * abs(s) <= r]
 
 
 def eco_norm_primal(a, g: ReferenceHamiltonian, energy_budget: float,
@@ -188,13 +152,18 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
     step on h(lam) = <v|G|v> - E from the latest probe, with the derivative
     of a simple eigenpair (Overton, SIAM J. Optim. 2, 1992) taken from the
     same eigensolve, or the midpoint where the top level is degenerate or
-    the step leaves the half of the bracket next to that probe.  Exact
-    solves on two-dimensional planes handle the mixed case: the plane of
-    the top eigenvectors on both sides of the crossing, and the plane of the
-    top two eigenvectors on each side.  The result is deterministic.
+    the step leaves the half of the bracket next to that probe.  The
+    candidates are then the feasible end's top eigenvector and the point of
+    energy E on the arc from it to the infeasible end's (``_arc_points``):
+    both ends lie in the top eigenspace at the crossing, so that point is
+    optimal however degenerate the eigenspace is.  The result is
+    deterministic.
 
     Returns ``(value, psi)`` with psi feasible and value evaluated directly.
+    Raises ValueError unless 0 < E < inf.
     """
+    if not 0 < energy_budget < np.inf:
+        raise ValueError("energy budget must be positive and finite")
     ge, gv = g.clipped_eigh()
     mb = gv.conj().T @ m.entries @ gv  # M in the eigenbasis of G
     mb = (mb + mb.conj().T) / 2.0
@@ -225,6 +194,9 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
         candidates = []
         lo, evv_lo = 0.0, evecs_m
         hi = 2.0 * max(1.0, max(0.0, float(evals_m[-1])) / energy_budget)
+        if not hi < np.inf:
+            raise RuntimeError(f"the primal oracle's upper bracket 2*max(1, lam_max(M)/E) "
+                               f"overflows at the energy budget E={energy_budget}")
         hi_feasible = False
         for _ in range(60):
             evv_hi = np.linalg.eigh(mb - hi * gd)[1]
@@ -259,26 +231,11 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
                 lo, evv_lo, side = lam, evecs, 1.0
             else:
                 hi, evv_hi, side = lam, evecs, -1.0
-        # Both sides of the crossing lie in the top eigenspace of M - lam*G,
-        # one above the budget and one within it, so the plane they span
-        # holds a state of energy E on that eigenspace however degenerate it
-        # is.  When the two sides coincide (a simple top eigenvalue) that
-        # plane degenerates, and the top-2 planes on each side carry the
-        # direction in which the top eigenvector turns.
         v_hi = evv_hi[:, -1]
-        two_sided = np.linalg.qr(np.column_stack([v_hi, evv_lo[:, -1]]))[0]
-        for pair in (evv_lo[:, -2:], evv_hi[:, -2:], two_sided):
-            m2 = pair.conj().T @ (mb @ pair)
-            g2 = pair.conj().T @ (ge[:, None] * pair)
-            got = _plane_max(m2, g2, energy_budget)
-            if got is not None:
-                _, (alpha, beta) = got
-                cand = alpha * pair[:, 0] + beta * pair[:, 1]
-                cand = cand / np.linalg.norm(cand)
-                if energy_of(cand) <= feas_tol:
-                    candidates.append(cand)
         if energy_of(v_hi) <= energy_budget:
             candidates.append(v_hi)
+        candidates += [v for v in _arc_points(v_hi, evv_lo[:, -1], ge, energy_budget)
+                       if energy_of(v) <= feas_tol]
     # The ground state of G is always feasible, so the list is never empty.
     candidates.append(np.eye(g.dim, 1, dtype=complex)[:, 0])
     best = max(candidates, key=lambda v: float(np.real(v.conj() @ (mb @ v))))
@@ -293,6 +250,8 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
 def random_feasible_sample_max(m: HermitianMatrix, g: ReferenceHamiltonian,
                                energy_budget: float, samples: int, seed: int = 0) -> float:
     """Best of Haar-random pure states retracted onto the energy shell."""
+    if not 0 < energy_budget < np.inf:
+        raise ValueError("energy budget must be positive and finite")
     ge, gv = g.clipped_eigh()
     mb = gv.conj().T @ m.entries @ gv
     rng = rng_from_seed(seed)

@@ -78,6 +78,16 @@ class TestSpeedLimitRows:
         with pytest.raises(ValueError):
             SpeedLimitConfig(scenario="middle")
 
+    @pytest.mark.parametrize("grid, bad", [
+        ((0.0, np.nan), "nan after 0.0"),
+        ((0.0, np.inf), "inf after 0.0"),
+        ((0.0, 0.2, 0.2), "0.2 after 0.2"),
+        ((0.0, 0.3, 0.1), "0.1 after 0.3"),
+    ])
+    def test_config_names_a_time_that_is_not_finite_or_ascending(self, grid, bad):
+        with pytest.raises(ValueError, match=f"finite and strictly ascending, got {bad}$"):
+            SpeedLimitConfig(n_qubits=2, time_grid=grid, first_order=True)
+
     def test_first_order_builds_no_certificate_curve(self, monkeypatch):
         cfg = SpeedLimitConfig(n_qubits=2, time_grid=tuple(np.linspace(0.0, 0.4, 6)), seed=1,
                                first_order=True)

@@ -24,6 +24,17 @@ from eclim.gaussian import (
 from eclim.opcore import rng_from_seed
 
 
+def displacement(modes, alpha):
+    """The displacement channel X = 1, Y = 0 by alpha."""
+    return GaussianChannel(np.eye(2 * modes), np.zeros((2 * modes, 2 * modes)), alpha)
+
+
+def rotation(omega, modes=1):
+    """The noiseless rotation generator Xdot = omega * sigma, Ydot = 0."""
+    return GaussianGenerator(modes, omega * symplectic_form(modes),
+                             np.zeros((2 * modes, 2 * modes)))
+
+
 def random_generator(n, rng):
     xdot = rng.standard_normal((2 * n, 2 * n))
     sigma = symplectic_form(n)
@@ -95,7 +106,7 @@ class TestChannels:
 
     def test_displacement_makes_coherent(self):
         alpha = np.array([1.3, -0.4])
-        out = apply_channel(GaussianChannel.displacement(1, alpha),
+        out = apply_channel(displacement(1, alpha),
                             GaussianState.vacuum(1))
         assert np.allclose(out.beta, alpha)
         assert np.allclose(out.gamma, np.eye(2))
@@ -119,7 +130,7 @@ class TestChannels:
         alpha = rng.standard_normal(2)
         full = GaussianChannel(c.x, c.y, alpha)
         s = GaussianState.thermal(1, 0.7)
-        via = apply_channel(GaussianChannel.displacement(1, alpha),
+        via = apply_channel(displacement(1, alpha),
                             apply_channel(c, s))
         direct = apply_channel(full, s)
         assert np.allclose(via.gamma, direct.gamma)
@@ -140,7 +151,7 @@ class TestChannelEnergyBound:
         assert channel_energy_bound(c, 1.0) == pytest.approx(3.0)
 
     def test_rejects_displacing(self):
-        c = GaussianChannel.displacement(1, np.array([1.0, 0.0]))
+        c = displacement(1, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             channel_energy_bound(c, 1.0)
 
@@ -163,7 +174,7 @@ class TestDictionary:
 
     def test_rotation(self):
         omega = 0.7
-        g = GaussianGenerator.rotation(omega)
+        g = rotation(omega)
         m, h = generator_dictionary(g)
         assert np.allclose(np.real(m), 0.0, atol=1e-12)
         sigma = symplectic_form(1)
@@ -221,7 +232,7 @@ class TestEvolution:
 
     def test_convention_lock_rotation_direction(self):
         # a positive-frequency rotation turns +Q displacement toward -P
-        g = GaussianGenerator.rotation(1.0)
+        g = rotation(1.0)
         s = GaussianState.coherent(1, np.array([np.sqrt(2.0), 0.0]))
         out = evolve_gaussian(g, s, np.pi / 2)
         assert np.allclose(out.beta, [0.0, -np.sqrt(2.0)], atol=1e-9)
@@ -242,7 +253,7 @@ class TestNoiseIntegral:
             assert rel_err(y, (1.0 - np.exp(-kappa * t)) * np.eye(2)) <= 1e-12
 
     def test_rotation_adds_no_noise(self):
-        g = GaussianGenerator.rotation(1.3, modes=2)
+        g = rotation(1.3, modes=2)
         for t in (0.5, 2.0):
             assert np.max(np.abs(semigroup_channel(g, t).y)) <= 1e-14
 
@@ -285,7 +296,7 @@ class TestStability:
 
     def test_rotation_constants(self):
         for omega in (0.5, 2.0):
-            cert = gaussian_stability(GaussianGenerator.rotation(omega))
+            cert = gaussian_stability(rotation(omega))
             assert cert.omega == pytest.approx(2.0 * omega)
             assert cert.e0 == pytest.approx(0.5)
 

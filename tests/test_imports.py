@@ -148,8 +148,10 @@ def test_every_public_definition_is_named_outside_its_unit_tests():
     Each public top-level def and class of src/eclim (but __init__.py) must be
     named by another top-level statement of src/eclim, by perfbench/*.py or by
     an acceptance criterion (tests/test_acceptance.py); __init__'s exports do
-    not count.  The check is by name alone: any same-named identifier in those
-    files counts as a use, so a dead definition that shares its name with
+    not count.  So must each public method, static method and property of a
+    public class, where the other members of its own class count as well.
+    The check is by name alone: any same-named identifier in those files
+    counts as a use, so a dead definition that shares its name with
     something else passes.
     """
     library = sorted(p for p in (SRC / "eclim").glob("*.py") if p.name != "__init__.py")
@@ -163,4 +165,10 @@ def test_every_public_definition_is_named_outside_its_unit_tests():
                and not stmt.name.startswith("_")]
     unnamed = {d.name for d in defined
                if not any(d.name in names for stmt, names in uses if stmt is not d)}
+    members = [(cls, m) for cls in defined if isinstance(cls, ast.ClassDef)
+               for m in cls.body
+               if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    unnamed |= {f"{cls.name}.{m.name}" for cls, m in members
+                if not any(m.name in names for stmt, names in uses if stmt is not cls)
+                and not any(m.name in names_used(other) for other in cls.body if other is not m)}
     assert unnamed == set(UNCALLED_KEPT)

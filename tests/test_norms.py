@@ -256,6 +256,58 @@ def hard_crossings():
              ground_shift(HermitianMatrix(g)), e) for name, m, g, e in cases]
 
 
+def arc_edges():
+    """(name, M, G, E, value) for the three shapes of the oracle's final arc.
+
+    "parallel": a simple top level at the crossing, so both bracket ends give
+    the same top eigenvector up to rounding; "orthogonal": commuting M and G
+    whose top level is doubly degenerate at lam* = 1.5, where the ends give
+    two orthogonal basis vectors; "threefold": M = G + P with P the projector
+    onto a random three-dimensional subspace, so M - G = P is threefold
+    degenerate at lam* = 1, and the optimum E + 1 mixes that subspace.
+    """
+    rng = rng_from_seed(27)
+    g4 = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+    q = haar_unitary(4, rng)[:, :3]
+    top_g = np.linalg.eigvalsh(q.conj().T @ g4 @ q)
+    threefold_e = 0.5 * (top_g[0] + top_g[-1])
+    return [
+        ("parallel", HermitianMatrix(np.array([[1.0, 0.6], [0.6, 2.0]], dtype=complex)),
+         ref(0.0, 1.0), 0.5, None),
+        ("orthogonal", HermitianMatrix(np.diag([1.0, 4.0, 0.5]).astype(complex)),
+         ref(0.0, 2.0, 1.0), 0.5, 1.75),
+        ("threefold", HermitianMatrix(g4 + q @ q.conj().T), ground_shift(HermitianMatrix(g4)),
+         threefold_e, threefold_e + 1.0),
+    ]
+
+
+class TestArcEndgame:
+    """The oracle ends on the feasible end's top eigenvector and the points of
+    energy E on the arc from it to the infeasible end's top eigenvector."""
+
+    @pytest.mark.parametrize("name, overlap", [
+        ("parallel", 1.0), ("orthogonal", 0.0), ("threefold", None)])
+    def test_witness_feasible_and_tight(self, name, overlap, monkeypatch):
+        _, m, g, e, exact = next(case for case in arc_edges() if case[0] == name)
+        ends, real = [], norms._arc_points
+
+        def spy(v_hi, v_lo, ge, energy_budget):
+            ends.append(abs(np.vdot(v_hi, v_lo)))
+            return real(v_hi, v_lo, ge, energy_budget)
+
+        monkeypatch.setattr(norms, "_arc_points", spy)
+        value, psi = constrained_rayleigh_max(m, g, e)
+        assert len(ends) == 1
+        if overlap is not None:
+            assert ends[0] == pytest.approx(overlap, abs=1e-12)
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+        assert vector_energy(g, psi) <= e * (1.0 + 1e-12)
+        dual, _ = dual_scan(m, g, e)
+        assert abs(value - dual) <= 1e-12 * abs(dual)
+        if exact is not None:
+            assert value == pytest.approx(exact, rel=1e-12)
+
+
 class TestEcdCp:
     def test_trace_preserving_is_one(self):
         value, _ = ecd_norm_cp(amplitude_damping(0.3), ref(0.0, 1.0), 0.7)

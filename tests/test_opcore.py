@@ -1,6 +1,7 @@
 """Core operator order, dual scan, and spectral calculus tests."""
 
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -789,10 +790,11 @@ class TestPsdProof:
 class TestNonFiniteInput:
     """A budget, e0 or time that is not finite is bad input, not an answer."""
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
     def test_budgets(self, bad):
         from eclim.channels import KrausChannel
-        from eclim.norms import CpDifference, ecd_norm_seesaw, eco_norm
+        from eclim.norms import (CpDifference, constrained_rayleigh_max, ecd_norm_seesaw,
+                                 eco_norm, eco_norm_primal, random_feasible_sample_max)
         g = ref(0.0, 1.0)
         m = diag(0.0, 1.0)
         identity_map = CpDifference.from_channel(KrausChannel.identity(2))
@@ -801,10 +803,21 @@ class TestNonFiniteInput:
             lambda: EnergyProfile(m, g).solve(bad),
             lambda: dual_scan_witness(m.entries[None], g, bad),
             lambda: ecd_norm_seesaw(identity_map, g, bad, restarts=1),
+            lambda: eco_norm_primal(m.entries, g, bad),
+            lambda: constrained_rayleigh_max(m, g, bad),
+            lambda: random_feasible_sample_max(m, g, bad, 10),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="positive and finite"):
                 call()
+
+    def test_primal_upper_bracket_overflow_is_named(self):
+        # 2*max(1, lam_max(M)/E) is not finite at a subnormal budget.
+        from eclim.norms import constrained_rayleigh_max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"overflows at the energy budget E=1e-320"):
+                constrained_rayleigh_max(diag(0.0, 1.0), ref(0.0, 1.0), 1e-320)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_stability_e0(self, bad):
