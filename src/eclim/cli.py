@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -54,6 +55,19 @@ def _emit(text: str, out_path: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out_path: str):
+    """Raise OSError, creating nothing, unless ``out_path`` can be written:
+    it is no directory, and its directory exists and is writable."""
+    folder = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        raise IsADirectoryError(f"--out {out_path!r} is a directory")
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"--out {out_path!r}: no directory {folder!r}")
+    if not os.access(folder, os.W_OK | os.X_OK) or \
+            os.path.exists(out_path) and not os.access(out_path, os.W_OK):
+        raise PermissionError(f"--out {out_path!r} is not writable")
 
 
 def _reference(path: str):
@@ -371,6 +385,8 @@ def main(argv=None) -> int:
         # argparse exits with 2 on bad usage and 0 on --help/--version.
         return int(exc.code or 0)
     try:
+        if args.out:  # checked first, so a long computation never ends unwritable
+            _check_out(args.out)
         text, code = args.handler(args)
         _emit(text, args.out)
         return code

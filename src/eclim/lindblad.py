@@ -14,7 +14,9 @@ only rank the candidates: every certificate a result reads is re-verified, by
 the floors of ``min_omega``, when it is first read; a candidate that loses the
 ranking is not a certificate.  Because the exact omega falls with e0 no faster
 than 1/e0, the omegas already solved bound every other candidate's budget from
-below, so ``best_certificate`` solves only the pencils that can still win.
+below, and from dimension _RITZ_MIN_DIM on so do the Rayleigh quotients of a
+few Lanczos vectors (Courant-Fischer), so ``best_certificate`` solves only the
+pencils that can still win.
 
 Simulation vectorizes rho row-major, vec(A rho B) = (A (x) B^T) vec(rho),
 so the superoperator is K (x) 1 + 1 (x) conj(K) + sum L (x) conj(L).
@@ -63,11 +65,30 @@ TAYLOR_THETA = {
     45: 7.2, 50: 8.5, 55: 9.9,
 }
 TAYLOR_TOL = 2.0 ** -53  # unit roundoff, the truncation tolerance of the Taylor action
+# The most matrix-vector products (m s) the Taylor action may take from 0 to
+# the largest time of a grid.  A CSR product for the damped Fock generator at
+# d = 61 (H = N, L = a, ||A||_1 = 90) takes 19.5 us (one BLAS thread), so the
+# cap is about 20 s of them; that generator needs 605 from 0 to t = 1.2.
+TAYLOR_MAX_PRODUCTS = 10 ** 6
 E0_GRID_POINTS = 13
 # Below this, absolute rounding (underflow) could outgrow the search's margins:
 # ``StabilityCurve.omega_floors`` then bounds nothing and ``_budget_floor``
 # subtracts it outright.
 _SEARCH_TINY = 2.0 ** -960
+# From this dimension on, a Lanczos run of _RITZ_STEPS steps bounds a curve's
+# omegas before its next pencil is solved densely.  A complex pencil
+# ``eigvalsh`` against a run: d = 40, 0.14 against 0.16 ms; d = 48, 0.19
+# against 0.17 ms; d = 64, 0.34 against 0.18 ms; d = 128, 1.78 against
+# 0.30 ms (medians, a random unitary dissipation at e0 = max G; 2-vCPU
+# x86_64 VM, one BLAS thread).  The gate sits above the crossover because a
+# run that its candidate survives saves no solve.  Ten steps: per left
+# 7-qubit speed-limit run (seeds 0-7, 5 steps) 8 steps left 3.1 solves after
+# 9.5 runs, 10 steps 2.4 after 8.8, 12 steps 2.1 after 8.5.
+_RITZ_MIN_DIM = 64
+_RITZ_STEPS = 10
+# Ritz floors need no underflow or overflow terms while kappa, every e0 and
+# max G lie within [1/_RITZ_RANGE, _RITZ_RANGE] (see ``_ritz_quotients``).
+_RITZ_RANGE = 2.0 ** 400
 
 
 class BoundViolation(RuntimeError):
@@ -303,6 +324,58 @@ def _pencil_error(rotated: tuple) -> float:
     return (4.0 * a.shape[0] ** 2 + 32.0) * _UNIT_ROUNDOFF * size
 
 
+def _ritz_quotients(rotated: tuple, e0: float, symmetric: bool) -> list:
+    """(a, l, n) of the two extreme Ritz vectors of _RITZ_STEPS Lanczos steps
+    on the scaled pencil B at e0, from a fixed start vector.
+
+    Each Ritz vector y of B is mapped back to x = s y and normalized; then
+    a = Re x*Ax (|Re x*Ax| with ``symmetric``), l = x* diag(lam) x and
+    n = x*x.  By Courant-Fischer (Parlett, The Symmetric Eigenvalue Problem,
+    SIAM 1998, ch. 11) x*Ax / x*(lam + e0')x lies between the least and the
+    largest eigenvalue of the pencil at every e0' > 0, so a / (l + e0' n)
+    is at most the exact omega at e0'.  That holds for any x, so the
+    recurrence needs no reorthogonalization: rounding in it only makes the
+    vectors less sharp.
+
+    Only a, l, n and the floor's arithmetic round.  Let u = 2^-53 and
+    d = dim A.  a is a matrix-vector product and a dot product of length d
+    in complex arithmetic, within gamma_{2d+5} |x|*|A||x| <= (4d + 9) u
+    ||A||_F n of its exact value (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Sec. 3.6); l and n are sums of d
+    nonnegative terms, within (d + 2) u relative; l + e0' n and the division
+    add 3u.  As l + e0' n >= e0' n and |a| <= ||A||_F n, the computed
+    quotient is within (6d + 24) u ||A||_F / e0' of the exact one, at most
+    ``_pencil_error``'s kappa / e0' because 4d^2 - 6d + 8 >= 5.75.  That
+    spare of 5.75 u ||A||_F / e0' covers the subtraction of 2 kappa / e0'
+    in ``StabilityCurve.omega_floors`` and the absolute underflow terms,
+    below d 2^-1072, which the range _RITZ_RANGE keeps smaller than
+    2^-600 relative: x has unit norm, e0' >= 2^-400 and kappa >= 2^-400.
+    """
+    lam, _, a = rotated
+    s, b = _scaled_pencil(rotated, e0)
+    d = b.shape[0]
+    q, prev, beta = np.full(d, d ** -0.5, dtype=complex), 0.0, 0.0
+    basis, alphas, betas = [], [], []
+    while True:
+        basis.append(q)
+        w = b @ q - beta * prev
+        alphas.append(float(np.vdot(q, w).real))
+        w -= alphas[-1] * q
+        beta = float(np.linalg.norm(w))
+        if len(alphas) == _RITZ_STEPS or not beta > 0:
+            break
+        betas.append(beta)
+        prev, q = q, w / beta
+    tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    ritz = np.linalg.eigh(tridiagonal)[1][:, [0, -1]]
+    x = s[:, None] * (np.column_stack(basis) @ ritz)
+    x /= np.linalg.norm(x, axis=0)
+    quad = np.real(np.sum(x.conj() * (a @ x), axis=0))
+    power = np.abs(x) ** 2
+    out = zip(np.abs(quad) if symmetric else quad, lam @ power, power.sum(axis=0))
+    return [(float(v), float(l), float(n)) for v, l, n in out]
+
+
 def _floors(m: HermitianMatrix, g: ReferenceHamiltonian, omega: float, e0: float,
             symmetric: bool):
     """Check the floors of omega (G + e0) - M (and of + M), one ``require_psd``
@@ -355,13 +428,18 @@ class StabilityCurve(Sequence):
     Candidate i's omega is the largest of the matrices' pencil omegas at
     e0s[i]: one matrix gives its stability constants, several their joint
     constants.  Each matrix is rotated into G's eigenbasis when its first
-    omega is read; every omega is solved on first read and then cached, and
-    ``omegas`` reads them all.  The omegas only rank candidates.  Item i is
-    the StabilityCertificate at e0s[i]: when first read it passes each
-    matrix's ``_floors`` at that matrix's own omega and e0s[i], or raises,
-    and its residual, computed when read, is the least of theirs.  The
-    certificate is cached.  It holds no reference to the curve, so a curve
-    is freed as soon as its last reference goes, with no reference cycle.
+    omega or Ritz vector is needed; every omega is solved on first read and
+    then cached, and ``omegas`` reads them all.  From dimension
+    _RITZ_MIN_DIM on, ``take_ritz_vectors`` stores Lanczos vectors of a
+    candidate's pencils, which bound the omega at every e0 of the grid (see
+    ``omega_floors``).  ``pencils_solved`` counts the dense pencil
+    eigensolves made and ``ritz_runs`` the Lanczos runs, one per nonzero
+    matrix each.  The omegas only rank candidates.  Item i is the
+    StabilityCertificate at e0s[i]: when first read it passes each matrix's
+    ``_floors`` at that matrix's own omega and e0s[i], or raises, and its
+    residual, computed when read, is the least of theirs.  The certificate
+    is cached.  It holds no reference to the curve, so a curve is freed as
+    soon as its last reference goes, with no reference cycle.
     """
 
     def __init__(self, ms, g: ReferenceHamiltonian, e0_grid, symmetric: bool = False):
@@ -379,7 +457,10 @@ class StabilityCurve(Sequence):
         self._members = [None] * len(e0s)  # each matrix's omega, per solved candidate
         self._kappa = 0.0  # the largest _pencil_error of the rotations made
         self._order = sorted(range(len(e0s)), key=e0s.__getitem__)  # grid in e0 order
+        self._ritz = []  # (a, l, n) of every Ritz vector taken
+        self._ritz_at = set()  # the candidates whose pencils gave Ritz vectors
         self._certs = {}
+        self.pencils_solved = self.ritz_runs = 0
 
     def __len__(self) -> int:
         return len(self.e0s)
@@ -395,16 +476,21 @@ class StabilityCurve(Sequence):
                 omega, e0, residual=lambda: min(floor() for floor in floors))
         return cert
 
+    def _rotation(self, k: int) -> tuple:
+        rotated = self._rotations[k]
+        if rotated is None:
+            rotated = self._rotations[k] = _rotated(self._ms[k], self._g)
+            self._kappa = max(self._kappa, _pencil_error(rotated))
+        return rotated
+
     def omega(self, i: int) -> float:
         """Candidate i's pencil omega, solved on first read."""
         members = self._members[i]
         if members is None:
             members = []
-            for k, m in enumerate(self._ms):
-                rotated = self._rotations[k]
-                if rotated is None:
-                    rotated = self._rotations[k] = _rotated(m, self._g)
-                    self._kappa = max(self._kappa, _pencil_error(rotated))
+            for k in range(len(self._ms)):
+                rotated = self._rotation(k)
+                self.pencils_solved += bool(rotated[2].any())
                 members.append(_pencil_omega(rotated, self.e0s[i], self._symmetric))
             self._members[i] = members
         return max(members)
@@ -416,13 +502,36 @@ class StabilityCurve(Sequence):
     def solved(self, i: int) -> bool:
         return self._members[i] is not None
 
+    def bounded(self) -> bool:
+        """Whether a solved omega or a Ritz vector bounds the curve's floors."""
+        return bool(self._ritz_at) or any(w is not None for w in self._members)
+
+    def take_ritz_vectors(self, i: int) -> bool:
+        """Store the Ritz vectors of candidate i's pencils, one Lanczos run per
+        nonzero matrix; False, with nothing done, if candidate i is solved or
+        already ran, below dimension _RITZ_MIN_DIM, or when kappa, an e0 or
+        max G lies outside the range _RITZ_RANGE."""
+        if self._g.dim < _RITZ_MIN_DIM or i in self._ritz_at or self.solved(i):
+            return False
+        rotations = [self._rotation(k) for k in range(len(self._ms))]
+        top = max(self._kappa, max(self.e0s), max(float(r[0][-1]) for r in rotations))
+        if not (top <= _RITZ_RANGE and min(self._kappa, min(self.e0s)) * _RITZ_RANGE >= 1.0):
+            return False
+        self._ritz_at.add(i)
+        for rotated in rotations:
+            if rotated[2].any():
+                self._ritz += _ritz_quotients(rotated, self.e0s[i], self._symmetric)
+                self.ritz_runs += 1
+        return True
+
     def middle(self) -> int:
         """The candidate at the median e0, whose omega bounds both halves of the grid."""
         return self._order[len(self._order) // 2]
 
     def omega_floors(self) -> list:
         """Lower bounds on every candidate's computed omega: the omega itself
-        where solved, and elsewhere a bound from the solved ones.
+        where solved, and elsewhere a bound from the solved ones and the
+        Ritz vectors.
 
         The exact omega w(e0) is the least w >= 0 with A <= w (lam + e0) in
         G's eigenbasis, lam >= 0.  Let e0 < e0'.  Then lam + e0 <= lam + e0',
@@ -436,8 +545,16 @@ class StabilityCurve(Sequence):
 
         and never less than 0.  Two sweeps in e0 order take the best of
         these, so a curve's floors cost O(len) however many are solved.
-        Where kappa / e0 could underflow (kappa < 2^-960 max e0, which
-        includes an exactly zero A) an unsolved candidate's floor is 0.
+        Each stored Ritz vector (a, l, n) also gives, by ``_ritz_quotients``,
+
+            omega_j >= a / (l + e0_j n) - 2 kappa / e0_j
+
+        at every e0_j at once.  The sweeps would carry no more: a / (l + e0 n)
+        falls with e0, and e0 a / (l + e0 n) rises with it, so the vector's
+        own quotient at e0_j is at least what either sweep would bring from
+        another e0.  Where kappa / e0 could underflow (kappa < 2^-960 max
+        e0, which includes an exactly zero A) an unsolved candidate's floor
+        is 0; Ritz vectors are only taken well inside that range.
         """
         e0s, kappa = self.e0s, self._kappa
         omegas = [None if w is None else max(w) for w in self._members]
@@ -455,6 +572,8 @@ class StabilityCurve(Sequence):
         for j in order:
             if omegas[j] is None:
                 floors[j] = max(floors[j], (below - kappa) / e0s[j])
+                for a, l, n in self._ritz:
+                    floors[j] = max(floors[j], a / (l + e0s[j] * n) - 2.0 * kappa / e0s[j])
             else:
                 below = max(below, omegas[j] * e0s[j] - kappa)
         return floors
@@ -499,11 +618,14 @@ def best_certificate(curves, energy_in: float, t: float) -> StabilityCertificate
     Pencils are solved only as the ranking needs them.  Every unsolved
     candidate has a floor on its budget (``omega_floors``, then
     ``_budget_floor``).  Until every floor lies strictly above the least
-    budget solved, the curve holding the least floor solves that candidate,
-    or its middle one if none of its pencils is solved yet (its floors are
-    then all 0).  So each candidate left unsolved has a budget above the
-    winner's, and the winner, ties and near-ties included, is the exhaustive
-    ranking's.  A solve recomputes the floors of its own curve only.  Where
+    budget solved, the curve holding the least floor takes that candidate,
+    or its middle one if nothing bounds its floors yet (they are then all
+    0).  A candidate taken for the first time from dimension _RITZ_MIN_DIM
+    on gives Ritz vectors (``take_ritz_vectors``) instead of a solve; it is
+    solved only if, with their floors, it still holds the least floor.  So
+    each candidate left unsolved has a budget above the winner's, and the
+    winner, ties and near-ties included, is the exhaustive ranking's.  A
+    solve or a Ritz run recomputes the floors of its own curve only.  Where
     f_t(E) need not grow with omega (E < 0, E or t not finite) every pencil
     is solved.
     """
@@ -515,8 +637,8 @@ def best_certificate(curves, energy_in: float, t: float) -> StabilityCertificate
                 for i, e0 in enumerate(curve.e0s)] for curve in curves]
 
     def bounds(k):
-        """(least budget solved, least floor unsolved, the candidate to solve) on
-        curve k: the one with that floor, or the middle of a curve not yet read."""
+        """(least budget solved, least floor unsolved, the candidate to take) on
+        curve k: the one with that floor, or the middle of a curve nothing bounds yet."""
         curve, row = curves[k], budgets[k]
         best, low, at = np.inf, np.inf, None
         for i, (floor, e0) in enumerate(zip(curve.omega_floors(), curve.e0s)):
@@ -526,7 +648,7 @@ def best_certificate(curves, energy_in: float, t: float) -> StabilityCertificate
                 floor = _budget_floor(floor, e0, energy_in, t)
                 if at is None or floor < low:
                     low, at = floor, i
-        if at is not None and all(b is None for b in row):
+        if at is not None and not curve.bounded():
             at = curve.middle()
         return best, low, at
 
@@ -538,7 +660,8 @@ def best_certificate(curves, energy_in: float, t: float) -> StabilityCertificate
         if k is None or low > best:
             break
         i = summary[k][2]
-        budgets[k][i] = _budget(curves[k].omega(i), curves[k].e0s[i], energy_in, t)
+        if not curves[k].take_ritz_vectors(i):
+            budgets[k][i] = _budget(curves[k].omega(i), curves[k].e0s[i], energy_in, t)
         summary[k] = bounds(k)
     solved = [(k, i) for k, row in enumerate(budgets) for i, b in enumerate(row) if b is not None]
     k, i = min(solved, key=lambda ki: budgets[ki[0]][ki[1]])
@@ -562,8 +685,9 @@ def evolve_grid(gen: LindbladGenerator, rho: DensityState, times) -> list:
     Up to dimension DENSE_EXPM_MAX_DIM each state is a dense propagator
     exp(tS) applied to vec(rho).  Beyond it the sorted distinct times are
     swept once, each step applying the Taylor action exp((t - prev) S) to the
-    previous state, so no time restarts from zero; a time t whose Taylor
-    step counts ||tA||_1 / theta_m overflow is rejected before the sweep.
+    previous state, so no time restarts from zero; a largest time whose
+    Taylor action from 0 would take more than TAYLOR_MAX_PRODUCTS products
+    is rejected before the sweep.
     The trace may only decrease, and a state that is not finite is rejected
     with its time.
     """
@@ -585,9 +709,13 @@ def evolve_grid(gen: LindbladGenerator, rho: DensityState, times) -> list:
             states[t] = _checked_state(props[t] @ vec, gen.dim, tr_in, t)
     else:
         op, prev = gen.shifted_superoperator(), 0.0
-        if steps and not np.isfinite(steps[-1] * op[2] / min(TAYLOR_THETA.values())):
+        norm = steps[-1] * op[2] if steps else 0.0
+        # m s >= s >= norm / max theta_m, so a larger norm needs no count
+        if not norm <= TAYLOR_MAX_PRODUCTS * max(TAYLOR_THETA.values()) or \
+                math.prod(_taylor_degree(norm)) > TAYLOR_MAX_PRODUCTS:
             raise ValueError(f"evolution time {steps[-1]!r} is too long: the Taylor "
-                             f"step count of ||tA||_1 = {steps[-1] * op[2]:.3e} overflows")
+                             f"step count of ||tA||_1 = {norm:.3e} takes more than "
+                             f"{TAYLOR_MAX_PRODUCTS} products")
         for t in steps:
             vec = _taylor_action(op, t - prev, vec)
             prev = t

@@ -140,6 +140,69 @@ def test_omega_floors_bound_every_unsolved_omega(d, seed, symmetric, kind, partn
             assert floor == pytest.approx(omega, rel=1e-9)
 
 
+def _gated_matrices(d, seed):
+    """(g, matrices) at a dimension that takes Ritz vectors: the same cases as above."""
+    rng = rng_from_seed(seed)
+    g = random_reference(d, rng)
+    top = g.eigh()[1][:, -1:]
+    return g, {"random": random_hermitian(d, rng), "other": random_hermitian(d, rng),
+               "zero": HermitianMatrix(np.zeros((d, d))),
+               "scalar": HermitianMatrix(0.7 * np.eye(d)),
+               "top": HermitianMatrix(2.0 * top @ top.conj().T)}
+
+
+@pytest.mark.parametrize("d", [lindblad._RITZ_MIN_DIM, lindblad._RITZ_MIN_DIM + 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ritz_floors_bound_every_solved_omega(d, seed):
+    g, matrices = _gated_matrices(d, seed)
+    e0s = default_e0_grid(g)
+    for kinds in (("random",), ("scalar",), ("top",), ("zero",), ("random", "top"),
+                  ("zero", "other"), ("scalar", "random")):
+        for symmetric in (False, True):
+            ms = [matrices[kind] for kind in kinds]
+            curve = StabilityCurve(ms, g, e0s, symmetric)
+            ran = [curve.take_ritz_vectors(i) for i in range(0, len(e0s), 4)]
+            assert curve.pencils_solved == 0
+            nonzero = sum(kind != "zero" for kind in kinds)
+            assert curve.ritz_runs == nonzero * sum(ran)
+            assert all(ran) == (nonzero > 0)
+            floors = curve.omega_floors()  # no pencil solved: the Ritz floors alone
+            exact = StabilityCurve(ms, g, e0s, symmetric).omegas
+            for floor, omega in zip(floors, exact):
+                assert 0.0 <= floor <= omega
+            if kinds == ("scalar",):  # B is diagonal: the top Ritz value is nearly sharp
+                assert floors[0] == pytest.approx(exact[0], rel=1e-2)
+
+
+@pytest.mark.parametrize("d", [lindblad._RITZ_MIN_DIM, lindblad._RITZ_MIN_DIM + 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("pair", ["random", "zero", "scalar", "top"])
+def test_best_certificate_is_the_exhaustive_winner_above_the_ritz_gate(d, seed, pair):
+    g, matrices = _gated_matrices(d, seed)
+    m = matrices["random"]
+    ms = [matrices[pair], m] if pair == "zero" else [m, matrices[pair]]
+    e0s = default_e0_grid(g)
+    symmetric = seed % 2 == 1
+    energies = (0.0, 1e-3 * g.max_energy(), 0.5 * g.max_energy(), 4.0 * g.max_energy())
+    for joint in (False, True):
+        def curves():
+            if joint:
+                return [StabilityCurve(ms, g, e0s, symmetric),
+                        stability_curve(ms[1], g, e0s, symmetric)]
+            return [stability_curve(mi, g, e0s, symmetric) for mi in ms]
+
+        bounded, exhaustive = curves(), curves()
+        for energy in energies:
+            for t in (1e-3, 0.3, 2.0):
+                cert = best_certificate(bounded, energy, t)
+                k, i = _exhaustive_winner(exhaustive, energy, t)
+                assert bounded[k][i] is cert
+                assert np.array_equal([cert.omega, cert.e0], [exhaustive[k].omegas[i], e0s[i]])
+        assert sum(curve.ritz_runs for curve in bounded) >= 1
+        assert sum(curve.pencils_solved for curve in bounded) < sum(
+            curve.pencils_solved for curve in exhaustive)
+
+
 @PROPERTY_SETTINGS
 @given(d=dims, seed=seeds,
        budgets=st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=5, unique=True))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +445,17 @@ class TestTrotterCommand:
         assert json.loads(out)["decay_exponent"] is None
 
 
+def _damped_fock_simulation(files, dim: int) -> list:
+    """``simulate`` arguments, less --times: H = 0 and L = a on ``dim`` Fock
+    levels, the state in the top level, the number operator as reference."""
+    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    gen = files["write"]("damped.json", {"dim": dim, "lindblad": [op_json(lower)],
+                                         "hamiltonian": op_json(np.zeros((dim, dim)))})
+    ref = files["write"]("number.json", op_json(np.diag(np.arange(dim, dtype=float))))
+    rho = files["write"]("excited.json", op_json(np.diag(np.eye(dim)[-1])))
+    return ["simulate", "--gen", gen, "--state", rho, "--ref", ref]
+
+
 class TestBadNumbersExitTwo:
     """Non-finite numbers and out-of-range counts are input errors: exit 2 with
     one JSON line on stderr, nothing on stdout, no traceback."""
@@ -499,18 +511,23 @@ class TestBadNumbersExitTwo:
         (10, "evolution time 1e+300 is too long: the Taylor step count of ||tA||_1"),
     ])
     def test_simulate_huge_time_is_named(self, files, capfd, dim, message):
-        lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
-        gen = files["write"]("damped.json", {"dim": dim, "lindblad": [op_json(lower)],
-                                             "hamiltonian": op_json(np.zeros((dim, dim)))})
-        ref = files["write"]("number.json", op_json(np.diag(np.arange(dim, dtype=float))))
-        rho = files["write"]("excited.json", op_json(np.diag(np.eye(dim)[-1])))
-        code, out, err = run_main(["simulate", "--gen", gen, "--state", rho, "--ref", ref,
-                                   "--times", "0,1e300"], capfd)
+        code, out, err = run_main(_damped_fock_simulation(files, dim) + ["--times", "0,1e300"],
+                                  capfd)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
         assert json.loads(err)["code"] == "input_error"
         assert json.loads(err)["message"].startswith(message)
+
+    def test_simulate_astronomical_time_exits_two_at_once(self, files, capfd):
+        # ||tA||_1 / theta_m is finite, but the Taylor action would take ~1e291 products
+        start = time.perf_counter()
+        code, out, err = run_main(_damped_fock_simulation(files, 10) + ["--times", "0,1e290"],
+                                  capfd)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert json.loads(err)["code"] == "input_error"
+        assert json.loads(err)["message"].startswith("evolution time 1e+290 is too long")
 
     @pytest.mark.parametrize("rule, message", [
         ("power:nan", "power rule needs a finite p, got nan"),
@@ -698,6 +715,19 @@ class TestOutFile:
         assert out_file == ""
         assert written.strip()
         assert out == written
+
+    @pytest.mark.parametrize("command, handler", [("speedlimit", "eclim.cli.speedlimit_run"),
+                                                  ("selftest", "eclim.selftest.run_selftest")])
+    @pytest.mark.parametrize("where", ["no_such_directory/x.csv", "."])
+    def test_unwritable_out_fails_before_any_handler_runs(self, files, capsys, monkeypatch,
+                                                          command, handler, where):
+        ran = []
+        monkeypatch.setattr(handler, lambda *args: ran.append(args))
+        argv = [command] + [a.format(**files) for a in MINIMAL_ARGS[command]]
+        code, out, err = run_main(argv + ["--out", str(files["tmp"] / where)], capsys)
+        assert (code, out, ran) == (2, "", [])
+        assert json.loads(err)["code"] == "input_error"
+        assert not (files["tmp"] / "no_such_directory").exists()
 
 
 class TestRepeatedCalls:
