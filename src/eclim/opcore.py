@@ -583,12 +583,17 @@ class EnergyProfile:
     its probes with the dual compressed onto them (see ``_bracket_search``).
     ``evaluations`` counts the eigensolves, ``model_probes`` the probes the
     compressed dual placed, and ``last_gap`` is the certified duality gap of
-    the latest ``solve`` (returned value minus the lower bound).
+    the latest ``solve`` (returned value minus the lower bound).  M must be
+    PSD (ValueError otherwise): for an indefinite M the dual is not the
+    constrained supremum.
     """
 
     def __init__(self, m: HermitianMatrix, g: ReferenceHamiltonian):
         if m.dim != g.dim:
             raise ValueError(f"dimension mismatch: {m.dim} vs {g.dim}")
+        # The spectrum is cached: AffineCertificate.verify reads it again.
+        require_psd_spectrum(m.eigvals(), PSD_RTOL * (1.0 + m.operator_norm()),
+                             "M must be PSD for the energy-constrained dual")
         self._start(m, g)
         self._cut(0.0)
 
@@ -762,8 +767,9 @@ def dual_scan(m: HermitianMatrix, g: ReferenceHamiltonian, energy_budget: float)
     """Minimize lam*E + max(0, lambda_max(M - lam*G)) over lam >= 0.
 
     Returns ``(value, cert)`` where ``cert`` is the minimizing affine
-    certificate.  For PSD M the value equals the energy-constrained
-    supremum sup{tr[M rho] : rho state, tr[G rho] <= E} by strong duality.
+    certificate.  M must be PSD (ValueError otherwise); the value equals the
+    energy-constrained supremum sup{tr[M rho] : rho state, tr[G rho] <= E}
+    by strong duality.
     One-shot form of ``EnergyProfile(m, g).solve(energy_budget)``.
     """
     return EnergyProfile(m, g).solve(energy_budget)

@@ -27,6 +27,7 @@ from eclim.models import spin_system
 from eclim.norms import CpDifference, EcdEstimate, eco_norm, trace_norm
 from eclim.opcore import (
     CERT_RESIDUAL_RTOL,
+    DensityState,
     HermitianMatrix,
     ReferenceHamiltonian,
     haar_state,
@@ -477,14 +478,37 @@ class TestTopCutCounts:
         assert probes > 0
 
 
+class TestSectorCounts:
+    """The entries the Fock sweep steps: counts, not times."""
+
+    def test_fock_sweep_steps_only_the_sector_of_the_state(self, monkeypatch):
+        d, q = 61, 0.5
+        lower = np.diag(np.sqrt(np.arange(1, d)), 1)
+        gen = LindbladGenerator.from_hamiltonian(np.zeros((d, d)), (lower,))
+        thermal = HermitianMatrix(np.diag((1.0 - q) * q ** np.arange(d)))
+        spread = HermitianMatrix(np.full((d, d), 1.0 / d))  # every entry nonzero
+        sizes, taylor = [], lindblad._taylor_action
+
+        def spy(op, h, v):
+            sizes.append(v.size)
+            return taylor(op, h, v)
+
+        monkeypatch.setattr(lindblad, "_taylor_action", spy)
+        for rho, size in ((thermal, d), (spread, d * d)):
+            sizes.clear()
+            lindblad.evolve_grid(gen, DensityState(rho), (0.0, 0.5, 1.2))
+            assert sizes == [size, size]
+
+
 class TestLazyVerification:
     """A candidate's pencil omega only ranks; every certificate whose budget a
     result reads has passed the floors of min_omega."""
 
     def test_qsl_spin7_pencils_what_the_ranking_needs_and_verifies_winners(self, monkeypatch):
         # Both curves had all 13 pencils solved before the bounded search: 26;
-        # before Ritz floors, 13-14 dense solves (left) and 1 (right).
-        for scenario, most, runs in (("left", 7, 12), ("right", 1, 2)):
+        # before Ritz floors, 13-14 dense solves (left) and 1 (right).  The
+        # right scenario's first matrix, i[sx, G], is zero and is not rotated.
+        for scenario, most, runs, rotations in (("left", 7, 12, 2), ("right", 1, 2, 1)):
             seen = _spy_certification(monkeypatch)
             speedlimit_run(SpeedLimitConfig(scenario=scenario, seed=1,
                                             time_grid=tuple(np.linspace(0.0, 0.6, 5))))
@@ -495,7 +519,7 @@ class TestLazyVerification:
             assert solved <= most
             assert 1 <= sum(curve.ritz_runs for curve in curves) <= runs
             distinct = {(c.omega, c.e0) for c in seen["winners"]}
-            assert seen["rotations"] == 2  # one per curve
+            assert seen["rotations"] == rotations  # one per nonzero matrix
             assert len(seen["winners"]) == 4
             assert 2 <= len(seen["floors"]) <= 2 * len(distinct)
             for cert, args in zip(seen["winners"], seen["rankings"]):

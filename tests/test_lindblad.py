@@ -589,6 +589,97 @@ class TestEvolveGrid:
             assert np.array_equal(evolve(gen, rho, t).entries, out.entries)
 
 
+
+def phase_covariant(d, kind):
+    """H = 0.3 N with Fock damping, damping plus pumping, or dephasing: no
+    jump mixes coherence orders, so S is block diagonal."""
+    a = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
+    number = np.diag(np.arange(d)).astype(complex)
+    jumps = {"damping": (a,), "pumping": (a, 0.4 * a.conj().T), "dephasing": (0.5 * number,)}
+    return LindbladGenerator.from_hamiltonian(0.3 * number, jumps[kind])
+
+
+def sector_states(d):
+    """Fock, thermal and coherence states, states with -0.0 entries, and zero states."""
+    fock = np.zeros((d, d), dtype=complex)
+    fock[d // 2, d // 2] = 1.0
+    thermal = np.diag(0.5 ** np.arange(1, d + 1)).astype(complex)
+    psi = np.zeros(d, dtype=complex)
+    psi[[2, 5]] = np.sqrt(0.5)
+    # coherence orders +-1 only: PSD within the slack, trace 0
+    orders = 1e-12 * (np.eye(d, k=1) + np.eye(d, k=-1)).astype(complex)
+    signed, signed_zero = thermal.copy(), np.zeros((d, d), dtype=complex)
+    for m in (signed, signed_zero):  # a -0.0 that survives (A + A*)/2, at (0, 3)
+        m[0, 3], m[3, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    return {"fock": fock, "thermal": thermal, "superposition": np.outer(psi, psi),
+            "orders": orders, "signed": signed, "zero": np.zeros((d, d), dtype=complex),
+            "signed zero": signed_zero}
+
+
+def full_sweep(gen, rho, times):
+    """Each distinct time's state by _taylor_action on the full d^2 operator."""
+    op, prev, vec = gen.shifted_superoperator(), 0.0, rho.entries.reshape(-1)
+    out = {0.0: rho.entries}
+    for t in sorted(set(times) - {0.0}):
+        vec = lindblad._taylor_action(op, t - prev, vec)
+        prev = t
+        out[t] = lindblad._checked_state(vec, gen.dim, rho.trace(), t).entries
+    return [out[t] for t in times]
+
+
+class TestSector:
+    """The sweep steps only the invariant sector that holds the state, with
+    the same bits as the sweep over every entry."""
+
+    @pytest.mark.parametrize("d", (9, 20, 61))
+    @pytest.mark.parametrize("kind", ("damping", "pumping", "dephasing"))
+    def test_sweep_matches_the_full_action_bitwise(self, d, kind):
+        gen = phase_covariant(d, kind)
+        grid = (0.4, 0.0, 1.1, 0.4)
+        for name, entries in sector_states(d).items():
+            rho = DensityState(HermitianMatrix(entries))
+            if name.startswith("signed"):
+                assert np.signbit(rho.entries.real).any()
+            got = evolve_grid(gen, rho, grid)
+            for out, expect in zip(got, full_sweep(gen, rho, grid)):
+                assert np.array_equal(out.entries, expect), (name, out.entries - expect)
+                # +0 and -0.0 compare equal: compare the bits too
+                assert out.entries.tobytes() == expect.tobytes(), name
+
+    @pytest.mark.parametrize("kind", ("damping", "pumping", "dephasing"))
+    def test_sector_is_the_weak_components_meeting_the_state(self, kind):
+        d = 20
+        gen = phase_covariant(d, kind)
+        a = gen.shifted_superoperator()[0]
+        _, labels = connected_components(abs(a), directed=True, connection="weak")
+        for name, entries in sector_states(d).items():
+            vec = DensityState(HermitianMatrix(entries)).entries.reshape(-1)
+            held = (vec != 0) | np.signbit(vec.real) | np.signbit(vec.imag)
+            expect = np.flatnonzero(np.isin(labels, labels[held]))
+            keep, op = lindblad._sector(gen.shifted_superoperator(), vec)
+            if expect.size in (0, d * d):
+                assert keep == slice(None)
+            else:
+                assert np.array_equal(keep, expect), name
+                assert np.array_equal(op[0].toarray(), a[expect][:, expect].toarray())
+                assert op[1:] == gen.shifted_superoperator()[1:]
+
+    def test_mixing_hamiltonian_steps_every_entry(self, monkeypatch):
+        d = 20
+        a = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
+        gen = LindbladGenerator.from_hamiltonian(0.2 * (a + a.conj().T), (a,))
+        rho = DensityState(HermitianMatrix(sector_states(d)["thermal"]))
+        grid = (0.3, 0.9)
+        sizes, real = [], lindblad._taylor_action
+        monkeypatch.setattr(lindblad, "_taylor_action",
+                            lambda op, h, v: sizes.append(v.size) or real(op, h, v))
+        got = evolve_grid(gen, rho, grid)
+        monkeypatch.undo()
+        assert sizes == [d * d] * len(grid)
+        for out, expect in zip(got, full_sweep(gen, rho, grid)):
+            assert out.entries.tobytes() == expect.tobytes()
+
+
 class TestVerifyEnergyBound:
     def test_commuting_energy_constant(self):
         gen = LindbladGenerator.from_hamiltonian(np.diag([1.0, 3.0]).astype(complex))

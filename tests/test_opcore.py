@@ -258,6 +258,7 @@ class TestDualScan:
             assert psis.shape == (len(ms), d)
             for m, psi in zip(ms, psis):
                 assert np.array_equal(psi, dual_scan_witness(m.entries[None], g, e)[0])
+            for m in ms[5:]:  # dual_scan takes PSD M only
                 kinds.add(dual_scan(m, g, e)[1].lam == 0.0)
         assert kinds == {True, False}  # slack and binding budgets both occur
 
@@ -307,11 +308,7 @@ def _two_level():
 # (name, M, G, E, closed-form value or None for a grid reference, witness attains it)
 EDGE_CASES = [
     ("slack", diag(1.0, 2.0), ref(0.0, 1.0), 5.0, 2.0, True),
-    ("negative M", diag(-1.0, -2.0), ref(0.0, 1.0), 0.5, 0.0, False),
     ("zero M", diag(0.0, 0.0, 0.0), ref(0.0, 1.0, 2.0), 0.5, 0.0, True),
-    # lambda_max(M - lam*G) = 1 - lam reaches 0 at the minimizer lam* = 1;
-    # the optimum is the subnormalized state 0.5|1><1|.
-    ("kink at zero", diag(-1.0, 1.0), ref(0.0, 1.0), 0.5, 0.5, False),
     # M - lam*G = (1 - lam) G is zero at lam* = 1: all four levels cross.
     ("degenerate crossing", diag(0.0, 1.0, 2.0, 3.0), _number_reference(), 1.5, 1.5, True),
     # M = 2G + 0.5: g is flat on [0, 2] at E = 3 and kinked at lam = 2 for E = 1.5.
@@ -324,6 +321,14 @@ EDGE_CASES = [
      1e-6, None, True),
     ("huge budget d=5", random_psd(5, rng_from_seed(21)), random_reference(5, rng_from_seed(22)),
      1e6, None, True),
+]
+# The same, for an M that is not PSD: dual_scan rejects it, and the see-saw's
+# witness step, which takes any Hermitian M, still meets the dual's value.
+INDEFINITE_CASES = [
+    ("negative M", diag(-1.0, -2.0), ref(0.0, 1.0), 0.5, 0.0, False),
+    # lambda_max(M - lam*G) = 1 - lam reaches 0 at the minimizer lam* = 1;
+    # the optimum is the subnormalized state 0.5|1><1|.
+    ("kink at zero", diag(-1.0, 1.0), ref(0.0, 1.0), 0.5, 0.5, False),
     ("indefinite d=6", random_hermitian(6, rng_from_seed(23)), random_reference(6, rng_from_seed(24)),
      0.7, None, True),
 ]
@@ -338,12 +343,41 @@ class TestDualSolverEdgeCases:
         assert abs(value - expected) <= 1e-10 * (1.0 + abs(expected))
         assert cert.verify(m, g).residual >= -1e-12 * (1.0 + abs(value))
         assert cert.bound(e) == pytest.approx(value, rel=1e-15, abs=1e-15)
-        psi = dual_scan_witness(m.entries[None], g, e)[0]
-        assert vector_energy(g, psi) <= e * (1.0 + 1e-12)
-        direct = float(np.real(psi.conj() @ m.entries @ psi))
-        assert direct <= value + 1e-9 * (1.0 + abs(value))
-        if witness_attains:
-            assert direct >= value - 1e-9 * (1.0 + abs(value))
+        _check_witness(m, g, e, value, witness_attains)
+
+    @pytest.mark.parametrize("case", INDEFINITE_CASES, ids=[c[0] for c in INDEFINITE_CASES])
+    def test_indefinite_m_is_rejected_and_its_witness_kept(self, case):
+        _, m, g, e, closed, witness_attains = case
+        with pytest.raises(ValueError, match="M must be PSD"):
+            dual_scan(m, g, e)
+        value = _grid_reference(m, g, e) if closed is None else closed
+        _check_witness(m, g, e, value, witness_attains)
+
+    def test_indefinite_draw_is_rejected(self):
+        # M = (W + W*)/2 against an integer diagonal G at E = 2.4e-4: such
+        # draws gave a dual up to 2.4 (relative) above a feasible witness.
+        g = ref(*range(6))
+        for seed in range(20):
+            m = random_hermitian(6, rng_from_seed(seed))
+            assert m.eigvals()[0] < -0.1
+            with pytest.raises(ValueError, match="M must be PSD"):
+                EnergyProfile(m, g)
+            with pytest.raises(ValueError, match="M must be PSD"):
+                dual_scan(m, g, 2.4e-4)
+        # rank one: its zero eigenvalues carry rounding, inside the slack
+        v = rng_from_seed(1).standard_normal(6) + 1j
+        rank_one = HermitianMatrix(np.outer(v, v.conj()))
+        assert dual_scan(rank_one, g, 2.4e-4)[0] > 0.0
+
+
+def _check_witness(m, g, e, value, attains):
+    """The dual-scan witness is feasible, at most ``value``, and meets it if ``attains``."""
+    psi = dual_scan_witness(m.entries[None], g, e)[0]
+    assert vector_energy(g, psi) <= e * (1.0 + 1e-12)
+    direct = float(np.real(psi.conj() @ m.entries @ psi))
+    assert direct <= value + 1e-9 * (1.0 + abs(value))
+    if attains:
+        assert direct >= value - 1e-9 * (1.0 + abs(value))
 
 
 class TestEnergyProfile:
@@ -489,7 +523,10 @@ class TestWitnessTail:
         g.eigh()  # cached on G, so the count below sees only the stack's solves
         stack = np.array([random_hermitian(d, rng).entries for _ in range(6)])
         binding = 0.05 * g.max_energy()
-        assert all(dual_scan(HermitianMatrix(m), g, binding)[1].lam > 0.0 for m in stack)
+        for m in stack:  # the dual's slope at lam = 0, E - <v|G|v>, is negative
+            evals, evecs = np.linalg.eigh(m)
+            assert evals[-1] > evals[-2] and evals[-1] > 0.0
+            assert vector_energy(g, evecs[:, -1]) > binding
         calls = []
 
         def counted(name):
