@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .opcore import (
-    CERT_RESIDUAL_RTOL,
     AffineCertificate,
     DensityState,
     EnergyCurve,
@@ -32,10 +31,8 @@ from .opcore import (
     ReferenceHamiltonian,
     _set_fields,
     dual_scan,
-    floor_reader,
     psd_order_leq,
     psd_sqrt,
-    require_psd,
 )
 
 KRAUS_SUM_RTOL = 1e-9
@@ -185,20 +182,18 @@ def sqrt_reference_certificate(t: KrausChannel, g_in: ReferenceHamiltonian,
 
     Chains T*(sqrt(G_out)) <= sqrt(T*(G_out)) <= sqrt(lam*G_in + e0) and the
     scalar estimate sqrt(lam*t + e0) <= sqrt(lam)*sqrt(t) + sqrt(e0); the
-    resulting inequality is re-verified as a PSD check and a verification
-    failure signals an invalid input certificate.
+    resulting inequality is re-verified by ``AffineCertificate.verify``, as is
+    the input; a failure of either signals an invalid input certificate.
     """
     cert = cert.verify(dual_apply(t, g_out.matrix), g_in)
-    lam_s, e0_s = float(np.sqrt(cert.lam)), float(np.sqrt(cert.e0))
-    lhs = dual_apply(t, psd_sqrt(g_out.matrix))
-    sqrt_g_in = psd_sqrt(g_in.matrix)
-
-    def gap():
-        return lam_s * sqrt_g_in.entries + e0_s * np.eye(g_in.dim) - lhs.entries
-
-    floor = require_psd(gap(), CERT_RESIDUAL_RTOL * (1.0 + lhs.operator_norm()),
-                        "square-root reference certificate fails verification")
-    return AffineCertificate(lam_s, e0_s, residual=floor_reader(floor, gap))
+    root = AffineCertificate(float(np.sqrt(cert.lam)), float(np.sqrt(cert.e0)))
+    lhs, sqrt_g_in = dual_apply(t, psd_sqrt(g_out.matrix)), psd_sqrt(g_in.matrix)
+    try:
+        return root.verify(lhs, sqrt_g_in)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:  # the gate's message, which names no reference
+        raise ValueError(f"square-root reference {exc}") from None
 
 
 def amplitude_damping(p: float) -> KrausChannel:

@@ -397,7 +397,7 @@ def main(argv=None) -> int:
         # A solver that did not converge or a non-finite result: not the input's fault.
         sys.stderr.write(to_json({"code": "numerical_error", "message": str(exc)}) + "\n")
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # numpy names a failed allocation
         sys.stderr.write(to_json({"code": "input_error", "message": str(exc)}) + "\n")
         return 2
 

@@ -66,7 +66,7 @@ class GaussianState:
         if beta.shape != (2 * n,):
             raise ValueError(f"beta must have length {2 * n}")
         _check_finite(beta, "beta")
-        require_psd(gamma + 1j * symplectic_form(n),
+        require_psd(lambda: gamma + 1j * symplectic_form(n),
                     GAUSS_PSD_RTOL * (1.0 + float(np.max(np.abs(gamma)))),
                     "gamma + i*sigma is not PSD")
         _set_fields(self, modes=n, gamma=gamma, beta=beta)
@@ -115,7 +115,7 @@ class GaussianChannel:
         _check_finite(alpha, "alpha")
         cp = y + 1j * symplectic_form(n_out) - 1j * (x.T @ symplectic_form(n_in) @ x)
         # X^T sigma X is antisymmetric only up to rounding.
-        require_psd((cp + cp.conj().T) / 2.0,
+        require_psd(lambda: (cp + cp.conj().T) / 2.0,
                     GAUSS_PSD_RTOL * (1.0 + float(np.max(np.abs(y)))
                                       + float(np.max(np.abs(x))) ** 2),
                     "channel is not completely positive")
@@ -176,7 +176,7 @@ class GaussianGenerator:
         xdot = _check_real_matrix(self.xdot, (2 * n, 2 * n), "xdot")
         ydot = _check_real_matrix(self.ydot, (2 * n, 2 * n), "ydot")
         ydot = (ydot + ydot.T) / 2.0
-        require_psd(_generator_condition(xdot, ydot, n),
+        require_psd(lambda: _generator_condition(xdot, ydot, n),
                     GAUSS_PSD_RTOL * (1.0 + float(np.max(np.abs(ydot)))
                                       + float(np.max(np.abs(xdot)))),
                     "generator condition violated")

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .opcore import _UNIT_ROUNDOFF, CERT_RESIDUAL_RTOL, DensityState, HermitianMatrix, \
-    ReferenceHamiltonian, _ComputedOnRead, _set_fields, energy, expm, floor_reader, require_psd
+    ReferenceHamiltonian, _ComputedOnRead, _set_fields, energy, expm, require_psd
 
 DISSIPATIVITY_RTOL = 1e-9
 # Up to this dimension a dense expm of the d^2 x d^2 superoperator is cheaper
@@ -387,17 +387,13 @@ def _ritz_quotients(rotated: tuple, e0: float, symmetric: bool) -> list:
 
 def _floors(m: HermitianMatrix, g: ReferenceHamiltonian, omega: float, e0: float,
             symmetric: bool):
-    """Check the floors of omega (G + e0) - M (and of + M), one ``require_psd``
-    each; returns a function giving the residual of (omega, e0), their least."""
-    def shifted():
-        return omega * (g.entries + e0 * np.eye(g.dim))
-
-    gaps = [lambda: shifted() - m.entries]
-    if symmetric:
-        gaps.append(lambda: shifted() + m.entries)
+    """Check the floors of omega (G + e0) - M (and + M), one ``require_psd`` each,
+    by np.subtract and np.add (numpy multiplies -1.0 * M as by -1+0j, which can
+    flip a zero); returns a function giving the residual of (omega, e0), their least."""
     slack = CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm())
-    what = "stability certificate fails verification"
-    floors = [floor_reader(require_psd(gap(), slack, what), gap) for gap in gaps]
+    floors = [require_psd(lambda op=op: op(omega * (g.entries + e0 * np.eye(g.dim)), m.entries),
+                          slack, "stability certificate fails verification")
+              for op in ((np.subtract, np.add) if symmetric else (np.subtract,))]
     return lambda: min(floor() for floor in floors)
 
 
@@ -443,7 +439,8 @@ class StabilityCurve(Sequence):
     candidate's pencils, which bound the omega at every e0 of the grid (see
     ``omega_floors``).  ``pencils_solved`` counts the dense pencil
     eigensolves made and ``ritz_runs`` the Lanczos runs, one per nonzero
-    matrix each.  The omegas only rank candidates.  Item i is the
+    matrix each.  The omegas only rank candidates, through ``_rank``, the one
+    question ``best_certificate`` asks a curve.  Item i is the
     StabilityCertificate at e0s[i]: when first read it passes each matrix's
     ``_floors`` at that matrix's own omega and e0s[i], or raises, and its
     residual, computed when read, is the least of theirs.  The certificate
@@ -511,19 +508,12 @@ class StabilityCurve(Sequence):
     def omegas(self) -> tuple:
         return tuple(self.omega(i) for i in range(len(self.e0s)))
 
-    def solved(self, i: int) -> bool:
-        return self._members[i] is not None
-
-    def bounded(self) -> bool:
-        """Whether a solved omega or a Ritz vector bounds the curve's floors."""
-        return bool(self._ritz_at) or any(w is not None for w in self._members)
-
     def take_ritz_vectors(self, i: int) -> bool:
         """Store the Ritz vectors of candidate i's pencils, one Lanczos run per
         nonzero matrix; False, with nothing done, if candidate i is solved or
         already ran, below dimension _RITZ_MIN_DIM, or when kappa, an e0 or
         max G lies outside the range _RITZ_RANGE."""
-        if self._g.dim < _RITZ_MIN_DIM or i in self._ritz_at or self.solved(i):
+        if self._g.dim < _RITZ_MIN_DIM or i in self._ritz_at or self._members[i] is not None:
             return False
         rotations = [self._rotation(k) for k in range(len(self._ms))]
         top = max(self._kappa, max(self.e0s), max(float(r[0][-1]) for r in rotations))
@@ -536,9 +526,23 @@ class StabilityCurve(Sequence):
                 self.ritz_runs += 1
         return True
 
-    def middle(self) -> int:
-        """The candidate at the median e0, whose omega bounds both halves of the grid."""
-        return self._order[len(self._order) // 2]
+    def _rank(self, energy_in: float, t: float) -> tuple:
+        """``best_certificate``'s question at (E, t): the least budget solved and the
+        first candidate with it, and the least ``_budget_floor`` unsolved and the first
+        with it, or the median e0 while nothing bounds the floors (inf/None if none)."""
+        best, at_best, low, take = np.inf, None, np.inf, None
+        for i, (floor, e0) in enumerate(zip(self.omega_floors(), self.e0s)):
+            if self._members[i] is not None:
+                budget = _budget(self.omega(i), e0, energy_in, t)
+                if at_best is None or budget < best:
+                    best, at_best = budget, i
+            else:
+                floor = _budget_floor(floor, e0, energy_in, t)
+                if take is None or floor < low:
+                    low, take = floor, i
+        if take is not None and not self._ritz_at and at_best is None:
+            take = self._order[len(self._order) // 2]
+        return best, at_best, low, take
 
     def omega_floors(self) -> list:
         """Lower bounds on every candidate's computed omega: the omega itself
@@ -629,55 +633,34 @@ def best_certificate(curves, energy_in: float, t: float) -> StabilityCertificate
 
     Pencils are solved only as the ranking needs them.  Every unsolved
     candidate has a floor on its budget (``omega_floors``, then
-    ``_budget_floor``).  Until every floor lies strictly above the least
-    budget solved, the curve holding the least floor takes that candidate,
-    or its middle one if nothing bounds its floors yet (they are then all
-    0).  A candidate taken for the first time from dimension _RITZ_MIN_DIM
-    on gives Ritz vectors (``take_ritz_vectors``) instead of a solve; it is
-    solved only if, with their floors, it still holds the least floor.  So
-    each candidate left unsolved has a budget above the winner's, and the
-    winner, ties and near-ties included, is the exhaustive ranking's.  A
-    solve or a Ritz run recomputes the floors of its own curve only.  Where
-    f_t(E) need not grow with omega (E < 0, E or t not finite) every pencil
-    is solved.
+    ``_budget_floor``); each curve's ``_rank`` gives its least budget solved,
+    its least floor and the candidate to take.  Until every floor lies
+    strictly above the least budget solved, the curve holding the least
+    floor takes that candidate.  One taken for the first time from dimension
+    _RITZ_MIN_DIM on gives Ritz vectors (``take_ritz_vectors``) instead of a
+    solve; it is solved only if, with their floors, it still holds the least
+    floor.  So each candidate left unsolved has a budget above the winner's,
+    and the winner, ties and near-ties included, is the exhaustive ranking's.
+    A solve or a Ritz run asks its own curve again.  Where f_t(E) need not
+    grow with omega (E < 0, E or t not finite) every pencil is solved.
     """
     curves = tuple(curves)
     if not any(len(curve) for curve in curves):
         raise ValueError("no certificates supplied")
-    every = not (0.0 <= energy_in < np.inf and abs(t) < np.inf)
-    budgets = [[_budget(curve.omega(i), e0, energy_in, t) if every or curve.solved(i) else None
-                for i, e0 in enumerate(curve.e0s)] for curve in curves]
-
-    def bounds(k):
-        """(least budget solved, least floor unsolved, the candidate to take) on
-        curve k: the one with that floor, or the middle of a curve nothing bounds yet."""
-        curve, row = curves[k], budgets[k]
-        best, low, at = np.inf, np.inf, None
-        for i, (floor, e0) in enumerate(zip(curve.omega_floors(), curve.e0s)):
-            if row[i] is not None:
-                best = min(best, row[i])
-            else:
-                floor = _budget_floor(floor, e0, energy_in, t)
-                if at is None or floor < low:
-                    low, at = floor, i
-        if at is not None and not curve.bounded():
-            at = curve.middle()
-        return best, low, at
-
-    summary = [bounds(k) for k in range(len(curves))]
+    if not (0.0 <= energy_in < np.inf and abs(t) < np.inf):
+        for curve in curves:
+            curve.omegas  # solves every pencil
+    ranks = [curve._rank(energy_in, t) for curve in curves]
     while True:
-        best = min(s[0] for s in summary)
-        low, k = min(((s[1], k) for k, s in enumerate(summary) if s[2] is not None),
+        low, k = min(((r[2], k) for k, r in enumerate(ranks) if r[3] is not None),
                      default=(np.inf, None))
-        if k is None or low > best:
+        if k is None or low > min(r[0] for r in ranks):
             break
-        i = summary[k][2]
-        if not curves[k].take_ritz_vectors(i):
-            budgets[k][i] = _budget(curves[k].omega(i), curves[k].e0s[i], energy_in, t)
-        summary[k] = bounds(k)
-    solved = [(k, i) for k, row in enumerate(budgets) for i, b in enumerate(row) if b is not None]
-    k, i = min(solved, key=lambda ki: budgets[ki[0]][ki[1]])
-    return curves[k][i]
+        if not curves[k].take_ritz_vectors(ranks[k][3]):
+            curves[k].omega(ranks[k][3])
+        ranks[k] = curves[k]._rank(energy_in, t)
+    k = min((k for k, r in enumerate(ranks) if r[1] is not None), key=lambda k: ranks[k][0])
+    return curves[k][ranks[k][1]]
 
 
 def joint_constants(ms, g: ReferenceHamiltonian, e0_grid) -> StabilityCurve:

@@ -38,6 +38,7 @@ from .opcore import (
     EnergyProfile,
     HermitianMatrix,
     ReferenceHamiltonian,
+    _require_budget,
     dual_scan,
     dual_scan_witness,
     haar_state,
@@ -162,8 +163,7 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
     Returns ``(value, psi)`` with psi feasible and value evaluated directly.
     Raises ValueError unless 0 < E < inf.
     """
-    if not 0 < energy_budget < np.inf:
-        raise ValueError("energy budget must be positive and finite")
+    _require_budget(energy_budget)
     ge, gv = g.clipped_eigh()
     mb = gv.conj().T @ m.entries @ gv  # M in the eigenbasis of G
     mb = (mb + mb.conj().T) / 2.0
@@ -250,8 +250,7 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
 def random_feasible_sample_max(m: HermitianMatrix, g: ReferenceHamiltonian,
                                energy_budget: float, samples: int, seed: int = 0) -> float:
     """Best of Haar-random pure states retracted onto the energy shell."""
-    if not 0 < energy_budget < np.inf:
-        raise ValueError("energy budget must be positive and finite")
+    _require_budget(energy_budget)
     ge, gv = g.clipped_eigh()
     mb = gv.conj().T @ m.entries @ gv
     rng = rng_from_seed(seed)
@@ -398,8 +397,7 @@ def ecd_norm_seesaw(s: CpDifference, g: ReferenceHamiltonian, energy_budget: flo
     """
     if s.dim_in != g.dim:
         raise ValueError(f"dimension mismatch: map input {s.dim_in}, reference {g.dim}")
-    if not 0 < energy_budget < np.inf:
-        raise ValueError("energy budget must be positive and finite")
+    _require_budget(energy_budget)
     if ancilla_dim is None:
         ancilla_dim = s.dim_in
     if ancilla_dim < 1:

@@ -24,12 +24,13 @@ independently of the solver, and by strong duality the value equals
 sup{tr[M rho] : tr[G rho] <= E} for PSD M (the ground state of G is a
 strictly feasible point).
 
-Every operator inequality is one ``require_psd`` gate.  Above
+Every operator inequality is one ``require_psd`` gate on one gap's builder,
+every affine one through ``AffineCertificate.verify``.  Above
 ``FULL_EIGH_MAX_DIM`` a gate is first proved in floating point
 by a shifted Cholesky factorization (Rump, BIT 46, 2006), which costs a
 fraction of the ``eigvalsh`` it replaces; the gate falls back to ``eigvalsh``
-when the proof fails.  A certificate's ``residual``, the least eigenvalue of
-its gap, is computed when it is first read.
+when the proof fails.  It returns the reader of a certificate's ``residual``,
+the least eigenvalue of its gap, which is computed when first read.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ _MODEL_MIN_DIM = 64
 _MODEL_VECTORS = 8
 _MODEL_MAX_ITER = 12
 _UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _require_budget(energy_budget: float):
+    if not 0 < energy_budget < np.inf:
+        raise ValueError("energy budget must be positive and finite")
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -322,23 +328,24 @@ class AffineCertificate:
     def bound(self, energy: float) -> float:
         return self.lam * energy + self.e0
 
-    def verify(self, m: HermitianMatrix, g: ReferenceHamiltonian) -> "AffineCertificate":
+    def verify(self, m: HermitianMatrix,
+               g: ReferenceHamiltonian | HermitianMatrix) -> "AffineCertificate":
         """Check M <= lam*G + e0 (ValueError if not); the residual is computed when read."""
-        def gap():
-            return self.lam * g.entries + self.e0 * np.eye(g.dim) - m.entries
-
-        floor = require_psd(gap(), CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm()),
-                            "certificate fails verification")
-        return AffineCertificate(self.lam, self.e0, residual=floor_reader(floor, gap))
+        residual = require_psd(
+            lambda: self.lam * g.entries + self.e0 * np.eye(g.dim) - m.entries,
+            CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm()), "certificate fails verification")
+        return AffineCertificate(self.lam, self.e0, residual=residual)
 
 
-def require_psd(gap: np.ndarray, slack: float, what: str):
-    """Check that the gap B - A has no eigenvalue below -``slack``;
-    ValueError naming ``what`` where it has.
+def require_psd(gap_of, slack: float, what: str):
+    """Check that the gap B - A, built once by ``gap_of()``, has no eigenvalue
+    below -``slack``; ValueError naming ``what`` where it has.
 
-    Returns the gap's smallest eigenvalue, or None where a gap above
-    ``FULL_EIGH_MAX_DIM`` was proved by ``_proves_psd``, which computes no
-    eigenvalue.  Where the proof fails, and for a small gap, the gate
+    Returns a function of no arguments giving the gap's smallest eigenvalue:
+    the one computed here, or, where ``_proves_psd`` proved a gap above
+    ``FULL_EIGH_MAX_DIM`` with none, one ``eigvalsh`` of a rebuilt
+    ``gap_of()`` (which must build the same matrix) when it is called.
+    Where the proof fails, and for a small gap, the gate
     decides from ``eigvalsh``, whose smallest eigenvalue is an estimate with
     its own rounding; a non-finite gap is never proved, so it meets
     ``eigvalsh`` (and its LinAlgError) as before.  So the proof never makes
@@ -346,9 +353,11 @@ def require_psd(gap: np.ndarray, slack: float, what: str):
     ``cholesky`` read the same triangle, and gaps built from
     ``HermitianMatrix`` entries are exactly Hermitian.
     """
+    gap = gap_of()
     if gap.shape[0] > FULL_EIGH_MAX_DIM and _proves_psd(gap, slack):
-        return None
-    return require_psd_spectrum(np.linalg.eigvalsh(gap), slack, what)
+        return lambda: np.linalg.eigvalsh(gap_of())[0]
+    floor = require_psd_spectrum(np.linalg.eigvalsh(gap), slack, what)
+    return lambda: floor
 
 
 def _proves_psd(gap: np.ndarray, slack: float) -> bool:
@@ -407,19 +416,6 @@ def _proves_psd(gap: np.ndarray, slack: float) -> bool:
     finally:
         gap.flat[::n + 1] = diagonal
     return bool(np.isfinite(gap.sum() + factor.diagonal().sum()))
-
-
-def floor_reader(floor, gap_of):
-    """A function of no arguments giving a checked gap's smallest eigenvalue.
-
-    ``floor`` is what ``require_psd`` returned for the matrix ``gap_of()``:
-    the floor itself, or None where a proof decided without one; then the
-    function runs one ``eigvalsh`` of the rebuilt ``gap_of()``.  ``gap_of``
-    must build the same matrix each time, so the floor is the checked gap's.
-    """
-    if floor is None:
-        return lambda: np.linalg.eigvalsh(gap_of())[0]
-    return lambda: floor
 
 
 def require_psd_spectrum(evals: np.ndarray, slack: float, what: str):
@@ -668,8 +664,7 @@ class EnergyProfile:
         float is left inside the bracket.  Raises RuntimeError when neither
         happens within ``DUAL_MAX_ITER`` steps.
         """
-        if not 0 < energy_budget < np.inf:
-            raise ValueError("energy budget must be positive and finite")
+        _require_budget(energy_budget)
         e = float(energy_budget)
         points = [self._point(lam, e) for lam in self._cuts]
         start = points[0]  # lam = 0
@@ -802,8 +797,7 @@ def dual_scan_witness(ms, g: ReferenceHamiltonian, energy_budget: float) -> np.n
     ms = _hermitian_part(ms)
     if ms.shape[1:] != (g.dim, g.dim):
         raise ValueError(f"dimension mismatch: {ms.shape[-1]} vs {g.dim}")
-    if not 0 < energy_budget < np.inf:
-        raise ValueError("energy budget must be positive and finite")
+    _require_budget(energy_budget)
     e = float(energy_budget)
     cuts, eig = _top_cuts(ms - 0.0 * g.entries, g)
     full = g.dim <= FULL_EIGH_MAX_DIM

@@ -343,9 +343,9 @@ def _spy_certification(monkeypatch) -> dict:
         seen["rotations"] += 1
         return rotated(m, g)
 
-    def spy_psd(gap, slack, what):
-        seen["floors"].append((np.array(gap), slack))
-        return require_psd(gap, slack, what)
+    def spy_psd(gap_of, slack, what):
+        seen["floors"].append((np.array(gap_of()), slack))
+        return require_psd(gap_of, slack, what)
 
     def spy_best(*args):
         seen["winners"].append(best(*args))

@@ -323,8 +323,23 @@ class TestSqrtReference:
         if accepted:
             assert sqrt_reference_certificate(*args).residual == pytest.approx(-x, rel=1e-6)
         else:
-            with pytest.raises(ValueError, match="square-root reference certificate"):
+            with pytest.raises(ValueError, match=r"^square-root reference certificate fails "
+                                                 r"verification \(min eigenvalue -"):
                 sqrt_reference_certificate(*args)
+
+    def test_both_certificates_pass_the_affine_verifier(self, monkeypatch):
+        verified, verify = [], AffineCertificate.verify
+
+        def spy(cert, m, g):
+            verified.append((cert.lam, cert.e0))
+            return verify(cert, m, g)
+
+        monkeypatch.setattr(AffineCertificate, "verify", spy)
+        g = ref(0.0, 1.0)
+        out = sqrt_reference_certificate(amplitude_damping(0.5), g, g,
+                                         AffineCertificate(4.0, 9.0))
+        assert verified == [(4.0, 9.0), (2.0, 3.0)]  # the input, then the root
+        assert (out.lam, out.e0) == (2.0, 3.0)
 
 
 class TestOperatorMonotoneImage:

@@ -553,6 +553,26 @@ class TestBadNumbersExitTwo:
         assert out == ""
         assert json.loads(err) == {"code": "input_error", "message": message}
 
+    @pytest.mark.parametrize("argv, kernel", [
+        (["birth", "--rule", "power:2", "--cutoff", "100000", "--times", "1"], "birth_tau"),
+        (["rabi", "--omega", "1", "--g", "0.3", "--nu", "0.5", "--cutoff", "100000"],
+         "rabi_hamiltonian"),
+    ])
+    def test_memory_error_is_named(self, capfd, monkeypatch, argv, kernel):
+        # The kernel fails as numpy does when the cutoff's matrices do not fit;
+        # nothing that large is allocated.
+        from eclim import cli
+        message = ("Unable to allocate 74.5 GiB for an array with shape (100001, 100001) "
+                   "and data type float64")
+
+        def too_large(*args):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, kernel, too_large)
+        code, out, err = run_main(argv, capfd)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"code": "input_error", "message": message}
+
 
 class TestMalformedJsonExitTwo:
     """A JSON field that is missing, of the wrong type or outside the float

@@ -107,6 +107,35 @@ def test_cholesky_is_called_only_by_the_psd_proof():
     assert sites == {("opcore", "_proves_psd")}
 
 
+def test_residual_readers_are_attached_only_by_the_affine_verifier():
+    # One verifier of an affine certificate: every AffineCertificate that
+    # carries a residual is built by AffineCertificate.verify.
+    sites = set()
+    for path in sorted((SRC / "eclim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)
+                 and any(k.arg == "residual" for k in n.keywords)}
+        for scope, node in named_in(tree, "AffineCertificate"):
+            if id(node) in calls:
+                sites.add((path.stem, scope))
+    assert sites == {("opcore", "AffineCertificate.verify")}
+
+
+def test_require_psd_is_named_only_by_the_gates_that_own_a_gap():
+    # One operator-inequality check: outside opcore, only the stability floors
+    # and the three Gaussian records build a gap of their own (None: the import).
+    sites = set()
+    for path in sorted((SRC / "eclim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, node in named_in(tree, "require_psd"):
+            if path.stem != "opcore":
+                sites.add((path.stem, scope))
+    assert sites == {("lindblad", None), ("lindblad", "_floors"), ("gaussian", None),
+                     ("gaussian", "GaussianState.__post_init__"),
+                     ("gaussian", "GaussianChannel.__post_init__"),
+                     ("gaussian", "GaussianGenerator.__post_init__")}
+
+
 def test_stability_curves_are_built_only_by_their_two_constructors():
     # One curve type: a single matrix's curve or several matrices' joint one.
     sites = set()

@@ -137,9 +137,9 @@ def _spy_floors(monkeypatch) -> list:
     """Record the gap of every floor lindblad checks (require_psd still decides)."""
     floors, require_psd = [], lindblad.require_psd
 
-    def spy(gap, slack, what):
-        floors.append(np.array(gap))
-        return require_psd(gap, slack, what)
+    def spy(gap_of, slack, what):
+        floors.append(np.array(gap_of()))
+        return require_psd(gap_of, slack, what)
 
     monkeypatch.setattr(lindblad, "require_psd", spy)
     return floors

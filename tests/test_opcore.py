@@ -730,7 +730,7 @@ def _gap_with_exact_floor(d: int, a0: float, rng):
 
 def _decision(gap, slack) -> bool:
     try:
-        require_psd(gap, slack, "gap")
+        require_psd(lambda: gap, slack, "gap")
     except ValueError:
         return False
     return True
@@ -795,9 +795,10 @@ class TestPsdProof:
             expect = require_psd_spectrum(np.linalg.eigvalsh(gap), 1e-8, "gap")
         except (ValueError, np.linalg.LinAlgError) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                require_psd(gap, 1e-8, "gap")
+                require_psd(lambda: gap, 1e-8, "gap")
         else:
-            assert np.array_equal(require_psd(gap, 1e-8, "gap"), expect, equal_nan=True)
+            assert np.array_equal(require_psd(lambda: gap, 1e-8, "gap")(), expect,
+                                  equal_nan=True)
 
     def test_single_gates_above_the_cut_try_the_proof_first(self, monkeypatch):
         calls = []
@@ -807,12 +808,15 @@ class TestPsdProof:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: calls.append(("eigvalsh", a.shape)) or eigvalsh(a))
         d = FULL_EIGH_MAX_DIM
-        assert require_psd(np.eye(d + 1), 0.0, "gap") is None
-        assert require_psd(np.eye(d), 0.0, "gap") == 1.0
+        proved = require_psd(lambda: np.eye(d + 1), 0.0, "gap")
+        assert require_psd(lambda: np.eye(d), 0.0, "gap")() == 1.0
         with pytest.raises(ValueError, match=r"^gap \(min eigenvalue -1\.000e\+00\)$"):
-            require_psd(-np.eye(d + 1), 0.5, "gap")
+            require_psd(lambda: -np.eye(d + 1), 0.5, "gap")
         assert calls == [("cholesky", (d + 1, d + 1)), ("eigvalsh", (d, d)),
                          ("cholesky", (d + 1, d + 1)), ("eigvalsh", (d + 1, d + 1))]
+        # the proved gate ran no eigvalsh; its reader runs one when called
+        assert proved() == 1.0
+        assert calls[4:] == [("eigvalsh", (d + 1, d + 1))]
 
     def test_the_gap_is_left_bitwise_unchanged(self):
         rng = rng_from_seed(5)
