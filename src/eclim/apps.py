@@ -65,7 +65,9 @@ class SpeedLimitConfig:
 
     def __post_init__(self):
         grid = tuple(float(t) for t in self.time_grid)
-        if not grid or grid[0] != 0.0:
+        if not grid:
+            raise ValueError("time grid is empty")
+        if grid[0] != 0.0:
             raise ValueError("time grid must start at 0")
         for a, b in zip(grid, grid[1:]):
             if not a < b < np.inf:

@@ -12,11 +12,11 @@ A stability curve is a grid of e0 candidates, for one dissipation matrix or
 jointly for several, whose pencils are solved only when read.  Their omegas
 only rank the candidates: every certificate a result reads is re-verified, by
 the floors of ``min_omega``, when it is first read; a candidate that loses the
-ranking is not a certificate.  Because the exact omega falls with e0 no faster
-than 1/e0, the omegas already solved bound every other candidate's budget from
-below, and from dimension _RITZ_MIN_DIM on so do the Rayleigh quotients of a
-few Lanczos vectors (Courant-Fischer), so ``best_certificate`` solves only the
-pencils that can still win.
+ranking is not a certificate.  Below dimension _RITZ_MIN_DIM
+``best_certificate`` reads every omega, which costs less than ranking them.
+From there on an unsolved omega has one kind of floor, the Rayleigh quotients
+of a few Lanczos vectors (Courant-Fischer), so it solves only the pencils that
+can still win: 2-4 of the 26 of a left 7-qubit speed-limit run.
 
 Simulation vectorizes rho row-major, vec(A rho B) = (A (x) B^T) vec(rho),
 so the superoperator is K (x) 1 + 1 (x) conj(K) + sum L (x) conj(L).
@@ -80,9 +80,7 @@ TAYLOR_TOL = 2.0 ** -53  # unit roundoff, the truncation tolerance of the Taylor
 # generator needs 605 from 0 to t = 1.2.
 TAYLOR_MAX_PRODUCTS = 10 ** 6
 E0_GRID_POINTS = 13
-# Below this, absolute rounding (underflow) could outgrow the search's margins:
-# ``StabilityCurve.omega_floors`` then bounds nothing and ``_budget_floor``
-# subtracts it outright.
+# The absolute term ``_budget_floor`` subtracts for underflow.
 _SEARCH_TINY = 2.0 ** -960
 # From this dimension on, a Lanczos run of _RITZ_STEPS steps bounds a curve's
 # omegas before its next pencil is solved densely.  A complex pencil
@@ -90,7 +88,8 @@ _SEARCH_TINY = 2.0 ** -960
 # against 0.17 ms; d = 64, 0.34 against 0.18 ms; d = 128, 1.78 against
 # 0.30 ms (medians, a random unitary dissipation at e0 = max G; 2-vCPU
 # x86_64 VM, one BLAS thread).  The gate sits above the crossover because a
-# run that its candidate survives saves no solve.  Ten steps: per left
+# run that its candidate survives saves no solve; below it every pencil
+# of a ranked curve is solved.  Ten steps: per left
 # 7-qubit speed-limit run (seeds 0-7, 5 steps) 8 steps left 3.1 solves after
 # 9.5 runs, 10 steps 2.4 after 8.8, 12 steps 2.1 after 8.5.
 _RITZ_MIN_DIM = 64
@@ -306,7 +305,7 @@ def _pencil_error(rotated: tuple) -> float:
     """kappa with |computed omega - exact omega| <= kappa / e0 at every e0 > 0.
 
     "Exact" is the pencil of the rotation's own (lam, A), lam >= 0, whose
-    omega has the two properties ``StabilityCurve.omega_floors`` relies on.
+    omega the Ritz quotients of ``_ritz_quotients`` bound from below.
     Let u = 2^-53 and n = dim A.  B = diag(s) A diag(s) with
     s = (lam + e0)^(-1/2) <= e0^(-1/2), so ||B||_F <= ||A||_F / e0.
     ``_scaled_pencil`` rounds s (a sum and a power, 3u) and two products,
@@ -319,8 +318,7 @@ def _pencil_error(rotated: tuple) -> float:
     are O(u ||B||_2).  By Weyl's theorem (Golub and Van Loan, Matrix
     Computations, 4th ed., Sec. 8.1.2) each eigenvalue, and so omega, moves
     by at most (4n^2 + 10) u ||A||_F / e0.  The 22u spare covers the rounding
-    of ||A||_F and of the floors' own arithmetic, whose terms are at most
-    ||A||_F (1 + O(u)) / e0.
+    of ||A||_F.
 
     The bound on LAPACK is an assumption, not a proof.  It decides only
     which pencils get solved: were it wrong, the search could pick a
@@ -436,15 +434,15 @@ class StabilityCurve(Sequence):
     omega or Ritz vector is needed; every omega is solved on first read and
     then cached, and ``omegas`` reads them all.  From dimension
     _RITZ_MIN_DIM on, ``take_ritz_vectors`` stores Lanczos vectors of a
-    candidate's pencils, which bound the omega at every e0 of the grid (see
-    ``omega_floors``).  ``pencils_solved`` counts the dense pencil
-    eigensolves made and ``ritz_runs`` the Lanczos runs, one per nonzero
-    matrix each.  The omegas only rank candidates, through ``_rank``, the one
-    question ``best_certificate`` asks a curve.  Item i is the
-    StabilityCertificate at e0s[i]: when first read it passes each matrix's
-    ``_floors`` at that matrix's own omega and e0s[i], or raises, and its
-    residual, computed when read, is the least of theirs.  The certificate
-    is cached.  It holds no reference to the curve, so a curve is freed as
+    candidate's pencils, whose Ritz quotients are the one kind of floor on
+    the unsolved omegas (``omega_floors``).  ``pencils_solved`` counts the
+    dense pencil eigensolves made and ``ritz_runs`` the Lanczos runs, one
+    per nonzero matrix each.  The omegas only rank candidates, through
+    ``_rank``, the one question ``best_certificate`` asks a curve.  Item i
+    is the StabilityCertificate at e0s[i]: when first read it passes each
+    matrix's ``_floors`` at that matrix's own omega and e0s[i], or raises,
+    and its residual, computed when read, is the least of theirs.  The
+    certificate is cached.  It holds no reference to the curve, so a curve is freed as
     soon as its last reference goes, with no reference cycle.
     """
 
@@ -462,7 +460,6 @@ class StabilityCurve(Sequence):
         self._rotations = [None] * len(ms)
         self._members = [None] * len(e0s)  # each matrix's omega, per solved candidate
         self._kappa = 0.0  # the largest _pencil_error of the rotations made
-        self._order = sorted(range(len(e0s)), key=e0s.__getitem__)  # grid in e0 order
         self._ritz = []  # (a, l, n) of every Ritz vector taken
         self._ritz_at = set()  # the candidates whose pencils gave Ritz vectors
         self._certs = {}
@@ -511,9 +508,10 @@ class StabilityCurve(Sequence):
     def take_ritz_vectors(self, i: int) -> bool:
         """Store the Ritz vectors of candidate i's pencils, one Lanczos run per
         nonzero matrix; False, with nothing done, if candidate i is solved or
-        already ran, below dimension _RITZ_MIN_DIM, or when kappa, an e0 or
-        max G lies outside the range _RITZ_RANGE."""
-        if self._g.dim < _RITZ_MIN_DIM or i in self._ritz_at or self._members[i] is not None:
+        already ran, or when kappa, an e0 or max G lies outside the range
+        _RITZ_RANGE.  ``best_certificate`` asks for them from dimension
+        _RITZ_MIN_DIM on."""
+        if i in self._ritz_at or self._members[i] is not None:
             return False
         rotations = [self._rotation(k) for k in range(len(self._ms))]
         top = max(self._kappa, max(self.e0s), max(float(r[0][-1]) for r in rotations))
@@ -529,7 +527,7 @@ class StabilityCurve(Sequence):
     def _rank(self, energy_in: float, t: float) -> tuple:
         """``best_certificate``'s question at (E, t): the least budget solved and the
         first candidate with it, and the least ``_budget_floor`` unsolved and the first
-        with it, or the median e0 while nothing bounds the floors (inf/None if none)."""
+        with it (inf/None if none)."""
         best, at_best, low, take = np.inf, None, np.inf, None
         for i, (floor, e0) in enumerate(zip(self.omega_floors(), self.e0s)):
             if self._members[i] is not None:
@@ -540,59 +538,23 @@ class StabilityCurve(Sequence):
                 floor = _budget_floor(floor, e0, energy_in, t)
                 if take is None or floor < low:
                     low, take = floor, i
-        if take is not None and not self._ritz_at and at_best is None:
-            take = self._order[len(self._order) // 2]
         return best, at_best, low, take
 
     def omega_floors(self) -> list:
         """Lower bounds on every candidate's computed omega: the omega itself
-        where solved, and elsewhere a bound from the solved ones and the
-        Ritz vectors.
+        where solved, elsewhere the best Ritz floor, and 0 without one.
 
-        The exact omega w(e0) is the least w >= 0 with A <= w (lam + e0) in
-        G's eigenbasis, lam >= 0.  Let e0 < e0'.  Then lam + e0 <= lam + e0',
-        so w(e0) >= w(e0'); and lam + e0' <= (e0'/e0)(lam + e0), so
-        w(e0') >= w(e0) e0 / e0'.  Both hold for -A, and for the largest of
-        several such w, one per matrix.  With every computed omega within
-        kappa / e0 of w, an unsolved candidate j gets, from each solved i,
-
-            omega_j >= omega_i - kappa / e0_i - kappa / e0_j          (e0_i >= e0_j)
-            omega_j >= (omega_i e0_i - kappa) / e0_j - kappa / e0_j   (e0_i <= e0_j)
-
-        and never less than 0.  Two sweeps in e0 order take the best of
-        these, so a curve's floors cost O(len) however many are solved.
-        Each stored Ritz vector (a, l, n) also gives, by ``_ritz_quotients``,
+        Each stored Ritz vector (a, l, n) gives, by ``_ritz_quotients``,
 
             omega_j >= a / (l + e0_j n) - 2 kappa / e0_j
 
-        at every e0_j at once.  The sweeps would carry no more: a / (l + e0 n)
-        falls with e0, and e0 a / (l + e0 n) rises with it, so the vector's
-        own quotient at e0_j is at least what either sweep would bring from
-        another e0.  Where kappa / e0 could underflow (kappa < 2^-960 max
-        e0, which includes an exactly zero A) an unsolved candidate's floor
-        is 0; Ritz vectors are only taken well inside that range.
+        at every e0_j of the grid at once.  ``take_ritz_vectors`` stores none
+        outside the range _RITZ_RANGE, so kappa / e0_j never underflows here.
         """
-        e0s, kappa = self.e0s, self._kappa
-        omegas = [None if w is None else max(w) for w in self._members]
-        floors = [0.0 if w is None else w for w in omegas]
-        if not kappa >= _SEARCH_TINY * max(e0s, default=0.0):
-            return floors
-        order = self._order
-        above = -math.inf  # max of omega_i - kappa / e0_i over solved e0_i >= e0_j
-        for j in reversed(order):
-            if omegas[j] is None:
-                floors[j] = max(0.0, above - kappa / e0s[j])
-            else:
-                above = max(above, omegas[j] - kappa / e0s[j])
-        below = -math.inf  # max of omega_i e0_i - kappa over solved e0_i <= e0_j
-        for j in order:
-            if omegas[j] is None:
-                floors[j] = max(floors[j], (below - kappa) / e0s[j])
-                for a, l, n in self._ritz:
-                    floors[j] = max(floors[j], a / (l + e0s[j] * n) - 2.0 * kappa / e0s[j])
-            else:
-                below = max(below, omegas[j] * e0s[j] - kappa)
-        return floors
+        kappa = self._kappa
+        return [max(members) if members is not None else
+                max([0.0] + [a / (l + e0 * n) - 2.0 * kappa / e0 for a, l, n in self._ritz])
+                for members, e0 in zip(self._members, self.e0s)]
 
 
 def stability_curve(m: HermitianMatrix, g: ReferenceHamiltonian, e0_grid,
@@ -631,24 +593,30 @@ def best_certificate(curves, energy_in: float, t: float) -> StabilityCertificate
     candidates of ``curves``; ties go to the first in curve, then grid order.
     Only the winner is verified.
 
-    Pencils are solved only as the ranking needs them.  Every unsolved
-    candidate has a floor on its budget (``omega_floors``, then
-    ``_budget_floor``); each curve's ``_rank`` gives its least budget solved,
-    its least floor and the candidate to take.  Until every floor lies
-    strictly above the least budget solved, the curve holding the least
-    floor takes that candidate.  One taken for the first time from dimension
-    _RITZ_MIN_DIM on gives Ritz vectors (``take_ritz_vectors``) instead of a
-    solve; it is solved only if, with their floors, it still holds the least
-    floor.  So each candidate left unsolved has a budget above the winner's,
-    and the winner, ties and near-ties included, is the exhaustive ranking's.
-    A solve or a Ritz run asks its own curve again.  Where f_t(E) need not
-    grow with omega (E < 0, E or t not finite) every pencil is solved.
+    A curve below dimension _RITZ_MIN_DIM takes no Ritz vectors, so its
+    unsolved floors are 0 and the ranking would solve its pencils one
+    question at a time; every pencil is solved at once instead, which costs
+    less (a d = 2 Trotter op's joint curve: 19.5 solves in about 0.4 ms,
+    against 0.7 ms one at a time; one BLAS thread).  Every pencil is also
+    solved where f_t(E) need not grow with omega (E < 0, E or t not
+    finite).  From _RITZ_MIN_DIM on, pencils are solved only as the ranking
+    needs them.  Every unsolved candidate has a floor on its budget
+    (``omega_floors``, then ``_budget_floor``); each curve's ``_rank`` gives
+    its least budget solved, its least floor and the candidate to take.
+    Until every floor lies strictly above the least budget solved, the
+    curve holding the least floor takes that candidate.  One taken for the
+    first time gives Ritz vectors (``take_ritz_vectors``) instead of a
+    solve; it is solved only if, with their floors, it still holds the
+    least floor.  So each candidate left unsolved has a budget above the
+    winner's, and the winner, ties and near-ties included, is the
+    exhaustive ranking's.  A solve or a Ritz run asks its own curve again.
     """
     curves = tuple(curves)
     if not any(len(curve) for curve in curves):
         raise ValueError("no certificates supplied")
-    if not (0.0 <= energy_in < np.inf and abs(t) < np.inf):
-        for curve in curves:
+    ranked = 0.0 <= energy_in < np.inf and abs(t) < np.inf
+    for curve in curves:
+        if not (ranked and curve._g.dim >= _RITZ_MIN_DIM):
             curve.omegas  # solves every pencil
     ranks = [curve._rank(energy_in, t) for curve in curves]
     while True:

@@ -76,6 +76,8 @@ class TestSpeedLimitRows:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SpeedLimitConfig(time_grid=(0.1, 0.2))
+        with pytest.raises(ValueError, match="^time grid is empty$"):
+            SpeedLimitConfig(time_grid=())
         with pytest.raises(ValueError):
             SpeedLimitConfig(scenario="middle")
 

@@ -388,6 +388,13 @@ class TestSpeedlimitCommand:
         assert lines[0] == "time,actualError,energyBound,uniformBound"
         assert len(lines) == 9
 
+    def test_zero_steps_is_named_an_empty_grid(self, capfd):
+        code, out, err = run_main(["speedlimit", "--scenario", "left", "--qubits", "2",
+                                   "--steps", "0"], capfd)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"code": "input_error", "message": "time grid is empty"}
+
     def test_overflowing_certified_budget_is_named(self, capfd):
         code, out, err = run_main(["speedlimit", "--scenario", "left", "--qubits", "3",
                                    "--tmax", "1e308", "--steps", "3"], capfd)

@@ -17,6 +17,29 @@ SCIPY_SITES = {
     ("lindblad", "LindbladGenerator.shifted_superoperator"),
 }
 
+# Where numpy's eigensolves and QR are called: (module, enclosing def) of every
+# np.linalg.eigh, np.linalg.eigvalsh and np.linalg.qr.  A new site, or one
+# gone, shows here first.
+EIGENSOLVE_SITES = {
+    ("channels", "kraus_sum_top"),
+    ("lindblad", "LindbladGenerator.__post_init__"),
+    ("lindblad", "_pencil_omega"),
+    ("lindblad", "_ritz_quotients"),
+    ("lindblad", "pencil_vector"),
+    ("norms", "constrained_rayleigh_max"),
+    ("norms", "ecd_norm_seesaw"),
+    ("norms", "trace_norm"),
+    ("opcore", "EnergyProfile._model_probe"),
+    ("opcore", "HermitianMatrix.eigh"),
+    ("opcore", "HermitianMatrix.eigvals"),
+    ("opcore", "_compressed_point"),
+    ("opcore", "_pinned_witness"),
+    ("opcore", "_top_cuts"),
+    ("opcore", "dual_scan_witness"),
+    ("opcore", "psd_order_leq"),
+    ("opcore", "require_psd"),
+}
+
 # Public definitions that no library code, benchmark or acceptance criterion
 # names, kept on purpose, each with its reason.
 UNCALLED_KEPT = {
@@ -95,6 +118,24 @@ def test_scipy_is_named_only_where_a_kernel_needs_it():
                               and ast.unparse(n.test) == "d <= FULL_EIGH_MAX_DIM")
                 assert branch.orelse[0].lineno <= node.lineno <= branch.orelse[-1].end_lineno
     assert sites == SCIPY_SITES
+
+
+def test_eigensolves_are_called_only_at_the_listed_sites():
+    sites = set()
+    for path in sorted((SRC / "eclim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for kernel in ("eigh", "eigvalsh", "qr"):
+            for scope, node in named_in(tree, kernel):
+                # no bare or re-imported kernel: only np.linalg.<kernel>, a method
+                # of eclim's own (HermitianMatrix.eigh) or scipy's (SCIPY_SITES)
+                assert isinstance(node, ast.Attribute), f"{path.name}:{node.lineno}"
+                owner = ast.unparse(node.value)
+                if owner == "np.linalg":
+                    sites.add((path.stem, scope))
+                else:
+                    assert not owner.endswith("linalg") or owner == "scipy.linalg", \
+                        f"{path.name}:{node.lineno} calls {owner}.{kernel}"
+    assert sites == EIGENSOLVE_SITES
 
 
 def test_cholesky_is_called_only_by_the_psd_proof():
