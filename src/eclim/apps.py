@@ -180,10 +180,6 @@ class BoundCheckReport:
     decay_exponent: float | None
 
     @property
-    def all_ok(self) -> bool:
-        return all(r.status == "ok" for r in self.rows)
-
-    @property
     def any_failed(self) -> bool:
         return any(r.status == "failed" for r in self.rows)
 

@@ -49,13 +49,14 @@ class KrausChannel:
     kraus: tuple
     dim_in: int = field(init=False)
     dim_out: int = field(init=False)
-    trace_preserving: bool = field(init=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         rows, cols = ops[0].shape
+        if not ops[0].size:
+            raise ValueError("Kraus operators must not be empty")
         for k in ops:
             if k.ndim != 2 or k.shape != (rows, cols):
                 raise ValueError("all Kraus operators must share one shape")
@@ -65,8 +66,7 @@ class KrausChannel:
         top = kraus_sum_top(s)
         if top > 1.0 + KRAUS_SUM_RTOL:
             raise ValueError(f"Kraus sum exceeds identity (top eigenvalue {top})")
-        tp = bool(np.linalg.norm(s - np.eye(cols)) <= KRAUS_SUM_RTOL * cols)
-        _set_fields(self, kraus=ops, dim_in=cols, dim_out=rows, trace_preserving=tp)
+        _set_fields(self, kraus=ops, dim_in=cols, dim_out=rows)
 
     @staticmethod
     def zero(dim_in: int, dim_out: int | None = None) -> "KrausChannel":

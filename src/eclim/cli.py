@@ -235,6 +235,8 @@ def _cmd_rabi(args) -> tuple[str, int]:
 def _cmd_speedlimit(args) -> tuple[str, int]:
     if not np.isfinite(args.tmax):
         raise InputError(f"--tmax must be finite, got {args.tmax}")
+    if args.steps < 0:
+        raise InputError(f"--steps must be nonnegative, got {args.steps}")
     grid = np.linspace(0.0, args.tmax, args.steps)
     cfg = SpeedLimitConfig(
         n_qubits=args.qubits,

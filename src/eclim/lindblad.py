@@ -110,12 +110,11 @@ class LindbladGenerator:
     k: np.ndarray
     lindblad: tuple
     dim: int = field(init=False)
-    formally_conservative: bool = field(init=False)
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=complex)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ValueError("K must be a square matrix")
+        if k.ndim != 2 or k.shape[0] != k.shape[1] or not k.size:
+            raise ValueError("K must be a nonempty square matrix")
         _require_finite("K", k)
         ops = tuple(np.asarray(l, dtype=complex) for l in self.lindblad)
         for a, l in enumerate(ops):
@@ -130,9 +129,7 @@ class LindbladGenerator:
             raise ValueError(
                 f"dissipativity violated: sum L*L + K + K* has eigenvalue {evals[-1]:.3e} > 0"
             )
-        conservative = bool(np.max(np.abs(evals)) <= DISSIPATIVITY_RTOL * scale)
-        _set_fields(self, k=k, lindblad=ops, dim=k.shape[0],
-                    formally_conservative=conservative, _cache={})
+        _set_fields(self, k=k, lindblad=ops, dim=k.shape[0], _cache={})
 
     @staticmethod
     def from_hamiltonian(h, lindblad=()) -> "LindbladGenerator":

@@ -173,7 +173,6 @@ class SpinSystem:
     sy: HermitianMatrix
     sz: HermitianMatrix
     laplacian: HermitianMatrix
-    ground_energy: float
     reference: ReferenceHamiltonian
 
     @property
@@ -224,7 +223,6 @@ def spin_system(n_qubits: int) -> SpinSystem:
         sy=HermitianMatrix(sy),
         sz=HermitianMatrix(sz),
         laplacian=lap,
-        ground_energy=ref.ground_energy_removed,
         reference=ref,
     )
 

@@ -149,7 +149,13 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
     mix of top eigenvectors there.  The energy of the top eigenvector is
     nonincreasing in lam by convexity of the top eigenvalue, so a bracket
     [lo, hi] with lo infeasible and hi feasible pins the crossing; it
-    shrinks until lo and hi are adjacent floats.  Each probe is a Newton
+    shrinks until lo and hi are adjacent floats.  It starts at lo = 0 and
+    hi = 2 max(1, (lam_max(M) - min(0, lam_min(M)))/E).  With v the top
+    eigenvector of M - hi*G and g0 the least clipped eigenvalue of G,
+    Courant-Fischer against G's ground vector gives hi <v|G|v> <=
+    lam_max(M) - lam_min(M) + hi g0, so <v|G|v> <= E/2 + g0 <= E unless E
+    is at the rounding level of g0; there hi's eigenvector is a candidate
+    only if its energy is within E.  Each probe is a Newton
     step on h(lam) = <v|G|v> - E from the latest probe, with the derivative
     of a simple eigenpair (Overton, SIAM J. Optim. 2, 1992) taken from the
     same eigensolve, or the midpoint where the top level is degenerate or
@@ -193,27 +199,19 @@ def constrained_rayleigh_max(m: HermitianMatrix, g: ReferenceHamiltonian,
     if energy_of(evecs_m[:, -1]) > energy_budget:
         candidates = []
         lo, evv_lo = 0.0, evecs_m
-        hi = 2.0 * max(1.0, max(0.0, float(evals_m[-1])) / energy_budget)
+        hi = 2.0 * max(1.0, (float(evals_m[-1]) - min(0.0, float(evals_m[0]))) / energy_budget)
         if not hi < np.inf:
-            raise RuntimeError(f"the primal oracle's upper bracket 2*max(1, lam_max(M)/E) "
-                               f"overflows at the energy budget E={energy_budget}")
-        hi_feasible = False
-        for _ in range(60):
-            evv_hi = np.linalg.eigh(mb - hi * gd)[1]
-            if energy_of(evv_hi[:, -1]) <= energy_budget:
-                hi_feasible = True
-                break
-            hi *= 4.0
-        else:  # hi was quadrupled after its last probe
-            evv_hi = np.linalg.eigh(mb - hi * gd)[1]
+            raise RuntimeError("the primal oracle's upper bracket 2*max(1, (lam_max(M) - "
+                               "min(0, lam_min(M)))/E) overflows at the energy budget "
+                               f"E={energy_budget}")
+        evv_hi = np.linalg.eigh(mb - hi * gd)[1]
         # Each Newton step starts from the latest probe, first from lam = 0;
         # side is +1 when that probe is lo, -1 when it is hi.
         lam, evals, evecs, side = 0.0, evals_m, evecs_m, 1.0
         for _ in range(90):
             mid = 0.5 * (lo + hi)
-            # lo is infeasible, so with hi feasible a mid that is lo or hi
-            # leaves both where they are: the bracket has reached its fixed point.
-            if hi_feasible and not lo < mid < hi:
+            # lo and hi are adjacent floats: the bracket has reached its fixed point.
+            if not lo < mid < hi:
                 break
             probe = mid
             step = newton_step(evals, evecs)

@@ -78,8 +78,8 @@ def _require_budget(energy_budget: float):
 
 def _as_complex_matrix(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -177,8 +177,6 @@ class HermitianMatrix:
         return self._cache["eigvals"]
 
     def operator_norm(self) -> float:
-        if self.dim == 0:
-            return 0.0
         return float(np.max(np.abs(self.eigvals())))
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
@@ -256,10 +254,9 @@ class DensityState:
     matrix: HermitianMatrix
 
     def __post_init__(self):
-        if self.dim:
-            require_psd_spectrum(self.matrix.eigvals(),
-                                 PSD_RTOL * (1.0 + self.matrix.operator_norm()),
-                                 "state is not PSD")
+        require_psd_spectrum(self.matrix.eigvals(),
+                             PSD_RTOL * (1.0 + self.matrix.operator_norm()),
+                             "state is not PSD")
         tr = float(np.real(np.trace(self.matrix.entries)))
         if tr < -1e-10 or tr > 1.0 + 1e-10:
             raise ValueError(f"state trace {tr} outside [0, 1]")
@@ -324,9 +321,6 @@ class AffineCertificate:
     def __post_init__(self):
         if self.lam < 0 or self.e0 < 0:
             raise ValueError("certificate slope and offset must be nonnegative")
-
-    def bound(self, energy: float) -> float:
-        return self.lam * energy + self.e0
 
     def verify(self, m: HermitianMatrix,
                g: ReferenceHamiltonian | HermitianMatrix) -> "AffineCertificate":

@@ -118,7 +118,7 @@ class TestOpenSpeedLimit:
         report = open_speedlimit(gen, gen, ref01(), 0.5, (0.3,), n_states=5,
                                  seed=0, restarts=4)
         assert report.rows[0].lhs_max == pytest.approx(0.0, abs=1e-12)
-        assert report.all_ok
+        assert [r.status for r in report.rows] == ["ok"]
 
     @pytest.mark.parametrize("n_states", [0, -3])
     def test_no_states_is_bad_input(self, n_states):
@@ -270,7 +270,7 @@ class TestStatusRule:
     def test_zero_seesaw_is_inconclusive(self, monkeypatch, run):
         report = getattr(self, run)(monkeypatch)
         self._assert_statuses(report, "inconclusive")
-        assert not report.all_ok
+        assert not all(r.status == "ok" for r in report.rows)
         assert not report.any_failed
 
     @pytest.mark.parametrize("run", ["_open", "_trotter"])

@@ -46,7 +46,7 @@ def test_dual_scan_certificates_reverify(d, seed, fraction):
     m = HermitianMatrix(a.conj().T @ a / d)
     e = fraction * g.max_energy()
     value, cert = dual_scan(m, g, e)
-    assert value == cert.bound(e)
+    assert value == cert.lam * e + cert.e0
     again = cert.verify(m, g)  # raises ValueError if M <= lam*G + e0 fails
     assert cert.residual >= -CERT_RESIDUAL_RTOL * (1.0 + m.operator_norm())
     assert again.residual == cert.residual

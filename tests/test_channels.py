@@ -51,10 +51,6 @@ def random_cp_channel(d, rng, n_kraus=2):
 
 
 class TestKrausChannel:
-    def test_trace_preserving_flag(self):
-        assert amplitude_damping(0.3).trace_preserving
-        assert not KrausChannel((np.diag([1.0, 0.5]).astype(complex),)).trace_preserving
-
     def test_rejects_super_normalized(self):
         with pytest.raises(ValueError):
             KrausChannel((1.2 * np.eye(2),))

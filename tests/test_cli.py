@@ -395,6 +395,14 @@ class TestSpeedlimitCommand:
         assert out == ""
         assert json.loads(err) == {"code": "input_error", "message": "time grid is empty"}
 
+    def test_negative_steps_name_the_flag(self, capfd):
+        code, out, err = run_main(["speedlimit", "--scenario", "left", "--qubits", "2",
+                                   "--steps", "-3"], capfd)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"code": "input_error",
+                                   "message": "--steps must be nonnegative, got -3"}
+
     def test_overflowing_certified_budget_is_named(self, capfd):
         code, out, err = run_main(["speedlimit", "--scenario", "left", "--qubits", "3",
                                    "--tmax", "1e308", "--steps", "3"], capfd)
@@ -653,6 +661,47 @@ class TestMalformedJsonExitTwo:
         message = json.loads(err)["message"]
         assert message.count("state:") <= 1, message
         assert all(name in message for name in names), message
+
+    I3 = '{"dim": 3, "entries": [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], ' \
+         '[0, 0], [1, 0]]}'
+
+    @pytest.mark.parametrize("argv, text, fragment", [
+        pytest.param(["birth", "--rule", "explicit:1,x", "--cutoff", "4"], "",
+                     "expected a comma-separated number list, got '1,x'", id="float-list"),
+        pytest.param(["trotter", "--gen1", "{genx}", "--gen2", "{genz}", "--ref", "{g}",
+                      "--energy", "1", "--time", "0.1", "--n", "4,x"], "",
+                     "expected a comma-separated integer list, got '4,x'", id="int-list"),
+        pytest.param(RUNS["operator"], '{"dim": 2', "is not valid JSON", id="invalid-json"),
+        pytest.param(RUNS["channel"], '{"dim_in": 2, "dim_out": 2, "kraus": [%s]}' % I3,
+                     "kraus operator shape (3, 3) does not match (dim_out, dim_in) = (2, 2)",
+                     id="kraus-shape"),
+        pytest.param(RUNS["generator"], '{"hamiltonian": %s}' % SX,
+                     "generator JSON needs 'dim'", id="generator-without-dim"),
+        pytest.param(RUNS["generator"], '{"dim": 2, "hamiltonian": %s, "k": %s}' % (SX, SX),
+                     "exactly one of 'hamiltonian' or 'k'", id="hamiltonian-and-k"),
+        pytest.param(RUNS["generator"], '{"dim": 2}',
+                     "exactly one of 'hamiltonian' or 'k'", id="neither-hamiltonian-nor-k"),
+        pytest.param(RUNS["generator"], '{"dim": 2, "hamiltonian": %s, "lindblad": [%s]}'
+                     % (SX, I3), "lindblad operators must be dim x dim", id="lindblad-shape"),
+        pytest.param(RUNS["generator"], '{"dim": 3, "hamiltonian": %s}' % SX,
+                     "generator: hamiltonian dimension mismatch", id="hamiltonian-dim"),
+        # 2**70 is no int64: it takes the entry loop, which accepts it.
+        pytest.param(RUNS["operator"], '{"dim": 2, "entries": [[%d, 0], [0, 0], [0, 0], '
+                     '[0, 0]]}' % 2 ** 70, None, id="big-int-accepted"),
+    ])
+    def test_rejections_name_the_input(self, files, capfd, argv, text, fragment):
+        bad = files["tmp"] / "bad.json"
+        bad.write_text(text)
+        code, out, err = run_main([a.format(bad=bad, **files) for a in argv], capfd)
+        if fragment is None:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["value"] == 2.0 ** 70
+            return
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        data = json.loads(err)
+        assert data["code"] == "input_error"
+        assert fragment in data["message"], data["message"]
 
 
 class TestGroupQslCommand:

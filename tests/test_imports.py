@@ -40,13 +40,15 @@ EIGENSOLVE_SITES = {
     ("opcore", "require_psd"),
 }
 
-# Public definitions that no library code, benchmark or acceptance criterion
-# names, kept on purpose, each with its reason.
+# Public definitions and members that no library code, benchmark or acceptance
+# criterion reads, kept on purpose, each with its reason.
 UNCALLED_KEPT = {
     "open_speedlimit": "the paper's open-system speed limit; it shares apps._row "
                        "with trotter_run, the Trotter check",
     "reevaluate_seesaw_witness": "the see-saw's re-check of a witness, independent of "
                                  "the solver that found it",
+    "EnergyBoundReport.energies": "the simulated energies behind worst_margin",
+    "EnergyBoundReport.bounds": "the certified bounds behind worst_margin",
 }
 
 
@@ -212,33 +214,48 @@ def names_used(node) -> set:
     return used
 
 
+def reads(node, names: bool = True) -> set:
+    """Every identifier ``node`` reads: attribute reads (Load context), and with
+    ``names`` also loaded names and imported names."""
+    used = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            used.add(n.attr)
+        elif names and isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            used.add(n.id)
+        elif names and isinstance(n, (ast.Import, ast.ImportFrom)):
+            used.update(a.name.split(".")[-1] for a in n.names)
+    return used
+
+
 def test_every_public_definition_is_named_outside_its_unit_tests():
-    """Code that only its own unit tests call is dead.
+    """Code that only its own unit tests read is dead.
 
     Each public top-level def and class of src/eclim (but __init__.py) must be
-    named by another top-level statement of src/eclim, by perfbench/*.py or by
-    an acceptance criterion (tests/test_acceptance.py); __init__'s exports do
-    not count.  So must each public method, static method and property of a
-    public class, where the other members of its own class count as well.
-    The check is by name alone: any same-named identifier in those files
-    counts as a use, so a dead definition that shares its name with
-    something else passes.
+    read, as a loaded name, an attribute or an import, by another top-level
+    statement of src/eclim, by perfbench/*.py or by an acceptance criterion
+    (tests/test_acceptance.py); __init__'s exports do not count, and neither
+    does a store to a same-named variable.  Each public method, property and
+    annotated field of a public class must be read as an attribute in those
+    files outside its class, or by another member of its own class.
     """
     library = sorted(p for p in (SRC / "eclim").glob("*.py") if p.name != "__init__.py")
     readers = [*library, *sorted((ROOT / "perfbench").glob("*.py")),
                ROOT / "tests" / "test_acceptance.py"]
     statements = [(path, stmt) for path in readers
                   for stmt in ast.parse(path.read_text(), filename=str(path)).body]
-    uses = [(stmt, names_used(stmt)) for _, stmt in statements]
+    uses = [(stmt, reads(stmt), reads(stmt, names=False)) for _, stmt in statements]
     defined = [stmt for path, stmt in statements if path in library
                and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                and not stmt.name.startswith("_")]
-    unnamed = {d.name for d in defined
-               if not any(d.name in names for stmt, names in uses if stmt is not d)}
-    members = [(cls, m) for cls in defined if isinstance(cls, ast.ClassDef)
-               for m in cls.body
-               if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
-    unnamed |= {f"{cls.name}.{m.name}" for cls, m in members
-                if not any(m.name in names for stmt, names in uses if stmt is not cls)
-                and not any(m.name in names_used(other) for other in cls.body if other is not m)}
-    assert unnamed == set(UNCALLED_KEPT)
+    unread = {d.name for d in defined
+              if not any(d.name in names for stmt, names, _ in uses if stmt is not d)}
+    members = [(cls, m, m.name if isinstance(m, ast.FunctionDef) else m.target.id)
+               for cls in defined if isinstance(cls, ast.ClassDef) for m in cls.body
+               if isinstance(m, ast.FunctionDef)
+               or isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)]
+    unread |= {f"{cls.name}.{name}" for cls, m, name in members if not name.startswith("_")
+               and not any(name in attrs for stmt, _, attrs in uses if stmt is not cls)
+               and not any(name in reads(other, names=False)
+                           for other in cls.body if other is not m)}
+    assert unread == set(UNCALLED_KEPT)

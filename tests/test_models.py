@@ -91,7 +91,6 @@ class TestBirthTau:
 class TestBirthGenerator:
     def test_conservative_except_top(self):
         gen = birth_generator(BirthRates.power(0.0), 5)
-        assert not gen.formally_conservative
         defect = sum(l.conj().T @ l for l in gen.lindblad) + gen.k + gen.k.conj().T
         # exactly conservative on levels below the cutoff
         assert np.allclose(defect[:5, :5], 0.0, atol=1e-12)
@@ -170,7 +169,7 @@ class TestSpinSystem:
     def test_single_qubit(self):
         s = spin_system(1)
         assert np.allclose(s.laplacian.entries, 3.0 * np.eye(2))
-        assert s.ground_energy == pytest.approx(3.0)
+        assert s.reference.ground_energy_removed == pytest.approx(3.0)
 
     def test_two_qubits_spectrum(self):
         s = spin_system(2)
@@ -180,7 +179,7 @@ class TestSpinSystem:
     def test_commutators_many_qubits(self):
         s = spin_system(7)  # construction validates [Sx, Sy] = 2i Sz
         assert s.dim == 128
-        assert s.ground_energy == pytest.approx(3.0, abs=1e-9)
+        assert s.reference.ground_energy_removed == pytest.approx(3.0, abs=1e-9)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -217,14 +216,14 @@ class TestNelsonBounds:
             for e in (0.5, 2.0, 8.0):
                 for op in (s.sx, s.sy, s.sz):
                     v, _ = eco_norm(op.entries, s.reference, e)
-                    assert v <= np.sqrt(e + s.ground_energy) + 1e-9
+                    assert v <= np.sqrt(e + s.reference.ground_energy_removed) + 1e-9
 
     def test_group_energy_limited(self):
         # f_U(E) <= e^{2|t| * 2} (E + gse) - gse for U = exp(-it Sx)
         from eclim.channels import KrausChannel, max_output_energy
         s = spin_system(2)
         g = s.reference
-        gse = s.ground_energy
+        gse = s.reference.ground_energy_removed
         evals, evecs = s.sx.eigh()
         rng = rng_from_seed(9)
         for t in rng.uniform(-1.0, 1.0, size=5):

@@ -220,6 +220,42 @@ class TestEcoNormPrimal:
         dual, _ = dual_scan(m, g, e)
         assert -1e-9 <= (dual - value) / max(1.0, dual) <= 1e-6
 
+    def test_indefinite_m_beats_sampling(self):
+        # No caller passes an indefinite M.  In 14 of these 19 binding calls
+        # lam_max(M) is small against lam_max(M) - lam_min(M), so that the
+        # bracket's upper end 2*max(1, lam_max(M)/E) would be infeasible.
+        from eclim.norms import random_feasible_sample_max
+        rng = rng_from_seed(62)
+        for i in range(30):
+            d = int(rng.integers(2, 7))
+            m = HermitianMatrix(np.eye(d) - 10.0 * random_psd(d, rng).entries)
+            g = random_reference(d, rng)
+            e = (0.1, 1.0, 10.0)[i % 3]
+            value, psi = constrained_rayleigh_max(m, g, e)
+            assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+            assert vector_energy(g, psi) <= e * (1.0 + 1e-12)
+            sampled = random_feasible_sample_max(m, g, e, 2000, seed=i)
+            assert value >= sampled - 1e-9 * (1.0 + abs(value))
+
+    def test_diagonal_indefinite_m_is_the_closed_form(self):
+        # With M and G diagonal the problem is a linear program in the level
+        # weights: its optimum is one level of energy <= E, or a level below
+        # E mixed with one above it to energy exactly E.
+        rng = rng_from_seed(63)
+        for i in range(30):
+            d = int(rng.integers(2, 7))
+            mv = rng.uniform(-10.0, 1.0, d)
+            gv = np.concatenate([[0.0], rng.uniform(0.0, 4.0, d - 1)])
+            e = (0.1, 1.0, 3.0)[i % 3]
+            closed = max(mv[gv <= e])
+            for a in np.flatnonzero(gv < e):
+                for b in np.flatnonzero(gv > e):
+                    closed = max(closed, mv[a] + (mv[b] - mv[a]) * (e - gv[a]) / (gv[b] - gv[a]))
+            g = ref(*gv)
+            value, psi = constrained_rayleigh_max(HermitianMatrix(np.diag(mv)), g, e)
+            assert value == pytest.approx(closed, abs=1e-9)
+            assert vector_energy(g, psi) <= e * (1.0 + 1e-12)
+
 
 
 def haar_unitary(d, rng):

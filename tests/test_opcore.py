@@ -62,6 +62,33 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError):
             HermitianMatrix(np.array([[np.nan, 0], [0, 0]]))
 
+    @pytest.mark.parametrize("record, message", [
+        ("hermitian", r"expected a nonempty square matrix, got shape \(0, 0\)"),
+        ("reference", r"expected a nonempty square matrix, got shape \(0, 0\)"),
+        ("ground shift", r"expected a nonempty square matrix, got shape \(0, 0\)"),
+        ("state", r"expected a nonempty square matrix, got shape \(0, 0\)"),
+        ("kraus", "Kraus operators must not be empty"),
+        ("kraus 0x2", "Kraus operators must not be empty"),
+        ("lindblad", "K must be a nonempty square matrix"),
+        ("from hamiltonian", "K must be a nonempty square matrix"),
+    ])
+    def test_empty_operators_are_named(self, record, message):
+        from eclim.channels import KrausChannel
+        from eclim.lindblad import LindbladGenerator
+        empty = np.zeros((0, 0))
+        build = {
+            "hermitian": lambda: HermitianMatrix(empty),
+            "reference": lambda: ReferenceHamiltonian(HermitianMatrix(empty)),
+            "ground shift": lambda: ground_shift(HermitianMatrix(empty)),
+            "state": lambda: DensityState(HermitianMatrix(empty)),
+            "kraus": lambda: KrausChannel((empty,)),
+            "kraus 0x2": lambda: KrausChannel((np.zeros((0, 2)),)),
+            "lindblad": lambda: LindbladGenerator(empty, ()),
+            "from hamiltonian": lambda: LindbladGenerator.from_hamiltonian(empty),
+        }[record]
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_overflowing_norms_still_reject_a_non_hermitian_matrix(self):
         # The Frobenius norms of these overflow; pytest turns an overflow
         # warning into an error, so none may be raised either.
@@ -342,7 +369,7 @@ class TestDualSolverEdgeCases:
         value, cert = dual_scan(m, g, e)
         assert abs(value - expected) <= 1e-10 * (1.0 + abs(expected))
         assert cert.verify(m, g).residual >= -1e-12 * (1.0 + abs(value))
-        assert cert.bound(e) == pytest.approx(value, rel=1e-15, abs=1e-15)
+        assert cert.lam * e + cert.e0 == pytest.approx(value, rel=1e-15, abs=1e-15)
         _check_witness(m, g, e, value, witness_attains)
 
     @pytest.mark.parametrize("case", INDEFINITE_CASES, ids=[c[0] for c in INDEFINITE_CASES])
@@ -416,7 +443,7 @@ class TestEnergyProfile:
             profile = EnergyProfile(m, g)
             for e in grid:
                 value, cert = profile.solve(e)
-                assert cert.bound(e) == pytest.approx(value, rel=1e-15, abs=1e-15)
+                assert cert.lam * e + cert.e0 == pytest.approx(value, rel=1e-15, abs=1e-15)
                 primal, _ = eco_norm_primal(root.entries, g, e)
                 assert primal ** 2 * (1.0 - 1e-12) <= value <= primal ** 2 * (1.0 + 1e-9)
             # the model places probes from _MODEL_MIN_DIM on, and only there
@@ -434,7 +461,7 @@ class TestEnergyProfile:
                 assert profile.last_gap <= 1e-12 * (1.0 + abs(solved[order[-1]][0]))
                 for e, (v, cert) in solved.items():
                     assert abs(v - cold[e]) <= 1e-12 * (1.0 + abs(cold[e]))
-                    assert cert.bound(e) == pytest.approx(v, rel=1e-15, abs=1e-15)
+                    assert cert.lam * e + cert.e0 == pytest.approx(v, rel=1e-15, abs=1e-15)
                 curves.append(EnergyCurve(tuple(grid), tuple(solved[e][0] for e in grid),
                                           tuple(solved[e][1] for e in grid)))
             assert max(abs(a - b) / (1.0 + abs(a))
@@ -459,7 +486,7 @@ class TestEnergyProfile:
         value, cert = profile.solve(0.1)
         assert profile.evaluations <= 100  # 59; 202 without the bisection
         assert profile.last_gap <= 1e-12 * (1.0 + value)
-        assert cert.bound(0.1) == pytest.approx(value, rel=1e-15)
+        assert cert.lam * 0.1 + cert.e0 == pytest.approx(value, rel=1e-15)
         primal, _ = eco_norm_primal(op, g, 0.1)
         assert primal ** 2 * (1.0 - 1e-12) <= value <= primal ** 2 * (1.0 + 1e-9)
 
